@@ -17,14 +17,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cfg import Grammar, decode_grammar, encode_grammar, find_missing
-from .core import Structure, Vocabulary, ell, encode_bin, enumerate_structures
+from .core import (
+    Structure, Vocabulary, ell, encode_bin, encoding_length, enumerate_structures,
+)
 from .logic import (
-    SO_E, CharCfg, CharNpconp, CharOrd, CharUnord, CoCharUnord, Formula,
+    SO_E, CharCfg, CharNpconp, CharOrd, CharUnord, CoCharUnord, Formula, Not,
     apply_T_ord, apply_T_unord, char_free, godel_decode, godel_encode,
     in_fragment, validate_sentence,
 )
 from .machines import OracleMachine, decode_tm, encode_tm, run
-from .semantics import EvalConfig, MissingDistinguished, models
+from .semantics import EvalConfig, MissingDistinguished, sentence_checker, sweep
 
 
 class PayloadNotCharFree(ValueError):
@@ -46,9 +48,10 @@ def _budgeted(config: EvalConfig | None, budget: int | None) -> EvalConfig:
 def _reduction_agrees(vocab: Vocabulary, gamma: Formula, machine: OracleMachine,
                       upsilon_tau: Formula, bound: int,
                       config: EvalConfig) -> bool:
+    check = sentence_checker(upsilon_tau, config)
     for b in enumerate_structures(vocab, bound):
         accepted = run(machine, encode_bin(b), gamma, vocab, config=config)
-        if accepted != models(b, upsilon_tau, config):
+        if accepted != check(b):
             return False
     return True
 
@@ -56,10 +59,7 @@ def _reduction_agrees(vocab: Vocabulary, gamma: Formula, machine: OracleMachine,
 @lru_cache(maxsize=None)
 def _complement_agrees(vocab: Vocabulary, lam: Formula, gamma: Formula,
                        bound: int, config: EvalConfig) -> bool:
-    for b in enumerate_structures(vocab, bound):
-        if models(b, lam, config) == models(b, gamma, config):
-            return False
-    return True
+    return sweep(vocab, bound, lam, Not(gamma), config) is None
 
 
 def _require_char_free(name: str, f: Formula) -> None:
@@ -77,7 +77,7 @@ def member_S_ord(a: Structure, gamma: Formula, machine: OracleMachine,
     _require_char_free("the transported distinguished sentence", upsilon_tau)
     validate_sentence(gamma, a.vocab)
     validate_sentence(upsilon_tau, a.vocab)
-    bound = ell(len(encode_bin(a)), 3)
+    bound = ell(encoding_length(a.vocab, a.n), 3)
     return _reduction_agrees(a.vocab, gamma, machine, upsilon_tau, bound,
                              _budgeted(config, None))
 
@@ -92,7 +92,7 @@ def member_S_unord(a: Structure, gamma: Formula, machine: OracleMachine,
     _require_char_free("the transported distinguished sentence", upsilon_tau)
     validate_sentence(gamma, a.vocab)
     validate_sentence(upsilon_tau, a.vocab)
-    bound = ell(len(encode_bin(a)), 2)
+    bound = ell(encoding_length(a.vocab, a.n), 2)
     return _reduction_agrees(a.vocab, gamma, machine, upsilon_tau, bound,
                              _budgeted(config, None))
 
@@ -105,7 +105,7 @@ def member_S_npconp(a: Structure, lam: Formula, gamma: Formula,
         validate_sentence(f, a.vocab)
         if not in_fragment(f, SO_E):
             raise CharsetError(f"{name} must be an existential second-order sentence")
-    bound = ell(len(encode_bin(a)), 2)
+    bound = ell(encoding_length(a.vocab, a.n), 2)
     return _complement_agrees(a.vocab, lam, gamma, bound, _budgeted(config, None))
 
 
@@ -113,7 +113,7 @@ def member_S_cfg(a: Structure, grammar: Grammar) -> bool:
     """Does the language contain every string up to ell^(3) of the length?"""
     if not a.vocab.has_order:
         raise CharsetError("the grammar-indexed set needs an ordered vocabulary")
-    bound = ell(len(encode_bin(a)), 3)
+    bound = ell(encoding_length(a.vocab, a.n), 3)
     return find_missing(grammar, bound) is None
 
 
@@ -147,18 +147,28 @@ def eval_char(a: Structure, node: Formula, config: EvalConfig,
 
     Decoded payloads may themselves contain leaves; they are evaluated with
     the decremented budget rather than rejected, so that every parseable
-    sentence has a defined (if possibly budget-limited) semantics.  The
-    structure enters only through its vocabulary and encoding length, so the
-    heavy work memoizes on those.
+    sentence has a defined (if possibly budget-limited) semantics.
     """
+    return leaf_verdict(a.vocab, a.n, node, config, budget)
+
+
+def leaf_verdict(vocab: Vocabulary, n: int, node: Formula, config: EvalConfig,
+                 budget: int) -> bool:
+    """Satisfaction of a characteristic leaf on every size-n structure over vocab.
+
+    A structure enters only through its vocabulary and encoding length, so
+    the verdict is shared by all structures of one size, and the heavy work
+    memoizes on the bound.
+    """
+    length = encoding_length(vocab, n)
     if isinstance(node, (CharOrd, CharUnord, CoCharUnord, CharNpconp)):
         depth = 3 if isinstance(node, CharOrd) else 2
-        bound = ell(len(encode_bin(a)), depth)
-        return _char_verdict(node, a.vocab, bound, config, budget)
+        return _char_verdict(node, vocab, ell(length, depth), config, budget)
     if isinstance(node, CharCfg):
-        if not a.vocab.has_order:
+        if not vocab.has_order:
             raise CharsetError("grammar characteristic leaf on an unordered structure")
-        return member_S_cfg(a, decode_grammar(node.grammar_code))
+        grammar = decode_grammar(node.grammar_code)
+        return find_missing(grammar, ell(length, 3)) is None
     raise CharsetError(f"not a characteristic leaf: {node!r}")
 
 

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import aristotelian, cfg, charsets, forms, logic, machines
 from .core import (
-    Structure, Vocabulary, decode_bin, encode_bin, count_structures,
-    is_isomorphic, parse_vocab, structure_from_index,
+    Structure, Vocabulary, decode_bin, encode_bin, is_isomorphic, parse_vocab,
 )
 from .logic import parse_formula, print_formula, validate_sentence
-from .semantics import EvalConfig, models
+from .semantics import EvalConfig, models, sweep
 
 
 class CliError(Exception):
@@ -353,43 +351,10 @@ def cmd_form(args) -> int:
     return 0
 
 
-def _scan_range(payload) -> int | None:
-    """First structure index in [start, stop) falsifying f (or g-disagreeing)."""
-    vocab, n, start, stop, f, g, config = payload
-    for index in range(start, stop):
-        a = structure_from_index(vocab, n, index)
-        if g is None:
-            if not models(a, f, config):
-                return index
-        elif models(a, f, config) != models(a, g, config):
-            return index
-    return None
-
-
-def _search_counterexample(vocab, n_max, f, g, config, jobs):
-    for n in range(2, n_max + 1):
-        total = count_structures(vocab, n)
-        if jobs and jobs > 1 and total >= 1 << 10:
-            chunk = (total + 4 * jobs - 1) // (4 * jobs)
-            payloads = [
-                (vocab, n, lo, min(lo + chunk, total), f, g, config)
-                for lo in range(0, total, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for hit in pool.map(_scan_range, payloads):
-                    if hit is not None:
-                        return structure_from_index(vocab, n, hit)
-        else:
-            hit = _scan_range((vocab, n, 0, total, f, g, config))
-            if hit is not None:
-                return structure_from_index(vocab, n, hit)
-    return None
-
-
 def cmd_valid_upto(args) -> int:
     f = read_sentence(args.sentence)
-    witness = _search_counterexample(_tau(args), args.nmax, f, None,
-                                     _eval_config(args), args.jobs)
+    witness = sweep(_tau(args), args.nmax, f, None, _eval_config(args),
+                    args.jobs)
     if witness is None:
         print(f"valid up to n = {args.nmax}")
         return 0
@@ -401,8 +366,7 @@ def cmd_valid_upto(args) -> int:
 def cmd_modeq_upto(args) -> int:
     f = read_sentence(args.left)
     g = read_sentence(args.right)
-    witness = _search_counterexample(_tau(args), args.nmax, f, g,
-                                     _eval_config(args), args.jobs)
+    witness = sweep(_tau(args), args.nmax, f, g, _eval_config(args), args.jobs)
     if witness is None:
         print(f"equivalent up to n = {args.nmax}")
         return 0

@@ -140,6 +140,11 @@ def ell(x: int, k: int = 1) -> int:
     return x
 
 
+def encoding_length(vocab: Vocabulary, n: int) -> int:
+    """Length of the binary encoding of a size-n structure: sum of n^arity."""
+    return sum(n ** arity for _, arity in vocab.symbols)
+
+
 def _tuple_index(tup: tuple[int, ...], n: int) -> int:
     idx = 0
     for t in tup:
@@ -167,12 +172,11 @@ def encode_bin(a: Structure) -> str:
 
 
 def _universe_size_for(vocab: Vocabulary, length: int) -> int:
-    arities = [arity for _, arity in vocab.symbols]
-    if not arities:
+    if not vocab.symbols:
         raise NoIntegerUniverse("vocabulary has no relation symbols to decode")
     n = 2
     while True:
-        total = sum(n ** a for a in arities)
+        total = encoding_length(vocab, n)
         if total == length:
             return n
         if total > length:
@@ -203,9 +207,8 @@ def decode_bin(vocab: Vocabulary, bits: str) -> Structure:
 
 def structure_from_index(vocab: Vocabulary, n: int, index: int) -> Structure:
     """The structure whose encoding is `index` written with total-length bits."""
-    length = sum(n ** a for _, a in vocab.symbols)
     relations = {}
-    shift = length
+    shift = encoding_length(vocab, n)
     for name, arity in vocab.symbols:
         block_len = n ** arity
         shift -= block_len
@@ -223,13 +226,8 @@ def enumerate_structures(vocab: Vocabulary, n_max: int):
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     for n in range(2, n_max + 1):
-        length = sum(n ** a for _, a in vocab.symbols)
-        for index in range(1 << length):
+        for index in range(1 << encoding_length(vocab, n)):
             yield structure_from_index(vocab, n, index)
-
-
-def count_structures(vocab: Vocabulary, n: int) -> int:
-    return 1 << sum(n ** a for _, a in vocab.symbols)
 
 
 def is_isomorphic(a: Structure, b: Structure) -> bool:

@@ -18,7 +18,7 @@ from functools import cached_property
 from .aristotelian import MalformedCode, decode_nat, decode_str, encode_nat, encode_str
 from .core import Structure, Vocabulary, NoIntegerUniverse, decode_bin, encode_bin, enumerate_structures
 from .logic import Formula
-from .semantics import EvalConfig, models
+from .semantics import EvalConfig, models, sentence_checker
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -27,6 +27,8 @@ APPENDS = ("", "0", "1")
 RESERVED = ("ACC", "QUE", "YES", "NO")
 POLYTIME = "polytime"
 LOGSPACE = "logspace"
+# No run reaches 2^63 steps, so a larger clock cannot change a verdict.
+STEP_CAP_LOG2 = 63
 
 _STATE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -93,10 +95,16 @@ class OracleMachine:
         return dict(self.transitions)
 
     def step_limit(self, input_len: int) -> int:
-        limit = (input_len + 2) ** self.step_c
+        """(input_len+2)^step_c, or the smaller clock power for polytime,
+        capped at 2^STEP_CAP_LOG2 so that huge decoded exponents stay cheap."""
+        exponent = self.step_c
         if self.kind == POLYTIME:
-            limit = min(limit, (input_len + 2) ** self.clock_c)
-        return limit
+            exponent = min(exponent, self.clock_c)
+        base = input_len + 2
+        # base >= 2^(bit_length-1), so the power is at least 2^(this product)
+        if exponent * (base.bit_length() - 1) >= STEP_CAP_LOG2:
+            return 1 << STEP_CAP_LOG2
+        return min(base ** exponent, 1 << STEP_CAP_LOG2)
 
     def space_limit(self, input_len: int) -> int | None:
         if self.kind == LOGSPACE:
@@ -268,9 +276,10 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
                       config: EvalConfig | None = None) -> Structure | None:
     """First structure where accepting the encoding differs from satisfying
     the target sentence, or None when the reduction condition holds up to n_max."""
+    check = sentence_checker(target, config)
     for b in enumerate_structures(vocab, n_max):
         accepted = run(m, encode_bin(b), gamma, vocab, config=config)
-        if accepted != models(b, target, config):
+        if accepted != check(b):
             return b
     return None
 

@@ -7,6 +7,11 @@ into nested closures over slot-indexed environments (one pass of structural
 recursion), after which the same checker can be run against any number of
 structures; models() is the compile-and-run convenience wrapper.
 
+Sweeps over all structures up to a size go through sweep(), which compiles
+the sentence a second way: into a batch evaluator whose values are truth
+tables over every structure of one size at once, one bit per structure.
+The per-structure checker stays the reference that sweep() falls back to.
+
 Characteristic leaves delegate to the decision procedures in charsets under
 a recursion budget, since decoded payloads are untrusted and may nest
 further leaves.  Callers are expected to hand in sentences that are
@@ -17,10 +22,12 @@ the evaluator itself does not re-validate on every call.
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from multiprocessing import get_context
 
-from .core import Structure, Vocabulary, enumerate_structures
+from .core import Structure, Vocabulary, encoding_length, structure_from_index
 from .logic import (
     And, Bit, CHAR_NODES, Eq, Exists, Forall, Formula, Lfp, Lt, Neq, Not,
     Or, Pfp, Rel, SOExists, SOForall, Tc, psi_recognize,
@@ -299,11 +306,7 @@ def valid_upto(f: Formula, vocab: Vocabulary, n_max: int,
     """First structure of size <= n_max falsifying f, or None if f holds on all."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    check = sentence_checker(f, config)
-    for a in enumerate_structures(vocab, n_max):
-        if not check(a):
-            return a
-    return None
+    return sweep(vocab, n_max, f, None, config)
 
 
 def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
@@ -311,9 +314,410 @@ def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
     """First structure of size <= n_max where the two sentences disagree."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    # Both sentences compile before either is evaluated, so a compile error
+    # in g wins over an evaluation error of f on the first structure.
+    sentence_checker(f, config)
+    sentence_checker(g, config)
+    return sweep(vocab, n_max, f, g, config)
+
+
+# --- bit-parallel sweeps ------------------------------------------------
+#
+# A batch is every structure of one size whose index shares the bits above
+# the lowest `low`; a truth table is a Python int with one bit per structure
+# of the batch, bit i for structure (chunk << low) | i.  First-order
+# variables take the same value in every structure at once, so equality,
+# order and BIT are constant tables, and each connective is one big-int
+# operation.
+
+CHUNK_BITS = 20
+
+
+class _NoFixpoint(Exception):
+    """Some structure's least-fixpoint stages cycle; only the checker can tell
+    whether it is ever evaluated."""
+
+
+def _bit_table(p: int, width: int) -> int:
+    """The table of encoding bit p over a width-bit batch: bit i is (i >> p) & 1.
+
+    It equals full // ((1 << w) + 1) << w with w = 2^p; doubling the block
+    avoids a long division by a width-size divisor.
+    """
+    w = 1 << p
+    table, span = ((1 << w) - 1) << w, 2 * w
+    while span < width:
+        table |= table << span
+        span *= 2
+    return table
+
+
+class _Batch:
+    """The structures of size n whose indices have `chunk` above their lowest
+    `low` bits, with the atom tables and relation environment they share."""
+
+    __slots__ = ("vocab", "n", "universe", "full", "atoms", "renv", "config",
+                 "budget")
+
+    def __init__(self, vocab: Vocabulary, n: int, chunk: int, low: int,
+                 config: EvalConfig):
+        width = 1 << low
+        self.vocab = vocab
+        self.n = n
+        self.universe = range(n)
+        self.full = full = (1 << width) - 1
+        # The first symbol's first tuple is the highest encoding bit; bits at
+        # or above `low` are fixed by the chunk, so their atoms are constant.
+        self.atoms: dict[str, dict[tuple, int]] = {}
+        p = encoding_length(vocab, n)
+        for name, arity in vocab.symbols:
+            tables = {}
+            for tup in itertools.product(self.universe, repeat=arity):
+                p -= 1
+                if p >= low:
+                    tables[tup] = full if chunk >> (p - low) & 1 else 0
+                else:
+                    tables[tup] = _bit_table(p, width)
+            self.atoms[name] = tables
+        self.renv: dict[str, dict[tuple, int]] = {}
+        self.config = config
+        self.budget = config.char_budget
+
+
+def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
+                   state: dict):
+    """As _compile, into a closure run(batch, env) -> truth table.
+
+    Each node mirrors its checker counterpart, including the compile-time
+    errors, and evaluates a subformula whenever some structure of the batch
+    would: & skips its right side only when the left table is 0, | only when
+    it is full, and quantifiers stop once every structure is decided.
+    """
+    t = type(f)
+    if t is Rel:
+        name = f.name
+        idx = tuple(slots[v] for v in f.args)
+        if name in so_bound:
+            return lambda b, env: b.renv[name].get(tuple(env[i] for i in idx), 0)
+        if len(idx) == 2:
+            i, j = idx
+            return lambda b, env: b.atoms[name].get((env[i], env[j]), 0)
+        if len(idx) == 1:
+            (i,) = idx
+            return lambda b, env: b.atoms[name].get((env[i],), 0)
+        return lambda b, env: b.atoms[name].get(tuple(env[i] for i in idx), 0)
+    if t is Eq:
+        i, j = slots[f.left], slots[f.right]
+        return lambda b, env: b.full if env[i] == env[j] else 0
+    if t is Neq:
+        i, j = slots[f.left], slots[f.right]
+        return lambda b, env: b.full if env[i] != env[j] else 0
+    if t is Lt:
+        i, j = slots[f.left], slots[f.right]
+        return lambda b, env: b.full if env[i] < env[j] else 0
+    if t is Bit:
+        i, j = slots[f.left], slots[f.right]
+        return lambda b, env: b.full if (env[i] >> env[j]) & 1 == 1 else 0
+    if t is And:
+        left = _compile_batch(f.left, slots, so_bound, state)
+        right = _compile_batch(f.right, slots, so_bound, state)
+
+        def run_and(b, env):
+            value = left(b, env)
+            if not value:
+                return 0
+            other = right(b, env)
+            return other if value is b.full else value & other
+        return run_and
+    if t is Or:
+        left = _compile_batch(f.left, slots, so_bound, state)
+        right = _compile_batch(f.right, slots, so_bound, state)
+
+        def run_or(b, env):
+            value = left(b, env)
+            if value == b.full:
+                return b.full
+            other = right(b, env)
+            return other if not value else value | other
+        return run_or
+    if t is Not:
+        sub = _compile_batch(f.sub, slots, so_bound, state)
+
+        def run_not(b, env):
+            value = sub(b, env)
+            return 0 if value is b.full else b.full ^ value
+        return run_not
+    if t is Exists or t is Forall:
+        if psi_recognize(f) is not None:
+            return lambda b, env: 0
+        slot = len(slots)
+        state["slots"] = max(state["slots"], slot + 1)
+        sub = _compile_batch(f.sub, {**slots, f.var: slot}, so_bound, state)
+        if t is Exists:
+            def run_exists(b, env):
+                full = b.full
+                acc = 0
+                for value in b.universe:
+                    env[slot] = value
+                    acc |= sub(b, env)
+                    if acc == full:
+                        return full
+                return acc
+            return run_exists
+
+        def run_forall(b, env):
+            full = b.full
+            acc = full
+            for value in b.universe:
+                env[slot] = value
+                table = sub(b, env)
+                if table is not full:
+                    acc &= table
+                    if not acc:
+                        return 0
+            return acc
+        return run_forall
+    if t is SOExists or t is SOForall:
+        name, arity = f.relvar, f.arity
+        sub = _compile_batch(f.sub, slots, so_bound | {name}, state)
+        want = t is SOExists
+
+        def run_so(b, env):
+            tuples = list(itertools.product(b.universe, repeat=arity))
+            renv = b.renv
+            saved = renv.get(name)
+            full = b.full
+            acc = 0 if want else full
+            for mask in range(1 << len(tuples)):
+                # One relation for every structure: its atoms are constant.
+                renv[name] = {tup: full for i, tup in enumerate(tuples)
+                              if mask >> i & 1}
+                if want:
+                    acc |= sub(b, env)
+                    if acc == full:
+                        break
+                else:
+                    acc &= sub(b, env)
+                    if not acc:
+                        break
+            if saved is None:
+                del renv[name]
+            else:
+                renv[name] = saved
+            return acc
+        return run_so
+    if t is Tc:
+        slot1, slot2 = len(slots), len(slots) + 1
+        state["slots"] = max(state["slots"], slot2 + 1)
+        sub = _compile_batch(f.sub, {**slots, f.var1: slot1, f.var2: slot2},
+                             so_bound, state)
+        arg1, arg2 = slots[f.arg1], slots[f.arg2]
+
+        def run_tc(b, env):
+            universe = b.universe
+            reach = []
+            for u in universe:
+                env[slot1] = u
+                row = []
+                for v in universe:
+                    env[slot2] = v
+                    row.append(sub(b, env))
+                row[u] = b.full
+                reach.append(row)
+            # Warshall's closure, one structure per bit.
+            for k in universe:
+                row_k = reach[k]
+                for row_u in reach:
+                    via = row_u[k]
+                    if via:
+                        for v in universe:
+                            row_u[v] |= via & row_k[v]
+            return reach[env[arg1]][env[arg2]]
+        return run_tc
+    if t is Lfp or t is Pfp:
+        if t is Lfp and not _positive_in(f.sub, f.relvar):
+            raise PositivityViolation(
+                f"{f.relvar} occurs negatively under its least fixpoint"
+            )
+        name = f.relvar
+        base = len(slots)
+        var_slots = list(range(base, base + len(f.vars)))
+        state["slots"] = max(state["slots"], base + len(f.vars))
+        inner = dict(slots)
+        inner.update(zip(f.vars, var_slots))
+        sub = _compile_batch(f.sub, inner, so_bound | {name}, state)
+        arg_slots = tuple(slots[v] for v in f.args)
+        least = t is Lfp
+
+        def run_fp(b, env):
+            tuples = list(itertools.product(b.universe, repeat=len(var_slots)))
+            renv = b.renv
+            saved = renv.get(name)
+
+            def stage(current):
+                renv[name] = dict(zip(tuples, current))
+                out = []
+                for tup in tuples:
+                    for slot, value in zip(var_slots, tup):
+                        env[slot] = value
+                    out.append(sub(b, env))
+                return tuple(out)
+
+            # Iterate every structure's stages jointly.  Brent's cycle
+            # detection on the joint stage, or the checker's own cap of
+            # 2^|tuples| stages, shows when every structure has reached its
+            # cycle; a structure has a fixpoint iff its cycle is one stage.
+            prev = current = (0,) * len(tuples)
+            tortoise, power, lam = current, 1, 0
+            for _ in range(1 << len(tuples)):
+                prev, current = current, stage(current)
+                if current == prev or current == tortoise:
+                    break
+                lam += 1
+                if lam == power:
+                    tortoise, power, lam = current, 2 * power, 0
+            moving = 0
+            for old, new in zip(prev, current):
+                moving |= old ^ new
+            if moving and least:
+                raise _NoFixpoint(f"{name} has no least fixpoint on some structure")
+            fixed = b.full ^ moving
+            if saved is None:
+                del renv[name]
+            else:
+                renv[name] = saved
+            value = dict(zip(tuples, current)).get(tuple(env[i] for i in arg_slots), 0)
+            return value & fixed
+        return run_fp
+    if t in CHAR_NODES:
+        # A leaf sees a structure only through its vocabulary and size, so
+        # its verdict is one constant per size; a compiled program serves
+        # one vocabulary and configuration.
+        verdicts: dict[int, bool] = {}
+
+        def run_char(b, env):
+            verdict = verdicts.get(b.n)
+            if verdict is None:
+                if b.budget <= 0:
+                    raise RecursionBudgetExhausted(
+                        "nested characteristic leaves exceeded the recursion budget"
+                    )
+                from . import charsets
+
+                verdict = verdicts[b.n] = charsets.leaf_verdict(
+                    b.vocab, b.n, f, b.config, b.budget - 1)
+            return b.full if verdict else 0
+        return run_char
+    raise TypeError(f"cannot evaluate {f!r}")
+
+
+def _batch_program(f: Formula):
+    state = {"slots": 0}
+    run = _compile_batch(f, {}, frozenset(), state)
+    width = state["slots"]
+    return lambda b: run(b, [None] * width)
+
+
+def _scan(vocab: Vocabulary, n: int, start: int, stop: int, f: Formula,
+          g: Formula | None, config: EvalConfig) -> int | None:
+    """First index in [start, stop) falsifying f (or where f and g disagree),
+    checking one structure at a time; g compiles after f's first verdict."""
     check_f = sentence_checker(f, config)
-    check_g = sentence_checker(g, config)
-    for a in enumerate_structures(vocab, n_max):
-        if check_f(a) != check_g(a):
-            return a
+    check_g = None
+    for index in range(start, stop):
+        a = structure_from_index(vocab, n, index)
+        verdict = check_f(a)
+        if g is None:
+            if not verdict:
+                return index
+            continue
+        if check_g is None:
+            check_g = sentence_checker(g, config)
+        if verdict != check_g(a):
+            return index
+    return None
+
+
+class _Sweep:
+    """A sentence, or a pair to compare, compiled once for batch evaluation
+    over one vocabulary and configuration."""
+
+    def __init__(self, vocab: Vocabulary, f: Formula, g: Formula | None,
+                 config: EvalConfig):
+        self.vocab, self.f, self.g, self.config = vocab, f, g, config
+        try:
+            self.programs = [_batch_program(h) for h in (f, g) if h is not None]
+        except Exception:
+            self.programs = None
+
+    def first_hit(self, n: int, chunk: int) -> int | None:
+        """Index of the chunk's first structure falsifying f (or where f and g
+        disagree), or None."""
+        low = min(encoding_length(self.vocab, n), CHUNK_BITS)
+        if self.programs is not None:
+            # The batch evaluates a subformula wherever any structure of it
+            # would, so it also raises where the checker would never look:
+            # behind the first counterexample, or inside a branch that one
+            # structure's short-circuit skips.  Then the checker decides the
+            # chunk, which gives exactly its result or its exception.
+            try:
+                batch = _Batch(self.vocab, n, chunk, low, self.config)
+                tables = [run(batch) for run in self.programs]
+            except Exception:
+                pass
+            else:
+                if len(tables) == 1:
+                    bad = batch.full ^ tables[0]
+                else:
+                    bad = tables[0] ^ tables[1]
+                if not bad:
+                    return None
+                return (chunk << low) | ((bad & -bad).bit_length() - 1)
+        start = chunk << low
+        return _scan(self.vocab, n, start, start + (1 << low), self.f, self.g,
+                     self.config)
+
+
+def _pool_first_hit(task) -> int | None:
+    vocab, f, g, config, n, chunk = task
+    return _Sweep(vocab, f, g, config).first_hit(n, chunk)
+
+
+def _first_hit_in_pool(jobs: int, tasks) -> int | None:
+    with ProcessPoolExecutor(max_workers=jobs,
+                             mp_context=get_context("spawn")) as pool:
+        futures = [pool.submit(_pool_first_hit, task) for task in tasks]
+        try:
+            for future in futures:
+                hit = future.result()
+                if hit is not None:
+                    return hit
+            return None
+        finally:
+            for future in futures:
+                future.cancel()
+
+
+def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,
+          config: EvalConfig | None = None, jobs: int = 1) -> Structure | None:
+    """First structure in (size, index) order with 2 <= n <= n_max that
+    falsifies f, or, given g, on which f and g disagree; None if there is none.
+
+    Each size is decided in batches of up to 2^CHUNK_BITS structures, one
+    bit per structure.  With jobs > 1 and at least two batches in a size,
+    a pool of that many processes decides them; the result is the same.
+    """
+    config = config or _EMPTY_CONFIG
+    local = None
+    for n in range(2, n_max + 1):
+        chunks = range(1 << max(encoding_length(vocab, n) - CHUNK_BITS, 0))
+        if jobs > 1 and len(chunks) > 1:
+            hit = _first_hit_in_pool(
+                jobs, [(vocab, f, g, config, n, chunk) for chunk in chunks])
+        else:
+            local = local or _Sweep(vocab, f, g, config)
+            hits = (local.first_hit(n, chunk) for chunk in chunks)
+            hit = next((h for h in hits if h is not None), None)
+        if hit is not None:
+            return structure_from_index(vocab, n, hit)
     return None

@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 
 from fmwb.core import (
     NoIntegerUniverse, Structure, VocabError, VocabMismatch, Vocabulary,
-    decode_bin, ell, encode_bin, enumerate_structures, is_isomorphic,
-    apply_permutation, parse_vocab,
+    decode_bin, ell, encode_bin, encoding_length, enumerate_structures,
+    is_isomorphic, apply_permutation, parse_vocab,
 )
+from randgen import random_structure
 
 
 def test_vocab_invariants():
@@ -62,6 +63,15 @@ def test_encode_length_is_n_for_ordered_monadic(v_mon_ord):
         members = {(i,) for i in range(n) if rng.random() < 0.5}
         a = Structure.make(v_mon_ord, n, {"R": members})
         assert len(encode_bin(a)) == n
+
+
+def test_encoding_length_matches_encode_bin():
+    rng = random.Random(12)
+    for text in ("E:2", "R:1 <", "P:1 E:2", "H:3"):
+        vocab = parse_vocab(text)
+        for n in (2, 3, 4):
+            a = random_structure(rng, vocab, n)
+            assert encoding_length(vocab, n) == len(encode_bin(a))
 
 
 def test_decode_examples(v_mon_ord, v_graph):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -93,6 +94,19 @@ def test_runaway_machine_rejected_by_step_budget():
         },
     )
     assert not run(walker, "0101", EDGE, V_E)
+
+
+def test_step_limit_is_the_clock_power_capped_without_big_powers():
+    for kind in ("polytime", "logspace"):
+        for clock_c, step_c in ((1, 3), (3, 2), (2, 5)):
+            m = identity_machine(kind, clock_c, step_c)
+            exponent = min(clock_c, step_c) if kind == "polytime" else step_c
+            for input_len in (0, 4, 30, 1000):
+                assert m.step_limit(input_len) == min((input_len + 2) ** exponent, 1 << 63)
+    start = time.perf_counter()
+    assert identity_machine("polytime", 2**40, 2**40).step_limit(4) == 1 << 63
+    assert identity_machine("logspace", 1, 2**40).step_limit(10**6) == 1 << 63
+    assert time.perf_counter() - start < 0.1
 
 
 def test_logspace_storage_cap_rejects():
