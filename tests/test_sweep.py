@@ -66,6 +66,23 @@ def test_operator_sentences():
     assert_tables_match([apply_T_unord(f, tau) for f in unordered], tau, (2, 3))
 
 
+# Fixpoints whose truth depends on paths longer than one edge.
+GRAPH_FIXPOINTS = [
+    "Ax Ay TC[u,v: E(u,v)](x,y)",
+    "Ex Ey (x != y & ~TC[u,v: E(u,v)](x,y))",
+    "Ax Ey (x != y & TC[u,v: (E(u,v) & ~E(v,u))](x,y))",
+    "Ax Ay LFP[Q,u,v: (E(u,v) | Ew (Q(u,w) & E(w,v)))](x,y)",
+    "Ex Ey (x != y & PFP[Q,u,v: (E(u,v) | Ew (Q(u,w) & Q(w,v)))](x,y))",
+    "Ex PFP[Q,u: ((E(u,u) & ~Q(u)) | Ey (Q(y) & E(y,u)))](x)",
+    "Ax LFP[Q,u: Ay (E(u,y) -> Q(y))](x)",
+    "EQ:1 (Ex Q(x) & Ex ~Q(x) & Ax Ay ((Q(x) & ~Q(y)) -> ~TC[u,v: E(u,v)](x,y)))",
+]
+
+
+def test_graph_fixpoints():
+    assert_tables_match([parse_formula(t) for t in GRAPH_FIXPOINTS], V_E, (2, 3))
+
+
 def test_canonical_forms_with_leaves():
     ord5 = build_form("ord5", apply_T_ord(UPS_ORD, V_ORD), tau=V_ORD, cls="NP",
                       machine=identity_machine(), upsilon=UPS_ORD).formula
