@@ -645,6 +645,8 @@ class _Sweep:
     def __init__(self, vocab: Vocabulary, f: Formula, g: Formula | None,
                  config: EvalConfig):
         self.vocab, self.f, self.g, self.config = vocab, f, g, config
+        # A sentence the batch compiler rejects goes to the checker, which
+        # raises its own compile error at the first structure.
         try:
             self.programs = [_batch_program(h) for h in (f, g) if h is not None]
         except Exception:
