@@ -111,10 +111,13 @@ def member_S_npconp(a: Structure, lam: Formula, gamma: Formula,
 
 def member_S_cfg(a: Structure, grammar: Grammar) -> bool:
     """Does the language contain every string up to ell^(3) of the length?"""
-    if not a.vocab.has_order:
+    return _grammar_covers(a.vocab, a.n, grammar)
+
+
+def _grammar_covers(vocab: Vocabulary, n: int, grammar: Grammar) -> bool:
+    if not vocab.has_order:
         raise CharsetError("the grammar-indexed set needs an ordered vocabulary")
-    bound = ell(encoding_length(a.vocab, a.n), 3)
-    return find_missing(grammar, bound) is None
+    return find_missing(grammar, ell(encoding_length(vocab, n), 3)) is None
 
 
 def char_sentence(kind: str, *, gamma: Formula | None = None,
@@ -160,15 +163,14 @@ def leaf_verdict(vocab: Vocabulary, n: int, node: Formula, config: EvalConfig,
     the verdict is shared by all structures of one size, and the heavy work
     memoizes on the bound.
     """
-    length = encoding_length(vocab, n)
     if isinstance(node, (CharOrd, CharUnord, CoCharUnord, CharNpconp)):
         depth = 3 if isinstance(node, CharOrd) else 2
-        return _char_verdict(node, vocab, ell(length, depth), config, budget)
+        bound = ell(encoding_length(vocab, n), depth)
+        return _char_verdict(node, vocab, bound, config, budget)
     if isinstance(node, CharCfg):
         if not vocab.has_order:
             raise CharsetError("grammar characteristic leaf on an unordered structure")
-        grammar = decode_grammar(node.grammar_code)
-        return find_missing(grammar, ell(length, 3)) is None
+        return _grammar_covers(vocab, n, decode_grammar(node.grammar_code))
     raise CharsetError(f"not a characteristic leaf: {node!r}")
 
 
