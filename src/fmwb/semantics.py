@@ -25,7 +25,6 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import get_context
 
 from .core import Structure, Vocabulary, encoding_length, structure_from_index
 from .logic import (
@@ -329,6 +328,12 @@ def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
 # variables take the same value in every structure at once, so equality,
 # order and BIT are constant tables, and each connective is one big-int
 # operation.
+#
+# Every node is evaluated under a care mask: the structures whose checker
+# evaluates that node there, given the short-circuits above it.  A node's
+# table is exact on its care mask and arbitrary elsewhere.  The mask is what
+# keeps the batch from computing a characteristic leaf that no structure's
+# checker would reach.
 
 CHUNK_BITS = 20
 
@@ -336,6 +341,21 @@ CHUNK_BITS = 20
 class _NoFixpoint(Exception):
     """Some structure's least-fixpoint stages cycle; only the checker can tell
     whether it is ever evaluated."""
+
+
+class _LeafPending(Exception):
+    """A leaf whose verdict for this size is not known yet is reached by the
+    structures of a care mask; a checker scan computes it at the lowest one."""
+
+    def __init__(self, care: int, resolve):
+        super().__init__("characteristic leaf verdict not yet known")
+        self.first = (care & -care).bit_length() - 1
+        self.resolve = resolve
+
+
+class _InexactCare(Exception):
+    """A leaf is first reached in a partial fixpoint's later stages, where the
+    care mask may hold structures whose checker has already stopped."""
 
 
 def _bit_table(p: int, width: int) -> int:
@@ -357,7 +377,7 @@ class _Batch:
     `low` bits, with the atom tables and relation environment they share."""
 
     __slots__ = ("vocab", "n", "universe", "full", "atoms", "renv", "config",
-                 "budget")
+                 "budget", "exact")
 
     def __init__(self, vocab: Vocabulary, n: int, chunk: int, low: int,
                  config: EvalConfig):
@@ -382,129 +402,112 @@ class _Batch:
         self.renv: dict[str, dict[tuple, int]] = {}
         self.config = config
         self.budget = config.char_budget
+        # False while care masks may over-approximate the checker's path.
+        self.exact = True
 
 
 def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                    state: dict):
-    """As _compile, into a closure run(batch, env) -> truth table.
+    """As _compile, into a closure run(batch, env, care) -> truth table.
 
     Each node mirrors its checker counterpart, including the compile-time
-    errors, and evaluates a subformula whenever some structure of the batch
-    would: & skips its right side only when the left table is 0, | only when
-    it is full, and quantifiers stop once every structure is decided.
+    errors and the short-circuits: a subformula's care mask holds exactly
+    the structures whose checker evaluates it there.
     """
     t = type(f)
     if t is Rel:
         name = f.name
         idx = tuple(slots[v] for v in f.args)
         if name in so_bound:
-            return lambda b, env: b.renv[name].get(tuple(env[i] for i in idx), 0)
+            return lambda b, env, care: b.renv[name].get(tuple(env[i] for i in idx), 0)
         if len(idx) == 2:
             i, j = idx
-            return lambda b, env: b.atoms[name].get((env[i], env[j]), 0)
+            return lambda b, env, care: b.atoms[name].get((env[i], env[j]), 0)
         if len(idx) == 1:
             (i,) = idx
-            return lambda b, env: b.atoms[name].get((env[i],), 0)
-        return lambda b, env: b.atoms[name].get(tuple(env[i] for i in idx), 0)
+            return lambda b, env, care: b.atoms[name].get((env[i],), 0)
+        return lambda b, env, care: b.atoms[name].get(tuple(env[i] for i in idx), 0)
     if t is Eq:
         i, j = slots[f.left], slots[f.right]
-        return lambda b, env: b.full if env[i] == env[j] else 0
+        return lambda b, env, care: b.full if env[i] == env[j] else 0
     if t is Neq:
         i, j = slots[f.left], slots[f.right]
-        return lambda b, env: b.full if env[i] != env[j] else 0
+        return lambda b, env, care: b.full if env[i] != env[j] else 0
     if t is Lt:
         i, j = slots[f.left], slots[f.right]
-        return lambda b, env: b.full if env[i] < env[j] else 0
+        return lambda b, env, care: b.full if env[i] < env[j] else 0
     if t is Bit:
         i, j = slots[f.left], slots[f.right]
-        return lambda b, env: b.full if (env[i] >> env[j]) & 1 == 1 else 0
+        return lambda b, env, care: b.full if (env[i] >> env[j]) & 1 == 1 else 0
     if t is And:
         left = _compile_batch(f.left, slots, so_bound, state)
         right = _compile_batch(f.right, slots, so_bound, state)
 
-        def run_and(b, env):
-            value = left(b, env)
-            if not value:
-                return 0
-            other = right(b, env)
-            return other if value is b.full else value & other
+        def run_and(b, env, care):
+            care &= left(b, env, care)
+            return care & right(b, env, care) if care else 0
         return run_and
     if t is Or:
         left = _compile_batch(f.left, slots, so_bound, state)
         right = _compile_batch(f.right, slots, so_bound, state)
 
-        def run_or(b, env):
-            value = left(b, env)
-            if value == b.full:
-                return b.full
-            other = right(b, env)
-            return other if not value else value | other
+        def run_or(b, env, care):
+            value = left(b, env, care)
+            rest = care & ~value
+            return value | right(b, env, rest) if rest else value
         return run_or
     if t is Not:
         sub = _compile_batch(f.sub, slots, so_bound, state)
-
-        def run_not(b, env):
-            value = sub(b, env)
-            return 0 if value is b.full else b.full ^ value
-        return run_not
+        return lambda b, env, care: b.full ^ sub(b, env, care)
     if t is Exists or t is Forall:
         if psi_recognize(f) is not None:
-            return lambda b, env: 0
+            return lambda b, env, care: 0
         slot = len(slots)
         state["slots"] = max(state["slots"], slot + 1)
         sub = _compile_batch(f.sub, {**slots, f.var: slot}, so_bound, state)
         if t is Exists:
-            def run_exists(b, env):
-                full = b.full
-                acc = 0
+            def run_exists(b, env, care):
+                open_ = care  # the structures without a witness so far
                 for value in b.universe:
                     env[slot] = value
-                    acc |= sub(b, env)
-                    if acc == full:
-                        return full
-                return acc
+                    open_ &= ~sub(b, env, open_)
+                    if not open_:
+                        break
+                return care ^ open_
             return run_exists
 
-        def run_forall(b, env):
-            full = b.full
-            acc = full
+        def run_forall(b, env, care):
             for value in b.universe:
                 env[slot] = value
-                table = sub(b, env)
-                if table is not full:
-                    acc &= table
-                    if not acc:
-                        return 0
-            return acc
+                care &= sub(b, env, care)
+                if not care:
+                    return 0
+            return care
         return run_forall
     if t is SOExists or t is SOForall:
         name, arity = f.relvar, f.arity
         sub = _compile_batch(f.sub, slots, so_bound | {name}, state)
         want = t is SOExists
 
-        def run_so(b, env):
+        def run_so(b, env, care):
             tuples = list(itertools.product(b.universe, repeat=arity))
             renv = b.renv
             saved = renv.get(name)
             full = b.full
-            acc = 0 if want else full
+            open_ = care  # the structures whose checker is still looping
             for mask in range(1 << len(tuples)):
                 # One relation for every structure: its atoms are constant.
                 renv[name] = {tup: full for i, tup in enumerate(tuples)
                               if mask >> i & 1}
-                if want:
-                    acc |= sub(b, env)
-                    if acc == full:
-                        break
-                else:
-                    acc &= sub(b, env)
-                    if not acc:
-                        break
+                value = sub(b, env, open_)
+                open_ &= ~value if want else value
+                if not open_:
+                    break
             if saved is None:
                 del renv[name]
             else:
                 renv[name] = saved
-            return acc
+            return care ^ open_ if want else open_
         return run_so
     if t is Tc:
         slot1, slot2 = len(slots), len(slots) + 1
@@ -513,7 +516,7 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                              so_bound, state)
         arg1, arg2 = slots[f.arg1], slots[f.arg2]
 
-        def run_tc(b, env):
+        def run_tc(b, env, care):
             universe = b.universe
             reach = []
             for u in universe:
@@ -521,7 +524,7 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                 row = []
                 for v in universe:
                     env[slot2] = v
-                    row.append(sub(b, env))
+                    row.append(sub(b, env, care))
                 row[u] = b.full
                 reach.append(row)
             # Warshall's closure, one structure per bit.
@@ -549,45 +552,52 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
         arg_slots = tuple(slots[v] for v in f.args)
         least = t is Lfp
 
-        def run_fp(b, env):
+        def run_fp(b, env, care):
             tuples = list(itertools.product(b.universe, repeat=len(var_slots)))
             renv = b.renv
             saved = renv.get(name)
+            exact = b.exact
 
-            def stage(current):
+            def stage(current, active):
                 renv[name] = dict(zip(tuples, current))
                 out = []
                 for tup in tuples:
                     for slot, value in zip(var_slots, tup):
                         env[slot] = value
-                    out.append(sub(b, env))
-                return tuple(out)
+                    out.append(sub(b, env, active))
+                return out
 
-            # Iterate every structure's stages jointly.  Brent's cycle
-            # detection on the joint stage, or the checker's own cap of
-            # 2^|tuples| stages, shows when every structure has reached its
-            # cycle; a structure has a fixpoint iff its cycle is one stage.
-            prev = current = (0,) * len(tuples)
-            tortoise, power, lam = current, 1, 0
+            # Iterate every structure's stages jointly.  A structure keeps its
+            # stage and leaves `active` once a stage repeats the one before,
+            # where its checker stops.  Brent's cycle detection on the joint
+            # state, or the checker's own cap of 2^|tuples| stages, shows
+            # when the structures still active cycle for ever.
+            current, active = (0,) * len(tuples), care
+            tortoise, power, lam = (current, active), 1, 0
             for _ in range(1 << len(tuples)):
-                prev, current = current, stage(current)
-                if current == prev or current == tortoise:
+                moved, new = 0, []
+                for old, value in zip(current, stage(current, active)):
+                    diff = (old ^ value) & active
+                    moved |= diff
+                    new.append(old ^ diff)
+                current, active = tuple(new), moved
+                if not active or (current, active) == tortoise:
                     break
                 lam += 1
                 if lam == power:
-                    tortoise, power, lam = current, 2 * power, 0
-            moving = 0
-            for old, new in zip(prev, current):
-                moving |= old ^ new
-            if moving and least:
+                    tortoise, power, lam = (current, active), 2 * power, 0
+                # A partial fixpoint's checker also stops at any earlier
+                # stage coming back, which `active` does not track.
+                b.exact = exact and least
+            b.exact = exact
+            if active and least:
                 raise _NoFixpoint(f"{name} has no least fixpoint on some structure")
-            fixed = b.full ^ moving
             if saved is None:
                 del renv[name]
             else:
                 renv[name] = saved
             value = dict(zip(tuples, current)).get(tuple(env[i] for i in arg_slots), 0)
-            return value & fixed
+            return value & ~active
         return run_fp
     if t in CHAR_NODES:
         # A leaf sees a structure only through its vocabulary and size, so
@@ -595,27 +605,39 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
         # one vocabulary and configuration.
         verdicts: dict[int, bool] = {}
 
-        def run_char(b, env):
+        def resolve(b):
+            from . import charsets
+
+            verdicts[b.n] = charsets.leaf_verdict(b.vocab, b.n, f, b.config,
+                                                  b.budget - 1)
+
+        def run_char(b, env, care):
             verdict = verdicts.get(b.n)
             if verdict is None:
+                if not care:
+                    return 0
                 if b.budget <= 0:
                     raise RecursionBudgetExhausted(
                         "nested characteristic leaves exceeded the recursion budget"
                     )
-                from . import charsets
-
-                verdict = verdicts[b.n] = charsets.leaf_verdict(
-                    b.vocab, b.n, f, b.config, b.budget - 1)
+                if not b.exact:
+                    raise _InexactCare("leaf first reached in a later PFP stage")
+                raise _LeafPending(care, lambda: resolve(b))
             return b.full if verdict else 0
         return run_char
     raise TypeError(f"cannot evaluate {f!r}")
 
 
 def _batch_program(f: Formula):
+    """f compiled for batches: program(batch, care) is f's table, exact on care."""
     state = {"slots": 0}
     run = _compile_batch(f, {}, frozenset(), state)
     width = state["slots"]
-    return lambda b: run(b, [None] * width)
+
+    def program(b: _Batch, care: int) -> int:
+        b.renv, b.exact = {}, True
+        return run(b, [None] * width, care)
+    return program
 
 
 def _scan(vocab: Vocabulary, n: int, start: int, stop: int, f: Formula,
@@ -657,27 +679,42 @@ class _Sweep:
         disagree), or None."""
         low = min(encoding_length(self.vocab, n), CHUNK_BITS)
         if self.programs is not None:
-            # The batch evaluates a subformula wherever any structure of it
-            # would, so it also raises where the checker would never look:
-            # behind the first counterexample, or inside a branch that one
-            # structure's short-circuit skips.  Then the checker decides the
-            # chunk, which gives exactly its result or its exception.
+            # The batch evaluates a subformula wherever some structure would,
+            # so it can raise where a scan never looks: behind the first
+            # counterexample, or for a structure whose own evaluation stops
+            # before.  Then the checker decides the chunk, which gives
+            # exactly its result or its exception.
             try:
                 batch = _Batch(self.vocab, n, chunk, low, self.config)
-                tables = [run(batch) for run in self.programs]
+                hit = self._first_hit_in(batch, batch.full)
             except Exception:
                 pass
             else:
-                if len(tables) == 1:
-                    bad = batch.full ^ tables[0]
-                else:
-                    bad = tables[0] ^ tables[1]
-                if not bad:
-                    return None
-                return (chunk << low) | ((bad & -bad).bit_length() - 1)
+                return None if hit is None else (chunk << low) | hit
         start = chunk << low
         return _scan(self.vocab, n, start, start + (1 << low), self.f, self.g,
                      self.config)
+
+    def _first_hit_in(self, batch: _Batch, limit: int) -> int | None:
+        """The lowest bit of `limit` whose structure falsifies f (or where f
+        and g disagree), or None.
+
+        A scan computes a pending leaf at the first structure that reaches
+        it, and only if no structure before that one is a hit; so does this.
+        """
+        while True:
+            try:
+                tables = [run(batch, limit) for run in self.programs]
+            except _LeafPending as pending:
+                below = limit & ((1 << pending.first) - 1)
+                hit = self._first_hit_in(batch, below) if below else None
+                if hit is not None:
+                    return hit
+                pending.resolve()
+                continue
+            other = tables[1] if len(tables) == 2 else batch.full
+            bad = limit & (tables[0] ^ other)
+            return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def _pool_first_hit(task) -> int | None:
@@ -685,19 +722,20 @@ def _pool_first_hit(task) -> int | None:
     return _Sweep(vocab, f, g, config).first_hit(n, chunk)
 
 
-def _first_hit_in_pool(jobs: int, tasks) -> int | None:
-    with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=get_context("spawn")) as pool:
-        futures = [pool.submit(_pool_first_hit, task) for task in tasks]
-        try:
+def _first_hit_in_pool(jobs: int, tasks: list) -> int | None:
+    """The first hit in task order, with up to 4 * jobs tasks in flight."""
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        for lo in range(0, len(tasks), 4 * jobs):
+            futures = [pool.submit(_pool_first_hit, task)
+                       for task in tasks[lo:lo + 4 * jobs]]
             for future in futures:
                 hit = future.result()
                 if hit is not None:
                     return hit
-            return None
-        finally:
-            for future in futures:
-                future.cancel()
+        return None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from fmwb import charsets
 from fmwb.charsets import char_sentence
 from fmwb.cli import main
 from fmwb.core import encoding_length, parse_vocab, structure_from_index
@@ -16,10 +17,14 @@ from fmwb.forms import build_form, fo_sentences
 from fmwb.logic import (
     apply_T_ord, apply_T_unord, parse_formula, print_formula, psi_encode,
 )
-from fmwb.machines import always_reject_machine, identity_machine
+from fmwb.machines import (
+    BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, always_reject_machine,
+    identity_machine,
+)
 from fmwb.semantics import (
     CHUNK_BITS, EvalConfig, MissingDistinguished, RecursionBudgetExhausted,
-    _Batch, _batch_program, _NoFixpoint, sentence_checker, sweep,
+    _Batch, _batch_program, _InexactCare, _LeafPending, _NoFixpoint,
+    sentence_checker, sweep,
 )
 from test_acceptance import ORD_UPSILONS, UNORD_UPSILONS
 
@@ -31,8 +36,14 @@ CONFIG = EvalConfig(UPS_ORD, UPS_UNORD)
 
 
 def table(f, vocab, n, chunk=0, config=CONFIG):
+    """f's batch table on every structure, computing each leaf it reaches."""
     low = min(encoding_length(vocab, n), CHUNK_BITS)
-    return _batch_program(f)(_Batch(vocab, n, chunk, low, config))
+    batch, program = _Batch(vocab, n, chunk, low, config), _batch_program(f)
+    while True:
+        try:
+            return program(batch, batch.full)
+        except _LeafPending as pending:
+            pending.resolve()
 
 
 def assert_tables_match(sentences, vocab, sizes, config=CONFIG):
@@ -157,18 +168,99 @@ def test_cli_jobs_2_prints_what_jobs_1_prints(write, capsys):
     assert capsys.readouterr().out == "valid up to n = 5\n"
 
 
-def test_cli_falls_back_where_the_batch_would_raise(write, capsys):
+def scan(vocab, n_max, f, config=CONFIG):
+    """The first falsifying structure, checked one structure at a time."""
+    check = sentence_checker(f, config)
+    for n in range(2, n_max + 1):
+        for i in range(1 << encoding_length(vocab, n)):
+            a = structure_from_index(vocab, n, i)
+            if not check(a):
+                return a
+    return None
+
+
+@pytest.fixture
+def leaf_calls(monkeypatch):
+    """Sizes at which a leaf verdict is computed; each one raises instead."""
+    calls = []
+
+    def record(vocab, n, node, config, budget):
+        calls.append(n)
+        raise AssertionError("leaf verdict computed")
+    monkeypatch.setattr(charsets, "leaf_verdict", record)
+    return calls
+
+
+def spinning_leaf():
+    # The machine never halts and its clock is capped at 2^63 steps, so this
+    # leaf's verdict is never computed to the end.
+    spin = OracleMachine.make(
+        ("q0",) + RESERVED, "q0", POLYTIME, 2**40, 2**40,
+        {("q0", sym, BLANK): ("q0", BLANK, "S", "S", "") for sym in SYMBOLS})
+    return char_sentence("unord", gamma=parse_formula("Ex E(x,x)"), machine=spin)
+
+
+def test_leaf_no_structure_reaches_is_never_computed(leaf_calls):
+    leaf = print_formula(spinning_leaf())
+    f = parse_formula(f"(Ax ~E(x,x) & ~(Ex E(x,x) & {leaf}))")
+    assert sweep(V_E, 3, f, None, CONFIG) == structure_from_index(V_E, 2, 1)
+    assert sweep(V_E, 3, f, parse_formula("Ax ~E(x,x)"), CONFIG) is None
+    assert leaf_calls == []
+
+
+def test_leaf_reached_only_after_the_first_counterexample_is_never_computed(
+        leaf_calls):
+    # Structure 1 (E = {(1,1)}) is the first counterexample; structure 3 is
+    # the first whose checker reaches the leaf.
+    leaf = print_formula(spinning_leaf())
+    f = parse_formula(f"Ax (E(x,x) -> (Ay E(x,y) & {leaf}))")
+    assert sweep(V_E, 3, f, None, CONFIG) == structure_from_index(V_E, 2, 1)
+    assert leaf_calls == []
+
+
+def test_leaf_is_computed_once_per_size_when_the_scan_reaches_it(monkeypatch):
+    calls = []
+    compute = charsets.leaf_verdict
+
+    def record(vocab, n, node, config, budget):
+        calls.append(n)
+        return compute(vocab, n, node, config, budget)
+    monkeypatch.setattr(charsets, "leaf_verdict", record)
+    leaf = char_sentence("unord", gamma=parse_formula("Ax Ey E(x,y)"),
+                         machine=always_reject_machine())
+    # First reached at structure 1 at each size.
+    for text in (f"(Ax ~E(x,x) | {print_formula(leaf)})",
+                 f"(Ax ~E(x,x) | ~{print_formula(leaf)})"):
+        f = parse_formula(text)
+        calls.clear()
+        witness = sweep(V_E, 3, f, None, CONFIG)
+        assert calls == ([2] if witness else [2, 3])
+        calls.clear()
+        assert witness == scan(V_E, 3, f)
+
+
+def test_leaf_first_reached_in_a_later_pfp_stage_goes_to_the_checker():
+    leaf = char_sentence("ord", gamma=parse_formula("Ex R1(x)"),
+                         machine=identity_machine())
+    for text in ("Ax PFP[Q,u: (Q(u) | R1(u) | (Ey Q(y) & LEAF))](x)",
+                 "Ax PFP[Q,u: (Q(u) | R1(u) | (Ey Q(y) & ~LEAF))](x)"):
+        f = parse_formula(text.replace("LEAF", print_formula(leaf)))
+        with pytest.raises(_InexactCare):
+            table(f, V_ORD, 2)
+        assert sweep(V_ORD, 4, f, None, CONFIG) == scan(V_ORD, 4, f)
+
+
+def test_cli_prints_the_counterexample_before_an_unreached_leaf(
+        write, capsys, leaf_calls):
     # Checked one structure at a time, the leaf is never reached before the
-    # counterexample P = {1}; the batch reaches it for P = {0} and raises.
+    # counterexample P = {1}.  Without a distinguished sentence it would raise.
     leaf = char_sentence("ord", gamma=parse_formula("Ex P(x)"),
                          machine=identity_machine())
-    text = f"(Ax ~P(x) & ~(Ex P(x) & {print_formula(leaf)}))"
-    f = parse_formula(text)
-    with pytest.raises(MissingDistinguished):
-        table(f, parse_vocab("P:1 <"), 2, config=EvalConfig())
-    path = write("fallback.sent", text)
+    path = write("unreached.sent",
+                 f"(Ax ~P(x) & ~(Ex P(x) & {print_formula(leaf)}))")
     assert main(["valid-upto", path, "--tau", "P:1 <", "--nmax", "3"]) == 1
     assert capsys.readouterr().out == "counterexample:\nvocab P:1 <\nn = 2\nP = (1)\n"
+    assert leaf_calls == []
 
 
 def test_sweep_raises_what_the_checker_raises(write, capsys):
