@@ -679,11 +679,11 @@ class _Sweep:
         disagree), or None."""
         low = min(encoding_length(self.vocab, n), CHUNK_BITS)
         if self.programs is not None:
-            # The batch evaluates a subformula wherever some structure would,
-            # so it can raise where a scan never looks: behind the first
-            # counterexample, or for a structure whose own evaluation stops
-            # before.  Then the checker decides the chunk, which gives
-            # exactly its result or its exception.
+            # Apart from leaves, the batch evaluates a subformula for every
+            # structure that reaches it, also behind the first counterexample,
+            # so it can raise where a scan never looks; and it gives up on a
+            # leaf whose first structure it cannot tell.  Then the checker
+            # decides the chunk, which gives exactly its result or exception.
             try:
                 batch = _Batch(self.vocab, n, chunk, low, self.config)
                 hit = self._first_hit_in(batch, batch.full)
