@@ -63,20 +63,41 @@ def encode_str(s: str) -> str:
     return encode_nat(len(data)) + "".join(format(byte, "08b") for byte in data)
 
 
-def decode_str(bits: str, pos: int = 0) -> tuple[str, int]:
-    """Decode one encode_str codeword at pos; returns (string, bits consumed)."""
-    length, used = decode_nat(bits, pos)
-    start = pos + used
-    if start + 8 * length > len(bits):
-        raise MalformedCode("truncated string field")
-    try:
-        data = bytes(
-            int(bits[start + 8 * i : start + 8 * (i + 1)], 2)
-            for i in range(length)
-        ).decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedCode("string field is not ascii") from exc
-    return data, used + 8 * length
+class BitReader:
+    """A cursor over a bit string holding consecutive codewords.
+
+    Every read raises MalformedCode when the string ends too early.
+    """
+
+    def __init__(self, bits: str):
+        self.bits = bits
+        self.pos = 0
+
+    def nat(self) -> int:
+        value, used = decode_nat(self.bits, self.pos)
+        self.pos += used
+        return value
+
+    def take(self, k: int) -> str:
+        """The next k raw bits."""
+        if self.pos + k > len(self.bits):
+            raise MalformedCode(f"truncated field at bit {self.pos}")
+        self.pos += k
+        return self.bits[self.pos - k : self.pos]
+
+    def string(self) -> str:
+        """One encode_str codeword."""
+        data = self.take(8 * self.nat())
+        try:
+            return bytes(
+                int(data[i : i + 8], 2) for i in range(0, len(data), 8)
+            ).decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MalformedCode("string field is not ascii") from exc
+
+    def payload(self) -> str:
+        """A bit string behind its length codeword."""
+        return self.take(self.nat())
 
 
 def _check_aristotelian(a: Structure) -> None:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .aristotelian import MalformedCode, decode_nat, decode_str, encode_nat, encode_str
+from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
 
 
 class GrammarError(ValueError):
@@ -224,7 +224,7 @@ def to_cnf(g: Grammar) -> Grammar:
     return Grammar.make(nonterminals, g.terminals, rules, start)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _cnf_tables(g: Grammar):
     cnf = to_cnf(g)
     by_terminal: dict[str, set[str]] = {}
@@ -302,34 +302,18 @@ def encode_grammar(g: Grammar) -> str:
 def decode_grammar(bits: str) -> Grammar:
     if not bits or any(b not in "01" for b in bits):
         raise MalformedGrammar("grammar code must be a nonempty bit string")
-    pos = 0
-
-    def nat() -> int:
-        nonlocal pos
-        value, used = decode_nat(bits, pos)
-        pos += used
-        return value
-
-    def string() -> str:
-        nonlocal pos
-        s, used = decode_str(bits, pos)
-        pos += used
-        return s
-
+    r = BitReader(bits)
     try:
-        nonterminals = tuple(string() for _ in range(nat()))
-        terminals = tuple(string() for _ in range(nat()))
-        start_idx = nat()
+        nonterminals = tuple(r.string() for _ in range(r.nat()))
+        terminals = tuple(r.string() for _ in range(r.nat()))
+        start_idx = r.nat()
         productions = []
-        for _ in range(nat()):
-            head_idx = nat()
+        for _ in range(r.nat()):
+            head_idx = r.nat()
             body = []
-            for _ in range(nat()):
-                if pos >= len(bits):
-                    raise MalformedCode("truncated production symbol")
-                is_terminal = bits[pos] == "1"
-                pos += 1
-                idx = nat()
+            for _ in range(r.nat()):
+                is_terminal = r.take(1) == "1"
+                idx = r.nat()
                 pool = terminals if is_terminal else nonterminals
                 if idx >= len(pool):
                     raise MalformedCode("symbol index out of range")
@@ -339,8 +323,8 @@ def decode_grammar(bits: str) -> Grammar:
             productions.append((nonterminals[head_idx], tuple(body)))
     except MalformedCode as exc:
         raise MalformedGrammar(str(exc)) from exc
-    if pos != len(bits):
-        raise MalformedGrammar(f"{len(bits) - pos} trailing bits after the grammar")
+    if r.pos != len(bits):
+        raise MalformedGrammar(f"{len(bits) - r.pos} trailing bits after the grammar")
     if start_idx >= len(nonterminals):
         raise MalformedGrammar("start index out of range")
     try:

@@ -17,16 +17,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cfg import Grammar, decode_grammar, encode_grammar, find_missing
-from .core import (
-    Structure, Vocabulary, ell, encode_bin, encoding_length, enumerate_structures,
-)
+from .core import Structure, Vocabulary, ell, encoding_length
 from .logic import (
     SO_E, CharCfg, CharNpconp, CharOrd, CharUnord, CoCharUnord, Formula, Not,
     apply_T_ord, apply_T_unord, char_free, godel_decode, godel_encode,
     in_fragment, validate_sentence,
 )
-from .machines import OracleMachine, decode_tm, encode_tm, run
-from .semantics import EvalConfig, MissingDistinguished, sentence_checker, sweep
+from .machines import OracleMachine, decode_tm, encode_tm, is_reduction_upto
+from .semantics import EvalConfig, MissingDistinguished, sweep
 
 
 class PayloadNotCharFree(ValueError):
@@ -44,19 +42,15 @@ def _budgeted(config: EvalConfig | None, budget: int | None) -> EvalConfig:
     return EvalConfig(config.upsilon_ord, config.upsilon_unord, budget)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _reduction_agrees(vocab: Vocabulary, gamma: Formula, machine: OracleMachine,
                       upsilon_tau: Formula, bound: int,
                       config: EvalConfig) -> bool:
-    check = sentence_checker(upsilon_tau, config)
-    for b in enumerate_structures(vocab, bound):
-        accepted = run(machine, encode_bin(b), gamma, vocab, config=config)
-        if accepted != check(b):
-            return False
-    return True
+    return is_reduction_upto(machine, gamma, upsilon_tau, vocab, bound,
+                             config) is None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _complement_agrees(vocab: Vocabulary, lam: Formula, gamma: Formula,
                        bound: int, config: EvalConfig) -> bool:
     return sweep(vocab, bound, lam, Not(gamma), config) is None
@@ -174,7 +168,7 @@ def leaf_verdict(vocab: Vocabulary, n: int, node: Formula, config: EvalConfig,
     raise CharsetError(f"not a characteristic leaf: {node!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _char_verdict(node: Formula, vocab: Vocabulary, bound: int,
                   config: EvalConfig, budget: int) -> bool:
     inner = EvalConfig(config.upsilon_ord, config.upsilon_unord, budget)

@@ -75,6 +75,11 @@ def _tau(args) -> Vocabulary:
     return parse_vocab(args.tau)
 
 
+def _validate(vocab: Vocabulary, *sentences) -> None:
+    for sentence in sentences:
+        validate_sentence(sentence, vocab)
+
+
 def _need(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
@@ -233,18 +238,19 @@ def cmd_tm(args) -> int:
         _need(args, "input", "oracle")
         oracle = read_sentence(args.oracle)
         step_budget, args.budget = args.budget, None
-        accepted = machines.run(
-            machine, read_bits(args.input), oracle, _tau(args),
-            max_steps=step_budget, config=_eval_config(args),
-        )
+        word, tau, config = read_bits(args.input), _tau(args), _eval_config(args)
+        _validate(tau, oracle)
+        accepted = machines.run(machine, word, oracle, tau,
+                                max_steps=step_budget, config=config)
         print("accept" if accepted else "reject")
         return 0 if accepted else 1
     _need(args, "gamma", "target")
     gamma = read_sentence(args.gamma)
     target = read_sentence(args.target)
-    witness = machines.is_reduction_upto(
-        machine, gamma, target, _tau(args), args.nmax, _eval_config(args)
-    )
+    tau, config = _tau(args), _eval_config(args)
+    _validate(tau, gamma, target)
+    witness = machines.is_reduction_upto(machine, gamma, target, tau, args.nmax,
+                                         config)
     if witness is None:
         print(f"reduction condition holds up to n = {args.nmax}")
         return 0
@@ -353,8 +359,9 @@ def cmd_form(args) -> int:
 
 def cmd_valid_upto(args) -> int:
     f = read_sentence(args.sentence)
-    witness = sweep(_tau(args), args.nmax, f, None, _eval_config(args),
-                    args.jobs)
+    tau, config = _tau(args), _eval_config(args)
+    _validate(tau, f)
+    witness = sweep(tau, args.nmax, f, None, config, args.jobs)
     if witness is None:
         print(f"valid up to n = {args.nmax}")
         return 0
@@ -366,7 +373,9 @@ def cmd_valid_upto(args) -> int:
 def cmd_modeq_upto(args) -> int:
     f = read_sentence(args.left)
     g = read_sentence(args.right)
-    witness = sweep(_tau(args), args.nmax, f, g, _eval_config(args), args.jobs)
+    tau, config = _tau(args), _eval_config(args)
+    _validate(tau, f, g)
+    witness = sweep(tau, args.nmax, f, g, config, args.jobs)
     if witness is None:
         print(f"equivalent up to n = {args.nmax}")
         return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class VocabError(ValueError):
@@ -83,33 +83,57 @@ def parse_vocab(text: str) -> Vocabulary:
 
 @dataclass(frozen=True)
 class Structure:
-    """A finite structure: universe {0,...,n-1} plus one tuple set per symbol."""
+    """A finite structure: universe {0,...,n-1} and its binary encoding.
+
+    bits is encode_bin of the structure read as a binary numeral, so the
+    first symbol's first tuple is the highest bit; the tuple sets are read
+    off it on demand.
+    """
 
     vocab: Vocabulary
     n: int
-    relations: tuple[tuple[str, frozenset[tuple[int, ...]]], ...]
+    bits: int
 
     def __post_init__(self):
         if self.n < 2:
             raise StructureError(f"universe size must be > 1, got {self.n}")
-        if tuple(name for name, _ in self.relations) != self.vocab.names:
-            raise StructureError("relations must list every vocabulary symbol in order")
-        for name, tuples in self.relations:
-            arity = self.vocab.arity(name)
-            for tup in tuples:
-                if len(tup) != arity:
-                    raise StructureError(f"{name} expects arity {arity}, got {tup}")
-                if any(not (0 <= t < self.n) for t in tup):
-                    raise StructureError(f"tuple {tup} outside universe of size {self.n}")
+        length = encoding_length(self.vocab, self.n)
+        if self.bits < 0 or self.bits.bit_length() > length:
+            raise StructureError(f"bits must lie in [0, 2^{length}) for n = {self.n}")
 
     @classmethod
     def make(cls, vocab: Vocabulary, n: int, relations=None) -> "Structure":
+        """The structure with the given tuple sets; missing symbols are empty."""
         relations = relations or {}
-        rels = tuple(
-            (name, frozenset(map(tuple, relations.get(name, ()))))
-            for name in vocab.names
-        )
-        return cls(vocab, n, rels)
+        bits = 0
+        for name, arity in vocab.symbols:
+            for tup in map(tuple, relations.get(name, ())):
+                if len(tup) != arity:
+                    raise StructureError(f"{name} expects arity {arity}, got {tup}")
+                if any(not (0 <= t < n) for t in tup):
+                    raise StructureError(f"tuple {tup} outside universe of size {n}")
+                bits |= 1 << bit_position(vocab, n, name, tup)
+        return cls(vocab, n, bits)
+
+    @cached_property
+    def relations(self) -> tuple[tuple[str, frozenset[tuple[int, ...]]], ...]:
+        """Each symbol's tuple set, read off its block of the encoding."""
+        code, n, start = encode_bin(self), self.n, 0
+        out = []
+        for name, arity in self.vocab.symbols:
+            block = code[start : start + n ** arity]
+            start += len(block)
+            tuples, i = [], block.find("1")
+            while i >= 0:
+                tuples.append(_tuple_at(i, n, arity))
+                i = block.find("1", i + 1)
+            out.append((name, frozenset(tuples)))
+        return tuple(out)
+
+    @cached_property
+    def positions(self) -> dict[str, list]:
+        """bit_positions(vocab, n), looked up once per structure."""
+        return bit_positions(self.vocab, self.n)
 
     @cached_property
     def rel(self) -> dict[str, frozenset[tuple[int, ...]]]:
@@ -145,11 +169,42 @@ def encoding_length(vocab: Vocabulary, n: int) -> int:
     return sum(n ** arity for _, arity in vocab.symbols)
 
 
-def _tuple_index(tup: tuple[int, ...], n: int) -> int:
-    idx = 0
+def _tuple_at(index: int, n: int, arity: int) -> tuple[int, ...]:
+    """The arity-tuple over range(n) with this lexicographic index."""
+    digits = []
+    for _ in range(arity):
+        index, t = divmod(index, n)
+        digits.append(t)
+    return tuple(reversed(digits))
+
+
+@lru_cache(maxsize=64)
+def bit_positions(vocab: Vocabulary, n: int) -> dict[str, list]:
+    """Where each tuple's bit sits in Structure.bits for size n: the bit of
+    tuple (t1, ..., tk) of a symbol is positions[name][t1]...[tk].
+
+    The encoding lists the symbols in order, each as the characteristic
+    string of its tuples in lexicographic order.  Read as a binary numeral,
+    a symbol's first tuple is its highest bit and tuple t sits its
+    lexicographic index below it.  Callers must not modify the tables.
+    """
+    top = encoding_length(vocab, n)
+    table = {}
+    for name, arity in vocab.symbols:
+        rows = list(range(top - 1, top - 1 - n ** arity, -1))
+        top -= len(rows)
+        for _ in range(arity - 1):
+            rows = [rows[i : i + n] for i in range(0, len(rows), n)]
+        table[name] = rows
+    return table
+
+
+def bit_position(vocab: Vocabulary, n: int, name: str, tup: tuple[int, ...]) -> int:
+    """The position in Structure.bits of tuple tup of symbol name."""
+    rows = bit_positions(vocab, n)[name]
     for t in tup:
-        idx = idx * n + t
-    return idx
+        rows = rows[t]
+    return rows
 
 
 def encode_bin(a: Structure) -> str:
@@ -160,15 +215,8 @@ def encode_bin(a: Structure) -> str:
     contributes nothing, which makes the encoding of a {R:1, <} structure
     exactly n bits long.
     """
-    n = a.n
-    out = []
-    for name, tuples in a.relations:
-        arity = a.vocab.arity(name)
-        block = ["0"] * (n ** arity)
-        for tup in tuples:
-            block[_tuple_index(tup, n)] = "1"
-        out.append("".join(block))
-    return "".join(out)
+    # The leading 1 keeps the leading zeros and makes a 0-bit encoding "".
+    return bin(a.bits | 1 << encoding_length(a.vocab, a.n))[3:]
 
 
 def _universe_size_for(vocab: Vocabulary, length: int) -> int:
@@ -188,37 +236,14 @@ def _universe_size_for(vocab: Vocabulary, length: int) -> int:
 
 def decode_bin(vocab: Vocabulary, bits: str) -> Structure:
     """Inverse of encode_bin; raises NoIntegerUniverse when no n >= 2 fits."""
-    if any(b not in "01" for b in bits):
+    if bits.strip("01"):
         raise ValueError("encoding must consist of '0'/'1' characters")
-    n = _universe_size_for(vocab, len(bits))
-    relations = {}
-    pos = 0
-    for name, arity in vocab.symbols:
-        block = bits[pos : pos + n ** arity]
-        pos += n ** arity
-        tuples = {
-            tup
-            for i, tup in enumerate(itertools.product(range(n), repeat=arity))
-            if block[i] == "1"
-        }
-        relations[name] = tuples
-    return Structure.make(vocab, n, relations)
+    return Structure(vocab, _universe_size_for(vocab, len(bits)), int(bits, 2))
 
 
 def structure_from_index(vocab: Vocabulary, n: int, index: int) -> Structure:
     """The structure whose encoding is `index` written with total-length bits."""
-    relations = {}
-    shift = encoding_length(vocab, n)
-    for name, arity in vocab.symbols:
-        block_len = n ** arity
-        shift -= block_len
-        block = (index >> shift) & ((1 << block_len) - 1)
-        tuples = set()
-        for i, tup in enumerate(itertools.product(range(n), repeat=arity)):
-            if block & (1 << (block_len - 1 - i)):
-                tuples.add(tup)
-        relations[name] = tuples
-    return Structure.make(vocab, n, relations)
+    return Structure(vocab, n, index)
 
 
 def enumerate_structures(vocab: Vocabulary, n_max: int):
@@ -227,7 +252,7 @@ def enumerate_structures(vocab: Vocabulary, n_max: int):
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     for n in range(2, n_max + 1):
         for index in range(1 << encoding_length(vocab, n)):
-            yield structure_from_index(vocab, n, index)
+            yield Structure(vocab, n, index)
 
 
 def is_isomorphic(a: Structure, b: Structure) -> bool:
@@ -242,7 +267,7 @@ def is_isomorphic(a: Structure, b: Structure) -> bool:
     if a.n != b.n:
         return False
     if a.vocab.has_order:
-        return a.relations == b.relations
+        return a.bits == b.bits
     if any(len(a.rel[name]) != len(b.rel[name]) for name in a.vocab.names):
         return False
     for perm in itertools.permutations(range(a.n)):

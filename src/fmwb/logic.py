@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .aristotelian import MalformedCode, decode_nat, encode_nat
+from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
 from .core import Structure, Vocabulary
 
 
@@ -308,7 +308,10 @@ def validate_sentence(f: Formula, vocab: Vocabulary) -> None:
         elif isinstance(node, Not):
             check(node.sub, fo, so)
         elif isinstance(node, (Exists, Forall)):
-            check(node.sub, fo | {node.var}, so)
+            # An encoding sentence is closed; walking its one quantifier per
+            # code bit would copy the bound set once per bit.
+            if psi_recognize(node) is None:
+                check(node.sub, fo | {node.var}, so)
         elif isinstance(node, (SOExists, SOForall)):
             if node.arity < 1:
                 raise FormulaError(f"relation variable arity must be >= 1")
@@ -645,11 +648,6 @@ _TAGS = {
 _TAG_TO_CLS = {tag: cls for cls, tag in _TAGS.items()}
 
 
-def _enc_str(s: str) -> str:
-    data = s.encode("ascii")
-    return encode_nat(len(data)) + "".join(format(byte, "08b") for byte in data)
-
-
 def _enc_bits(bits: str) -> str:
     return encode_nat(len(bits)) + bits
 
@@ -657,36 +655,36 @@ def _enc_bits(bits: str) -> str:
 def godel_encode(f: Formula) -> str:
     out = [encode_nat(_TAGS[type(f)])]
     if isinstance(f, Rel):
-        out.append(_enc_str(f.name))
+        out.append(encode_str(f.name))
         out.append(encode_nat(len(f.args)))
-        out.extend(_enc_str(a) for a in f.args)
+        out.extend(encode_str(a) for a in f.args)
     elif isinstance(f, (Eq, Neq, Lt, Bit)):
-        out.append(_enc_str(f.left))
-        out.append(_enc_str(f.right))
+        out.append(encode_str(f.left))
+        out.append(encode_str(f.right))
     elif isinstance(f, (And, Or)):
         out.append(godel_encode(f.left))
         out.append(godel_encode(f.right))
     elif isinstance(f, Not):
         out.append(godel_encode(f.sub))
     elif isinstance(f, (Exists, Forall)):
-        out.append(_enc_str(f.var))
+        out.append(encode_str(f.var))
         out.append(godel_encode(f.sub))
     elif isinstance(f, (SOExists, SOForall)):
-        out.append(_enc_str(f.relvar))
+        out.append(encode_str(f.relvar))
         out.append(encode_nat(f.arity))
         out.append(godel_encode(f.sub))
     elif isinstance(f, Tc):
-        out.append(_enc_str(f.var1))
-        out.append(_enc_str(f.var2))
+        out.append(encode_str(f.var1))
+        out.append(encode_str(f.var2))
         out.append(godel_encode(f.sub))
-        out.append(_enc_str(f.arg1))
-        out.append(_enc_str(f.arg2))
+        out.append(encode_str(f.arg1))
+        out.append(encode_str(f.arg2))
     elif isinstance(f, (Lfp, Pfp)):
-        out.append(_enc_str(f.relvar))
+        out.append(encode_str(f.relvar))
         out.append(encode_nat(len(f.vars)))
-        out.extend(_enc_str(v) for v in f.vars)
+        out.extend(encode_str(v) for v in f.vars)
         out.append(godel_encode(f.sub))
-        out.extend(_enc_str(a) for a in f.args)
+        out.extend(encode_str(a) for a in f.args)
     elif isinstance(f, (CharOrd, CharUnord, CoCharUnord)):
         out.append(_enc_bits(f.gamma_code))
         out.append(_enc_bits(f.machine_code))
@@ -700,99 +698,69 @@ def godel_encode(f: Formula) -> str:
     return "".join(out)
 
 
-class _Decoder:
-    def __init__(self, bits: str):
-        self.bits = bits
-        self.pos = 0
+def _read_ident(r: BitReader, pattern: re.Pattern) -> str:
+    s = r.string()
+    if not pattern.match(s):
+        raise MalformedGodelCode(f"invalid identifier {s!r}")
+    return s
 
-    def nat(self) -> int:
-        try:
-            value, used = decode_nat(self.bits, self.pos)
-        except MalformedCode as exc:
-            raise MalformedGodelCode(str(exc)) from exc
-        self.pos += used
-        return value
 
-    def string(self, pattern: re.Pattern) -> str:
-        length = self.nat()
-        if self.pos + 8 * length > len(self.bits):
-            raise MalformedGodelCode("truncated identifier")
-        data = bytes(
-            int(self.bits[self.pos + 8 * i : self.pos + 8 * (i + 1)], 2)
-            for i in range(length)
-        )
-        self.pos += 8 * length
-        try:
-            s = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise MalformedGodelCode("identifier is not ascii") from exc
-        if not pattern.match(s):
-            raise MalformedGodelCode(f"invalid identifier {s!r}")
-        return s
-
-    def raw_bits(self) -> str:
-        length = self.nat()
-        if self.pos + length > len(self.bits):
-            raise MalformedGodelCode("truncated payload")
-        out = self.bits[self.pos : self.pos + length]
-        self.pos += length
-        return out
-
-    def formula(self) -> Formula:
-        tag = self.nat()
-        cls = _TAG_TO_CLS.get(tag)
-        if cls is None:
-            raise MalformedGodelCode(f"unknown node tag {tag}")
-        if cls is Rel:
-            name = self.string(_REL_RE)
-            argc = self.nat()
-            if argc < 1:
-                raise MalformedGodelCode("atom needs at least one argument")
-            return Rel(name, tuple(self.string(_VAR_RE) for _ in range(argc)))
-        if cls in (Eq, Neq, Lt, Bit):
-            return cls(self.string(_VAR_RE), self.string(_VAR_RE))
-        if cls in (And, Or):
-            return cls(self.formula(), self.formula())
-        if cls is Not:
-            return Not(self.formula())
-        if cls in (Exists, Forall):
-            return cls(self.string(_VAR_RE), self.formula())
-        if cls in (SOExists, SOForall):
-            relvar = self.string(_REL_RE)
-            arity = self.nat()
-            if arity < 1:
-                raise MalformedGodelCode("relation variable arity must be >= 1")
-            return cls(relvar, arity, self.formula())
-        if cls is Tc:
-            v1 = self.string(_VAR_RE)
-            v2 = self.string(_VAR_RE)
-            sub = self.formula()
-            return Tc(v1, v2, sub, self.string(_VAR_RE), self.string(_VAR_RE))
-        if cls in (Lfp, Pfp):
-            relvar = self.string(_REL_RE)
-            k = self.nat()
-            if k < 1:
-                raise MalformedGodelCode("fixpoint binds at least one variable")
-            vars_ = tuple(self.string(_VAR_RE) for _ in range(k))
-            if len(set(vars_)) != k:
-                raise MalformedGodelCode("fixpoint variables must be distinct")
-            sub = self.formula()
-            args = tuple(self.string(_VAR_RE) for _ in range(k))
-            return cls(relvar, vars_, sub, args)
-        if cls in (CharOrd, CharUnord, CoCharUnord, CharNpconp):
-            return cls(self.raw_bits(), self.raw_bits())
-        return CharCfg(self.raw_bits())
+def _read_formula(r: BitReader) -> Formula:
+    tag = r.nat()
+    cls = _TAG_TO_CLS.get(tag)
+    if cls is None:
+        raise MalformedGodelCode(f"unknown node tag {tag}")
+    if cls is Rel:
+        name = _read_ident(r, _REL_RE)
+        argc = r.nat()
+        if argc < 1:
+            raise MalformedGodelCode("atom needs at least one argument")
+        return Rel(name, tuple(_read_ident(r, _VAR_RE) for _ in range(argc)))
+    if cls in (Eq, Neq, Lt, Bit):
+        return cls(_read_ident(r, _VAR_RE), _read_ident(r, _VAR_RE))
+    if cls in (And, Or):
+        return cls(_read_formula(r), _read_formula(r))
+    if cls is Not:
+        return Not(_read_formula(r))
+    if cls in (Exists, Forall):
+        return cls(_read_ident(r, _VAR_RE), _read_formula(r))
+    if cls in (SOExists, SOForall):
+        relvar = _read_ident(r, _REL_RE)
+        arity = r.nat()
+        if arity < 1:
+            raise MalformedGodelCode("relation variable arity must be >= 1")
+        return cls(relvar, arity, _read_formula(r))
+    if cls is Tc:
+        v1 = _read_ident(r, _VAR_RE)
+        v2 = _read_ident(r, _VAR_RE)
+        sub = _read_formula(r)
+        return Tc(v1, v2, sub, _read_ident(r, _VAR_RE), _read_ident(r, _VAR_RE))
+    if cls in (Lfp, Pfp):
+        relvar = _read_ident(r, _REL_RE)
+        k = r.nat()
+        if k < 1:
+            raise MalformedGodelCode("fixpoint binds at least one variable")
+        vars_ = tuple(_read_ident(r, _VAR_RE) for _ in range(k))
+        if len(set(vars_)) != k:
+            raise MalformedGodelCode("fixpoint variables must be distinct")
+        sub = _read_formula(r)
+        args = tuple(_read_ident(r, _VAR_RE) for _ in range(k))
+        return cls(relvar, vars_, sub, args)
+    if cls in (CharOrd, CharUnord, CoCharUnord, CharNpconp):
+        return cls(r.payload(), r.payload())
+    return CharCfg(r.payload())
 
 
 def godel_decode(bits: str) -> Formula:
     if any(b not in "01" for b in bits):
         raise MalformedGodelCode("code must consist of '0'/'1' characters")
-    decoder = _Decoder(bits)
-    f = decoder.formula()
-    if decoder.pos != len(bits):
-        raise MalformedGodelCode(
-            f"{len(bits) - decoder.pos} trailing bits after the formula"
-        )
+    r = BitReader(bits)
+    try:
+        f = _read_formula(r)
+    except MalformedCode as exc:
+        raise MalformedGodelCode(str(exc)) from exc
+    if r.pos != len(bits):
+        raise MalformedGodelCode(f"{len(bits) - r.pos} trailing bits after the formula")
     return f
 
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .aristotelian import MalformedCode, decode_nat, decode_str, encode_nat, encode_str
+from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
 from .core import Structure, Vocabulary, NoIntegerUniverse, decode_bin, encode_bin, enumerate_structures
 from .logic import Formula
 from .semantics import EvalConfig, models, sentence_checker
@@ -138,57 +138,36 @@ def encode_tm(m: OracleMachine) -> str:
     return "".join(out)
 
 
-class _TmDecoder:
-    def __init__(self, bits: str):
-        self.bits = bits
-        self.pos = 0
+def decode_tm(bits: str) -> OracleMachine:
+    if not bits or any(b not in "01" for b in bits):
+        raise MalformedMachine("machine code must be a nonempty bit string")
+    r = BitReader(bits)
 
-    def nat(self) -> int:
-        value, used = decode_nat(self.bits, self.pos)
-        self.pos += used
-        return value
-
-    def string(self) -> str:
-        s, used = decode_str(self.bits, self.pos)
-        self.pos += used
-        return s
-
-    def pair_bits(self, table) -> str:
-        if self.pos + 2 > len(self.bits):
-            raise MalformedCode("truncated field")
-        code = self.bits[self.pos : self.pos + 2]
-        self.pos += 2
+    def field(table):
+        code = r.take(2)
         for value, encoded in table.items():
             if encoded == code:
                 return value
         raise MalformedCode(f"invalid field code {code}")
 
-
-def decode_tm(bits: str) -> OracleMachine:
-    if not bits or any(b not in "01" for b in bits):
-        raise MalformedMachine("machine code must be a nonempty bit string")
-    d = _TmDecoder(bits)
     try:
-        n_states = d.nat()
-        states = tuple(d.string() for _ in range(n_states))
-        start_idx = d.nat()
-        if d.pos >= len(bits):
-            raise MalformedCode("truncated kind bit")
-        kind = POLYTIME if bits[d.pos] == "0" else LOGSPACE
-        d.pos += 1
-        clock_c = d.nat()
-        step_c = d.nat()
-        n_trans = d.nat()
+        n_states = r.nat()
+        states = tuple(r.string() for _ in range(n_states))
+        start_idx = r.nat()
+        kind = POLYTIME if r.take(1) == "0" else LOGSPACE
+        clock_c = r.nat()
+        step_c = r.nat()
+        n_trans = r.nat()
         transitions = []
         for _ in range(n_trans):
-            state_idx = d.nat()
-            in_sym = d.pair_bits(_SYM_CODE)
-            sto_sym = d.pair_bits(_SYM_CODE)
-            next_idx = d.nat()
-            write = d.pair_bits(_SYM_CODE)
-            in_mv = d.pair_bits(_MOVE_CODE)
-            sto_mv = d.pair_bits(_MOVE_CODE)
-            app = d.pair_bits(_APP_CODE)
+            state_idx = r.nat()
+            in_sym = field(_SYM_CODE)
+            sto_sym = field(_SYM_CODE)
+            next_idx = r.nat()
+            write = field(_SYM_CODE)
+            in_mv = field(_MOVE_CODE)
+            sto_mv = field(_MOVE_CODE)
+            app = field(_APP_CODE)
             if state_idx >= n_states or next_idx >= n_states:
                 raise MalformedCode("transition state index out of range")
             transitions.append(
@@ -197,8 +176,8 @@ def decode_tm(bits: str) -> OracleMachine:
             )
     except MalformedCode as exc:
         raise MalformedMachine(str(exc)) from exc
-    if d.pos != len(bits):
-        raise MalformedMachine(f"{len(bits) - d.pos} trailing bits after the machine")
+    if r.pos != len(bits):
+        raise MalformedMachine(f"{len(bits) - r.pos} trailing bits after the machine")
     if start_idx >= n_states:
         raise MalformedMachine("start state index out of range")
     try:

@@ -26,7 +26,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Structure, Vocabulary, encoding_length, structure_from_index
+from .core import (
+    Structure, Vocabulary, bit_position, encoding_length, structure_from_index,
+)
 from .logic import (
     And, Bit, CHAR_NODES, Eq, Exists, Forall, Formula, Lfp, Lt, Neq, Not,
     Or, Pfp, Rel, SOExists, SOForall, Tc, psi_recognize,
@@ -62,11 +64,13 @@ _EMPTY_CONFIG = EvalConfig()
 
 
 class _Ctx:
-    __slots__ = ("universe", "rel", "renv", "structure", "budget", "config")
+    __slots__ = ("universe", "bits", "pos", "renv", "structure", "budget",
+                 "config")
 
     def __init__(self, structure: Structure, config: EvalConfig):
         self.universe = range(structure.n)
-        self.rel = structure.rel
+        self.bits = structure.bits
+        self.pos = structure.positions
         self.renv: dict[str, frozenset] = {}
         self.structure = structure
         self.budget = config.char_budget
@@ -102,14 +106,21 @@ def _compile(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                 return lambda ctx, env: (env[i], env[j]) in ctx.renv[name]
             idx = tuple(slots[v] for v in f.args)
             return lambda ctx, env: tuple(env[i] for i in idx) in ctx.renv[name]
+        # A vocabulary atom is one bit of the structure's encoding.
         if len(f.args) == 2:
             i, j = slots[f.args[0]], slots[f.args[1]]
-            return lambda ctx, env: (env[i], env[j]) in ctx.rel[name]
+            return lambda ctx, env: ctx.bits >> ctx.pos[name][env[i]][env[j]] & 1 == 1
         if len(f.args) == 1:
             i = slots[f.args[0]]
-            return lambda ctx, env: (env[i],) in ctx.rel[name]
+            return lambda ctx, env: ctx.bits >> ctx.pos[name][env[i]] & 1 == 1
         idx = tuple(slots[v] for v in f.args)
-        return lambda ctx, env: tuple(env[i] for i in idx) in ctx.rel[name]
+
+        def run_rel(ctx, env):
+            p = ctx.pos[name]
+            for i in idx:
+                p = p[env[i]]
+            return ctx.bits >> p & 1 == 1
+        return run_rel
     if t is Eq:
         i, j = slots[f.left], slots[f.right]
         return lambda ctx, env: env[i] == env[j]
@@ -386,14 +397,13 @@ class _Batch:
         self.n = n
         self.universe = range(n)
         self.full = full = (1 << width) - 1
-        # The first symbol's first tuple is the highest encoding bit; bits at
-        # or above `low` are fixed by the chunk, so their atoms are constant.
+        # Encoding bits at or above `low` are fixed by the chunk, so their
+        # atoms are constant.
         self.atoms: dict[str, dict[tuple, int]] = {}
-        p = encoding_length(vocab, n)
         for name, arity in vocab.symbols:
             tables = {}
             for tup in itertools.product(self.universe, repeat=arity):
-                p -= 1
+                p = bit_position(vocab, n, name, tup)
                 if p >= low:
                     tables[tup] = full if chunk >> (p - low) & 1 else 0
                 else:

@@ -187,6 +187,28 @@ def test_valid_and_modeq(files, capsys):
     assert "disagreement" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["valid-upto", "modeq-upto", "check-reduction",
+                                     "run"])
+def test_sentences_are_validated_against_tau(files, capsys, command):
+    write, _ = files
+    good = write("good.sent", "Ex E(x,x)")
+    machine = write("id.tm", format_machine(identity_machine()))
+    word = write("in.bits", "0110")
+    # a free variable, a symbol outside the vocabulary, a wrong arity
+    for text in ("Ex E(x,y)", "Ex F(x,x)", "Ex E(x)"):
+        bad = write("bad.sent", text)
+        argv = {
+            "valid-upto": ["valid-upto", bad, "--nmax", "2"],
+            "modeq-upto": ["modeq-upto", good, bad, "--nmax", "2"],
+            "check-reduction": ["tm", "check-reduction", machine,
+                                "--gamma", good, "--target", bad, "--nmax", "2"],
+            "run": ["tm", "run", machine, "--input", word, "--oracle", bad],
+        }[command] + ["--tau", "E:2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("fmwb: ")
+
+
 def test_valid_upto_parallel_path(files, capsys):
     write, _ = files
     taut = write("t.sent", "Ax Ey (x = y | x != y)")

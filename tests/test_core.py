@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fmwb.core import (
-    NoIntegerUniverse, Structure, VocabError, VocabMismatch, Vocabulary,
-    decode_bin, ell, encode_bin, encoding_length, enumerate_structures,
-    is_isomorphic, apply_permutation, parse_vocab,
+    NoIntegerUniverse, Structure, StructureError, VocabError, VocabMismatch,
+    Vocabulary, decode_bin, ell, encode_bin, encoding_length,
+    enumerate_structures, is_isomorphic, apply_permutation, parse_vocab,
+    structure_from_index,
 )
+from fmwb.logic import parse_formula
+from fmwb.semantics import models
+from oracles import naive_models
 from randgen import random_structure
 
 
@@ -32,6 +36,13 @@ def test_structure_invariants(v_graph):
         Structure.make(v_graph, 2, {"E": [(0, 2)]})
     with pytest.raises(ValueError):
         Structure.make(v_graph, 2, {"E": [(0,)]})
+    assert Structure(v_graph, 2, 15) == Structure.make(
+        v_graph, 2, {"E": [(0, 0), (0, 1), (1, 0), (1, 1)]})
+    for bits in (-1, 16, 1 << 40):
+        with pytest.raises(StructureError):
+            Structure(v_graph, 2, bits)
+    with pytest.raises(StructureError):
+        Structure(Vocabulary((), has_order=True), 3, 1)
 
 
 def test_ell_examples():
@@ -55,6 +66,8 @@ def test_encode_examples(v_mon_ord, v_graph):
     assert len(encode_bin(a)) == a.n
     assert encode_bin(Structure.make(v_graph, 2)) == "0000"
     assert encode_bin(Structure.make(v_graph, 2, {"E": [(0, 1)]})) == "0100"
+    # format(0, "00b") would give "0"; an order-only structure has no bits
+    assert encode_bin(Structure.make(Vocabulary((), has_order=True), 3)) == ""
 
 
 def test_encode_length_is_n_for_ordered_monadic(v_mon_ord):
@@ -72,6 +85,48 @@ def test_encoding_length_matches_encode_bin():
         for n in (2, 3, 4):
             a = random_structure(rng, vocab, n)
             assert encoding_length(vocab, n) == len(encode_bin(a))
+
+
+@pytest.mark.parametrize("vocab_text", ["P:1 E:2", "R:1 E:2 <", "H:3"])
+def test_bit_order_follows_the_definition(vocab_text):
+    """Symbols in vocabulary order, each as the characteristic string of its
+    tuples in lexicographic order; bits reads that string as a numeral."""
+    vocab = parse_vocab(vocab_text)
+    rng = random.Random(vocab_text)
+    for n in (2, 3):
+        for density in (0.0, 0.3, 0.7, 1.0):
+            relations = {
+                name: {tup for tup in itertools.product(range(n), repeat=arity)
+                       if rng.random() < density}
+                for name, arity in vocab.symbols
+            }
+            code = "".join(
+                "1" if tup in relations[name] else "0"
+                for name, arity in vocab.symbols
+                for tup in itertools.product(range(n), repeat=arity)
+            )
+            a = Structure.make(vocab, n, relations)
+            assert a == decode_bin(vocab, code)
+            assert a == structure_from_index(vocab, n, int(code, 2))
+            assert a.bits == int(code, 2) and encode_bin(a) == code
+            assert a.rel == {name: frozenset(t) for name, t in relations.items()}
+
+
+def test_checker_atoms_agree_with_naive_oracle_on_arity_3():
+    vocab = parse_vocab("H:3")
+    sentences = [parse_formula(text) for text in (
+        "Ex Ey Ez H(x,y,z)",
+        "Ex H(x,x,x)",
+        "Ex Ey (H(x,y,x) & ~H(y,x,y))",
+        "Ax Ey (H(x,y,y) | H(y,x,x))",
+        "Ax Ay Az (H(x,y,z) -> H(z,y,x))",
+    )]
+    rng = random.Random(33)
+    structures = list(enumerate_structures(vocab, 2))
+    structures += [random_structure(rng, vocab, n) for n in (3, 4) for _ in range(20)]
+    for f in sentences:
+        for a in structures:
+            assert models(a, f) == naive_models(a, f)
 
 
 def test_decode_examples(v_mon_ord, v_graph):

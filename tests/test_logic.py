@@ -93,6 +93,11 @@ def test_free_vars_and_validation(v_graph):
         # numeric order atoms need an ordered vocabulary
         validate_sentence(parse_formula("Ex x < x"), v_graph)
     validate_sentence(parse_formula("Ex x < x"), parse_vocab("E:2 <"))
+    # an encoding sentence is closed, and next to one the checks still apply
+    psi = psi_encode("10" * 2000)
+    validate_sentence(And(psi, parse_formula("Ex E(x,x)")), v_graph)
+    with pytest.raises(FormulaError):
+        validate_sentence(And(psi, f), v_graph)
 
 
 def test_apply_T_ord_examples():
