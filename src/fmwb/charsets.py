@@ -35,19 +35,13 @@ class CharsetError(ValueError):
     pass
 
 
-def _budgeted(config: EvalConfig | None, budget: int | None) -> EvalConfig:
-    config = config or EvalConfig()
-    if budget is None:
-        return config
-    return EvalConfig(config.upsilon_ord, config.upsilon_unord, budget)
-
-
 @lru_cache(maxsize=512)
 def _reduction_agrees(vocab: Vocabulary, gamma: Formula, machine: OracleMachine,
                       upsilon_tau: Formula, bound: int,
                       config: EvalConfig) -> bool:
-    return is_reduction_upto(machine, gamma, upsilon_tau, vocab, bound,
-                             config) is None
+    # A bound below 2 admits no structure, so the condition holds vacuously.
+    return bound < 2 or is_reduction_upto(machine, gamma, upsilon_tau, vocab,
+                                          bound, config) is None
 
 
 @lru_cache(maxsize=512)
@@ -73,7 +67,7 @@ def member_S_ord(a: Structure, gamma: Formula, machine: OracleMachine,
     validate_sentence(upsilon_tau, a.vocab)
     bound = ell(encoding_length(a.vocab, a.n), 3)
     return _reduction_agrees(a.vocab, gamma, machine, upsilon_tau, bound,
-                             _budgeted(config, None))
+                             config or EvalConfig())
 
 
 def member_S_unord(a: Structure, gamma: Formula, machine: OracleMachine,
@@ -88,7 +82,7 @@ def member_S_unord(a: Structure, gamma: Formula, machine: OracleMachine,
     validate_sentence(upsilon_tau, a.vocab)
     bound = ell(encoding_length(a.vocab, a.n), 2)
     return _reduction_agrees(a.vocab, gamma, machine, upsilon_tau, bound,
-                             _budgeted(config, None))
+                             config or EvalConfig())
 
 
 def member_S_npconp(a: Structure, lam: Formula, gamma: Formula,
@@ -100,7 +94,7 @@ def member_S_npconp(a: Structure, lam: Formula, gamma: Formula,
         if not in_fragment(f, SO_E):
             raise CharsetError(f"{name} must be an existential second-order sentence")
     bound = ell(encoding_length(a.vocab, a.n), 2)
-    return _complement_agrees(a.vocab, lam, gamma, bound, _budgeted(config, None))
+    return _complement_agrees(a.vocab, lam, gamma, bound, config or EvalConfig())
 
 
 def member_S_cfg(a: Structure, grammar: Grammar) -> bool:
@@ -138,24 +132,16 @@ def char_sentence(kind: str, *, gamma: Formula | None = None,
     raise CharsetError(f"unknown characteristic kind {kind!r}")
 
 
-def eval_char(a: Structure, node: Formula, config: EvalConfig,
-              budget: int) -> bool:
-    """Satisfaction of a characteristic leaf on a structure.
-
-    Decoded payloads may themselves contain leaves; they are evaluated with
-    the decremented budget rather than rejected, so that every parseable
-    sentence has a defined (if possibly budget-limited) semantics.
-    """
-    return leaf_verdict(a.vocab, a.n, node, config, budget)
-
-
 def leaf_verdict(vocab: Vocabulary, n: int, node: Formula, config: EvalConfig,
                  budget: int) -> bool:
     """Satisfaction of a characteristic leaf on every size-n structure over vocab.
 
     A structure enters only through its vocabulary and encoding length, so
     the verdict is shared by all structures of one size, and the heavy work
-    memoizes on the bound.
+    memoizes on the bound.  Decoded payloads may themselves contain leaves;
+    they are evaluated with the decremented budget rather than rejected, so
+    that every parseable sentence has a defined (if possibly budget-limited)
+    semantics.
     """
     if isinstance(node, (CharOrd, CharUnord, CoCharUnord, CharNpconp)):
         depth = 3 if isinstance(node, CharOrd) else 2

@@ -296,13 +296,13 @@ def enumerate_logic(kind: str, *, tau: Vocabulary, cls: str | None = None,
                 f for f in fo_sentences(tau, 2 + rounds)
                 if in_fragment(f, fragment)
             ]
-            machines = machine_pool(machine_kind_for(cls), rounds + 1)
+            machines = [(encode_tm(m), m)
+                        for m in machine_pool(machine_kind_for(cls), rounds + 1)]
             coded = [(godel_encode(f), f) for f in sentences]
             pairs = [
                 (len(gc) + len(mc), gc, mc, gamma, machine)
                 for (gc, gamma) in coded
-                for machine in machines
-                for mc in (encode_tm(machine),)
+                for (mc, machine) in machines
             ]
         if len(pairs) >= budget:
             pairs.sort(key=lambda item: item[:3])

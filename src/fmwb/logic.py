@@ -18,7 +18,9 @@ normalized form: '->' is expanded and binary connectives are parenthesized).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from string import Formatter
 
 from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
 from .core import Structure, Vocabulary
@@ -200,24 +202,123 @@ _VAR_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _REL_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
+# --- syntax table --------------------------------------------------------
+#
+# One row per node class: its Goedel tag, the kind of each field in
+# declaration order (which is also the order of the Goedel code), and its
+# concrete syntax.  Field kinds: R relation name, V variable, V+ variables
+# behind their count, V= as many variables as the V+ before it, N arity,
+# F subformula, B payload bits (printed as hex).
+
+_SYNTAX = {
+    Rel: (1, "R V+", "{name}({args})"),
+    Eq: (2, "V V", "{left} = {right}"),
+    Neq: (3, "V V", "{left} != {right}"),
+    Lt: (4, "V V", "{left} < {right}"),
+    Bit: (5, "V V", "BIT({left},{right})"),
+    And: (6, "F F", "({left} & {right})"),
+    Or: (7, "F F", "({left} | {right})"),
+    Not: (8, "F", "~{sub}"),
+    Exists: (9, "V F", "E{var} {sub}"),
+    Forall: (10, "V F", "A{var} {sub}"),
+    SOExists: (11, "R N F", "E{relvar}:{arity} {sub}"),
+    SOForall: (12, "R N F", "A{relvar}:{arity} {sub}"),
+    Tc: (13, "V V F V V", "TC[{var1},{var2}: {sub}]({arg1},{arg2})"),
+    Lfp: (14, "R V+ F V=", "LFP[{relvar},{vars}: {sub}]({args})"),
+    Pfp: (15, "R V+ F V=", "PFP[{relvar},{vars}: {sub}]({args})"),
+    CharOrd: (16, "B B", "CHAR_ORD{{{gamma_code},{machine_code}}}"),
+    CharUnord: (17, "B B", "CHAR_UNORD{{{gamma_code},{machine_code}}}"),
+    CoCharUnord: (18, "B B", "COCHAR_UNORD{{{gamma_code},{machine_code}}}"),
+    CharNpconp: (19, "B B", "CHAR_NPCONP{{{lambda_code},{gamma_code}}}"),
+    CharCfg: (20, "B", "CHAR_CFG{{{grammar_code}}}"),
+}
+
+_VARIABLE_KINDS = ("V", "V+", "V=")
+
+
+def _bits_to_hex(bits: str) -> str:
+    return format(int("1" + bits, 2), "x")
+
+
+def _hex_to_bits(h: str) -> str:
+    if not h or any(c not in "0123456789abcdef" for c in h):
+        raise FormulaError(f"bad hex payload {h!r}")
+    s = format(int(h, 16), "b")
+    return s[1:]
+
+
+def _encode_vars(names: tuple[str, ...]) -> str:
+    return "".join(map(encode_str, names))
+
+
+# How a field of each kind prints and Goedel-codes; None marks a
+# subformula, which the printer and the encoder expand in place.
+_SHOW = {"R": str, "V": str, "V+": ",".join, "V=": ",".join, "N": str,
+         "F": None, "B": _bits_to_hex}
+_CODE = {
+    "R": encode_str,
+    "V": encode_str,
+    "V+": lambda names: encode_nat(len(names)) + _encode_vars(names),
+    "V=": _encode_vars,
+    "N": encode_nat,
+    "F": None,
+    "B": lambda bits: encode_nat(len(bits)) + bits,
+}
+
+
+def _getter(names: tuple[str, ...]):
+    """A function from a node to the tuple of its named fields."""
+    if not names:
+        return lambda f: ()
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda f: (get(f),)
+
+
+class _Layout:
+    """A syntax-table row, unpacked once for the traversals."""
+
+    def __init__(self, cls, tag: int, kinds: str, template: str):
+        names = [field.name for field in fields(cls)]
+        self.cls, self.tag = cls, tag
+        self.fields = tuple(zip(names, kinds.split(), strict=True))
+        kind_of = dict(self.fields)
+        self.subs = tuple(name for name, kind in self.fields if kind == "F")
+        self.children = _getter(self.subs)
+        # Variables in the fields before a subformula bind in it; any other
+        # variable field is a free occurrence.
+        cut = next((i for i, (_, kind) in enumerate(self.fields) if kind == "F"), 0)
+        self.binders = tuple(name for name, kind in self.fields[:cut]
+                             if kind in _VARIABLE_KINDS)
+        self.occurrences = tuple(name for name, kind in self.fields[cut:]
+                                 if kind in _VARIABLE_KINDS)
+        self.text = tuple((literal, name, name and _SHOW[kind_of[name]])
+                          for literal, name, _, _ in Formatter().parse(template))
+        self.code = tuple((name, _CODE[kind]) for name, kind in self.fields)
+        self.tag_code = encode_nat(tag)
+
+
+_LAYOUTS = {cls: _Layout(cls, *row) for cls, row in _SYNTAX.items()}
+_BY_TAG = {layout.tag: layout for layout in _LAYOUTS.values()}
+
+
+def _layout(f) -> _Layout:
+    try:
+        return _LAYOUTS[type(f)]
+    except KeyError:
+        raise FormulaError(f"not a sentence node: {f!r}") from None
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (And, Or)):
-        return (f.left, f.right)
-    if isinstance(f, (Not, Exists, Forall, SOExists, SOForall)):
-        return (f.sub,)
-    if isinstance(f, (Tc, Lfp, Pfp)):
-        return (f.sub,)
-    return ()
+    return _layout(f).children(f)
 
 
 def with_children(f: Formula, subs: tuple[Formula, ...]) -> Formula:
-    if isinstance(f, (And, Or)):
-        return replace(f, left=subs[0], right=subs[1])
-    if isinstance(f, (Not, Exists, Forall, SOExists, SOForall, Tc, Lfp, Pfp)):
-        return replace(f, sub=subs[0])
-    if subs:
-        raise FormulaError(f"{type(f).__name__} node takes no children")
-    return f
+    names = _layout(f).subs
+    if len(subs) != len(names):
+        raise FormulaError(
+            f"{type(f).__name__} node takes {len(names)} children, got {len(subs)}"
+        )
+    return replace(f, **dict(zip(names, subs))) if names else f
 
 
 def walk(f: Formula):
@@ -236,44 +337,36 @@ def char_free(f: Formula) -> bool:
     return not any(isinstance(node, CHAR_NODES) for node in walk(f))
 
 
+def _variables(node: Formula, names: tuple[str, ...]) -> list[str]:
+    out: list[str] = []
+    for name in names:
+        value = getattr(node, name)
+        if isinstance(value, str):
+            out.append(value)
+        else:
+            out.extend(value)
+    return out
+
+
 def all_variables(f: Formula) -> set[str]:
     """Every first-order variable occurring anywhere, bound or free."""
     out: set[str] = set()
     for node in walk(f):
-        if isinstance(node, Rel):
-            out.update(node.args)
-        elif isinstance(node, (Eq, Neq, Lt, Bit)):
-            out.update((node.left, node.right))
-        elif isinstance(node, (Exists, Forall)):
-            out.add(node.var)
-        elif isinstance(node, Tc):
-            out.update((node.var1, node.var2, node.arg1, node.arg2))
-        elif isinstance(node, (Lfp, Pfp)):
-            out.update(node.vars)
-            out.update(node.args)
+        layout = _layout(node)
+        out.update(_variables(node, layout.binders + layout.occurrences))
     return out
 
 
 def free_vars(f: Formula, bound: frozenset[str] = frozenset()) -> set[str]:
-    if isinstance(f, Rel):
-        return set(f.args) - bound
-    if isinstance(f, (Eq, Neq, Lt, Bit)):
-        return {f.left, f.right} - bound
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left, bound) | free_vars(f.right, bound)
-    if isinstance(f, Not):
-        return free_vars(f.sub, bound)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.sub, bound | {f.var})
-    if isinstance(f, (SOExists, SOForall)):
-        return free_vars(f.sub, bound)
-    if isinstance(f, Tc):
-        return (free_vars(f.sub, bound | {f.var1, f.var2})
-                | ({f.arg1, f.arg2} - bound))
-    if isinstance(f, (Lfp, Pfp)):
-        return (free_vars(f.sub, bound | set(f.vars))
-                | (set(f.args) - bound))
-    return set()
+    out: set[str] = set()
+    stack = [(f, frozenset(bound))]
+    while stack:
+        node, outer = stack.pop()
+        layout = _layout(node)
+        out.update(v for v in _variables(node, layout.occurrences) if v not in outer)
+        inner = outer.union(_variables(node, layout.binders))
+        stack.extend((sub, inner) for sub in layout.children(node))
+    return out
 
 
 def validate_sentence(f: Formula, vocab: Vocabulary) -> None:
@@ -350,66 +443,40 @@ def is_sentence_over(f: Formula, vocab: Vocabulary) -> bool:
 # --- printing ----------------------------------------------------------
 
 
-def _bits_to_hex(bits: str) -> str:
-    return format(int("1" + bits, 2), "x")
+def _flatten(f: Formula, pieces) -> str:
+    """Join the strings of pieces(node), expanding each subformula in place.
+
+    An explicit stack keeps the depth of a sentence off the Python stack.
+    """
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(reversed(pieces(item)))
+    return "".join(out)
 
 
-def _hex_to_bits(h: str) -> str:
-    if not h or any(c not in "0123456789abcdef" for c in h):
-        raise FormulaError(f"bad hex payload {h!r}")
-    s = format(int(h, 16), "b")
-    return s[1:]
+def _text_pieces(node: Formula) -> list:
+    out, text = [], ""
+    for literal, name, show in _layout(node).text:
+        text += literal
+        if name is None:
+            continue
+        value = getattr(node, name)
+        if show is None:
+            out += (text, value)
+            text = ""
+        else:
+            text += show(value)
+    out.append(text)
+    return out
 
 
 def print_formula(f: Formula) -> str:
-    if isinstance(f, Rel):
-        return f"{f.name}({','.join(f.args)})"
-    if isinstance(f, Eq):
-        return f"{f.left} = {f.right}"
-    if isinstance(f, Neq):
-        return f"{f.left} != {f.right}"
-    if isinstance(f, Lt):
-        return f"{f.left} < {f.right}"
-    if isinstance(f, Bit):
-        return f"BIT({f.left},{f.right})"
-    if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({print_formula(f.left)} | {print_formula(f.right)})"
-    if isinstance(f, Not):
-        return f"~{print_formula(f.sub)}"
-    if isinstance(f, Exists):
-        return f"E{f.var} {print_formula(f.sub)}"
-    if isinstance(f, Forall):
-        return f"A{f.var} {print_formula(f.sub)}"
-    if isinstance(f, SOExists):
-        return f"E{f.relvar}:{f.arity} {print_formula(f.sub)}"
-    if isinstance(f, SOForall):
-        return f"A{f.relvar}:{f.arity} {print_formula(f.sub)}"
-    if isinstance(f, Tc):
-        return (f"TC[{f.var1},{f.var2}: {print_formula(f.sub)}]"
-                f"({f.arg1},{f.arg2})")
-    if isinstance(f, Lfp):
-        head = ",".join((f.relvar,) + f.vars)
-        return f"LFP[{head}: {print_formula(f.sub)}]({','.join(f.args)})"
-    if isinstance(f, Pfp):
-        head = ",".join((f.relvar,) + f.vars)
-        return f"PFP[{head}: {print_formula(f.sub)}]({','.join(f.args)})"
-    if isinstance(f, CharOrd):
-        return ("CHAR_ORD{%s,%s}"
-                % (_bits_to_hex(f.gamma_code), _bits_to_hex(f.machine_code)))
-    if isinstance(f, CharUnord):
-        return ("CHAR_UNORD{%s,%s}"
-                % (_bits_to_hex(f.gamma_code), _bits_to_hex(f.machine_code)))
-    if isinstance(f, CoCharUnord):
-        return ("COCHAR_UNORD{%s,%s}"
-                % (_bits_to_hex(f.gamma_code), _bits_to_hex(f.machine_code)))
-    if isinstance(f, CharNpconp):
-        return ("CHAR_NPCONP{%s,%s}"
-                % (_bits_to_hex(f.lambda_code), _bits_to_hex(f.gamma_code)))
-    if isinstance(f, CharCfg):
-        return "CHAR_CFG{%s}" % _bits_to_hex(f.grammar_code)
-    raise FormulaError(f"cannot print {f!r}")
+    return _flatten(f, _text_pieces)
 
 
 # --- parsing -----------------------------------------------------------
@@ -639,63 +706,17 @@ def parse_formula(text: str) -> Formula:
 
 # --- Goedel coding -----------------------------------------------------
 
-_TAGS = {
-    Rel: 1, Eq: 2, Neq: 3, Lt: 4, Bit: 5, And: 6, Or: 7, Not: 8,
-    Exists: 9, Forall: 10, SOExists: 11, SOForall: 12, Tc: 13,
-    Lfp: 14, Pfp: 15, CharOrd: 16, CharUnord: 17, CoCharUnord: 18,
-    CharNpconp: 19, CharCfg: 20,
-}
-_TAG_TO_CLS = {tag: cls for cls, tag in _TAGS.items()}
-
-
-def _enc_bits(bits: str) -> str:
-    return encode_nat(len(bits)) + bits
+def _code_pieces(node: Formula) -> list:
+    layout = _layout(node)
+    out = [layout.tag_code]
+    for name, code in layout.code:
+        value = getattr(node, name)
+        out.append(value if code is None else code(value))
+    return out
 
 
 def godel_encode(f: Formula) -> str:
-    out = [encode_nat(_TAGS[type(f)])]
-    if isinstance(f, Rel):
-        out.append(encode_str(f.name))
-        out.append(encode_nat(len(f.args)))
-        out.extend(encode_str(a) for a in f.args)
-    elif isinstance(f, (Eq, Neq, Lt, Bit)):
-        out.append(encode_str(f.left))
-        out.append(encode_str(f.right))
-    elif isinstance(f, (And, Or)):
-        out.append(godel_encode(f.left))
-        out.append(godel_encode(f.right))
-    elif isinstance(f, Not):
-        out.append(godel_encode(f.sub))
-    elif isinstance(f, (Exists, Forall)):
-        out.append(encode_str(f.var))
-        out.append(godel_encode(f.sub))
-    elif isinstance(f, (SOExists, SOForall)):
-        out.append(encode_str(f.relvar))
-        out.append(encode_nat(f.arity))
-        out.append(godel_encode(f.sub))
-    elif isinstance(f, Tc):
-        out.append(encode_str(f.var1))
-        out.append(encode_str(f.var2))
-        out.append(godel_encode(f.sub))
-        out.append(encode_str(f.arg1))
-        out.append(encode_str(f.arg2))
-    elif isinstance(f, (Lfp, Pfp)):
-        out.append(encode_str(f.relvar))
-        out.append(encode_nat(len(f.vars)))
-        out.extend(encode_str(v) for v in f.vars)
-        out.append(godel_encode(f.sub))
-        out.extend(encode_str(a) for a in f.args)
-    elif isinstance(f, (CharOrd, CharUnord, CoCharUnord)):
-        out.append(_enc_bits(f.gamma_code))
-        out.append(_enc_bits(f.machine_code))
-    elif isinstance(f, CharNpconp):
-        out.append(_enc_bits(f.lambda_code))
-        out.append(_enc_bits(f.gamma_code))
-    elif isinstance(f, CharCfg):
-        out.append(_enc_bits(f.grammar_code))
-    else:
-        raise FormulaError(f"cannot encode {f!r}")
-    return "".join(out)
+    return _flatten(f, _code_pieces)
 
 
 def _read_ident(r: BitReader, pattern: re.Pattern) -> str:
@@ -707,48 +728,37 @@ def _read_ident(r: BitReader, pattern: re.Pattern) -> str:
 
 def _read_formula(r: BitReader) -> Formula:
     tag = r.nat()
-    cls = _TAG_TO_CLS.get(tag)
-    if cls is None:
+    layout = _BY_TAG.get(tag)
+    if layout is None:
         raise MalformedGodelCode(f"unknown node tag {tag}")
-    if cls is Rel:
-        name = _read_ident(r, _REL_RE)
-        argc = r.nat()
-        if argc < 1:
-            raise MalformedGodelCode("atom needs at least one argument")
-        return Rel(name, tuple(_read_ident(r, _VAR_RE) for _ in range(argc)))
-    if cls in (Eq, Neq, Lt, Bit):
-        return cls(_read_ident(r, _VAR_RE), _read_ident(r, _VAR_RE))
-    if cls in (And, Or):
-        return cls(_read_formula(r), _read_formula(r))
-    if cls is Not:
-        return Not(_read_formula(r))
-    if cls in (Exists, Forall):
-        return cls(_read_ident(r, _VAR_RE), _read_formula(r))
-    if cls in (SOExists, SOForall):
-        relvar = _read_ident(r, _REL_RE)
-        arity = r.nat()
-        if arity < 1:
-            raise MalformedGodelCode("relation variable arity must be >= 1")
-        return cls(relvar, arity, _read_formula(r))
-    if cls is Tc:
-        v1 = _read_ident(r, _VAR_RE)
-        v2 = _read_ident(r, _VAR_RE)
-        sub = _read_formula(r)
-        return Tc(v1, v2, sub, _read_ident(r, _VAR_RE), _read_ident(r, _VAR_RE))
-    if cls in (Lfp, Pfp):
-        relvar = _read_ident(r, _REL_RE)
-        k = r.nat()
-        if k < 1:
-            raise MalformedGodelCode("fixpoint binds at least one variable")
-        vars_ = tuple(_read_ident(r, _VAR_RE) for _ in range(k))
-        if len(set(vars_)) != k:
-            raise MalformedGodelCode("fixpoint variables must be distinct")
-        sub = _read_formula(r)
-        args = tuple(_read_ident(r, _VAR_RE) for _ in range(k))
-        return cls(relvar, vars_, sub, args)
-    if cls in (CharOrd, CharUnord, CoCharUnord, CharNpconp):
-        return cls(r.payload(), r.payload())
-    return CharCfg(r.payload())
+    values: list = []
+    count = 0
+    for _, kind in layout.fields:
+        if kind == "V":
+            values.append(_read_ident(r, _VAR_RE))
+        elif kind == "F":
+            values.append(_read_formula(r))
+        elif kind == "R":
+            values.append(_read_ident(r, _REL_RE))
+        elif kind == "N":
+            arity = r.nat()
+            if arity < 1:
+                raise MalformedGodelCode("relation variable arity must be >= 1")
+            values.append(arity)
+        elif kind == "B":
+            values.append(r.payload())
+        elif kind == "V+":
+            count = r.nat()
+            if count < 1:
+                raise MalformedGodelCode(
+                    f"{layout.cls.__name__} needs at least one variable")
+            names = tuple(_read_ident(r, _VAR_RE) for _ in range(count))
+            if layout.cls in (Lfp, Pfp) and len(set(names)) != count:
+                raise MalformedGodelCode("fixpoint variables must be distinct")
+            values.append(names)
+        else:
+            values.append(tuple(_read_ident(r, _VAR_RE) for _ in range(count)))
+    return layout.cls(*values)
 
 
 def godel_decode(bits: str) -> Formula:

@@ -255,6 +255,8 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
                       config: EvalConfig | None = None) -> Structure | None:
     """First structure where accepting the encoding differs from satisfying
     the target sentence, or None when the reduction condition holds up to n_max."""
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     check = sentence_checker(target, config)
     for b in enumerate_structures(vocab, n_max):
         accepted = run(m, encode_bin(b), gamma, vocab, config=config)

@@ -31,12 +31,17 @@ from .core import (
 )
 from .logic import (
     And, Bit, CHAR_NODES, Eq, Exists, Forall, Formula, Lfp, Lt, Neq, Not,
-    Or, Pfp, Rel, SOExists, SOForall, Tc, psi_recognize,
+    Or, Pfp, Rel, SOExists, SOForall, Tc, children, psi_recognize,
 )
 
 
 class PositivityViolation(ValueError):
     pass
+
+
+class NoLeastFixpoint(ValueError):
+    """The stages of a least fixpoint cycle, which a body that is positive
+    but not monotone (through a nested partial fixpoint) can make them do."""
 
 
 class RecursionBudgetExhausted(RuntimeError):
@@ -80,18 +85,11 @@ class _Ctx:
 def _positive_in(f: Formula, name: str, polarity: bool = True) -> bool:
     if isinstance(f, Rel):
         return polarity or f.name != name
+    if isinstance(f, (SOExists, SOForall, Lfp, Pfp)) and f.relvar == name:
+        return True
     if isinstance(f, Not):
-        return _positive_in(f.sub, name, not polarity)
-    if isinstance(f, (And, Or)):
-        return (_positive_in(f.left, name, polarity)
-                and _positive_in(f.right, name, polarity))
-    if isinstance(f, (Exists, Forall, Tc)):
-        return _positive_in(f.sub, name, polarity)
-    if isinstance(f, (SOExists, SOForall, Lfp, Pfp)):
-        if f.relvar == name:
-            return True
-        return _positive_in(f.sub, name, polarity)
-    return True
+        polarity = not polarity
+    return all(_positive_in(sub, name, polarity) for sub in children(f))
 
 
 def _compile(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
@@ -249,26 +247,23 @@ def _compile(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                         out.add(tup)
                 return frozenset(out)
 
+            # A stage that comes back without being a fixpoint starts a
+            # cycle: a partial fixpoint is then empty, a least one undefined.
+            # Only 2^|tuples| stages are distinct, so some stage repeats.
             current = frozenset()
-            if least:
-                while True:
-                    nxt = stage(current)
-                    if nxt == current:
-                        break
-                    current = nxt
-            else:
-                seen = {current}
-                for _ in range(1 << len(tuples)):
-                    nxt = stage(current)
-                    if nxt == current:
-                        break
-                    if nxt in seen:
-                        current = frozenset()
-                        break
-                    seen.add(nxt)
-                    current = nxt
-                else:
+            seen = {current}
+            while True:
+                nxt = stage(current)
+                if nxt == current:
+                    break
+                if nxt in seen:
+                    if least:
+                        raise NoLeastFixpoint(
+                            f"{name} has no least fixpoint: its stages cycle")
                     current = frozenset()
+                    break
+                seen.add(nxt)
+                current = nxt
             if saved is None:
                 del renv[name]
             else:
@@ -283,8 +278,9 @@ def _compile(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                 )
             from . import charsets
 
-            return charsets.eval_char(ctx.structure, f, ctx.config,
-                                      ctx.budget - 1)
+            a = ctx.structure
+            return charsets.leaf_verdict(a.vocab, a.n, f, ctx.config,
+                                         ctx.budget - 1)
         return run_char
     raise TypeError(f"cannot evaluate {f!r}")
 
@@ -314,16 +310,12 @@ def models(a: Structure, f: Formula, config: EvalConfig | None = None) -> bool:
 def valid_upto(f: Formula, vocab: Vocabulary, n_max: int,
                config: EvalConfig | None = None) -> Structure | None:
     """First structure of size <= n_max falsifying f, or None if f holds on all."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
     return sweep(vocab, n_max, f, None, config)
 
 
 def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
                 config: EvalConfig | None = None) -> Structure | None:
     """First structure of size <= n_max where the two sentences disagree."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
     # Both sentences compile before either is evaluated, so a compile error
     # in g wins over an evaluation error of f on the first structure.
     sentence_checker(f, config)
@@ -347,11 +339,6 @@ def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
 # checker would reach.
 
 CHUNK_BITS = 20
-
-
-class _NoFixpoint(Exception):
-    """Some structure's least-fixpoint stages cycle; only the checker can tell
-    whether it is ever evaluated."""
 
 
 class _LeafPending(Exception):
@@ -580,8 +567,8 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
             # Iterate every structure's stages jointly.  A structure keeps its
             # stage and leaves `active` once a stage repeats the one before,
             # where its checker stops.  Brent's cycle detection on the joint
-            # state, or the checker's own cap of 2^|tuples| stages, shows
-            # when the structures still active cycle for ever.
+            # state, or a cap of 2^|tuples| stages, shows when the
+            # structures still active cycle for ever.
             current, active = (0,) * len(tuples), care
             tortoise, power, lam = (current, active), 1, 0
             for _ in range(1 << len(tuples)):
@@ -601,7 +588,7 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                 b.exact = exact and least
             b.exact = exact
             if active and least:
-                raise _NoFixpoint(f"{name} has no least fixpoint on some structure")
+                raise NoLeastFixpoint(f"{name} has no least fixpoint on some structure")
             if saved is None:
                 del renv[name]
             else:
@@ -757,6 +744,8 @@ def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,
     bit per structure.  With jobs > 1 and at least two batches in a size,
     a pool of that many processes decides them; the result is the same.
     """
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     config = config or _EMPTY_CONFIG
     local = None
     for n in range(2, n_max + 1):

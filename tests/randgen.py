@@ -40,7 +40,8 @@ def random_formula(rng: random.Random, vocab: Vocabulary, size: int,
     def atom(fo_vars, so_rels):
         choices = []
         if fo_vars:
-            symbols = list(vocab.symbols) + [(q, a) for q, a in so_rels]
+            # A rebound name hides its outer binding, possibly of another arity.
+            symbols = list(vocab.symbols) + list(dict(so_rels).items())
             if symbols:
                 name, arity = rng.choice(symbols)
                 choices.append(

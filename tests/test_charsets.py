@@ -2,7 +2,7 @@ import pytest
 
 from fmwb.cfg import parse_grammar
 from fmwb.charsets import (
-    CharsetError, PayloadNotCharFree, char_sentence, eval_char, member_S_cfg,
+    CharsetError, PayloadNotCharFree, char_sentence, leaf_verdict, member_S_cfg,
     member_S_npconp, member_S_ord, member_S_unord,
 )
 from fmwb.core import (
@@ -183,8 +183,7 @@ def test_eval_char_on_wrong_vocab_errors():
     char = char_sentence("ord", gamma=apply_T_ord(UPS_ORD, V_ORD),
                          machine=identity_machine())
     with pytest.raises(CharsetError):
-        eval_char(Structure.make(V_E, 2), char,
-                  EvalConfig(upsilon_ord=UPS_ORD), 4)
+        leaf_verdict(V_E, 2, char, EvalConfig(upsilon_ord=UPS_ORD), 4)
 
 
 def test_vacuous_bound_is_member():

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fmwb
 from fmwb.cli import main, read_structure
 from fmwb.core import Structure, Vocabulary, encode_bin
 from fmwb.machines import format_machine, identity_machine
@@ -207,6 +213,40 @@ def test_sentences_are_validated_against_tau(files, capsys, command):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("fmwb: ")
+
+
+@pytest.mark.parametrize("command", ["valid-upto", "modeq-upto", "check-reduction"])
+def test_sweeps_need_nmax_of_at_least_two(files, capsys, command):
+    write, _ = files
+    good = write("good.sent", "Ex E(x,x)")
+    machine = write("id.tm", format_machine(identity_machine()))
+    argv = {
+        "valid-upto": ["valid-upto", good],
+        "modeq-upto": ["modeq-upto", good, good],
+        "check-reduction": ["tm", "check-reduction", machine,
+                            "--gamma", good, "--target", good],
+    }[command] + ["--tau", "E:2"]
+    for nmax in ("1", "-3"):
+        assert main(argv + ["--nmax", nmax]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("fmwb: ")
+
+
+def test_cycling_least_fixpoint_is_an_error(files):
+    # Q occurs positively, but the inner PFP makes the stages alternate.
+    write, _ = files
+    lfp = write("lfp.sent", "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)")
+    struct = write("a.struct", "vocab R:1 <\nn = 2\nR = (0)")
+    src = str(Path(fmwb.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in (["mc", struct, lfp],
+                 ["valid-upto", lfp, "--tau", "R:1 <", "--nmax", "2"]):
+        done = subprocess.run([sys.executable, "-m", "fmwb.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("fmwb: ") and "least fixpoint" in done.stderr
 
 
 def test_valid_upto_parallel_path(files, capsys):

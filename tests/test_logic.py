@@ -1,16 +1,19 @@
 import random
+import sys
 
 import pytest
 
+from fmwb.aristotelian import encode_nat, encode_str
 from fmwb.core import Structure, Vocabulary, parse_vocab
 from fmwb.forms import fo_sentences
 from fmwb.logic import (
     FO, FO_LFP, FO_TC, OTHER, SO_A, SO_E, SO_PFP,
-    And, AristotelianTarget, CharOrd, EmptyString, Exists,
-    FormulaError, FormulaSyntaxError, MalformedGodelCode, Neq,
-    NoOrderInTarget, Not, Or, OrderedTarget, Rel, SOExists,
+    And, AristotelianTarget, Bit, CharCfg, CharNpconp, CharOrd, CharUnord,
+    CoCharUnord, EmptyString, Eq, Exists, Forall, FormulaError,
+    FormulaSyntaxError, Lfp, Lt, MalformedGodelCode, Neq, NoOrderInTarget,
+    Not, Or, OrderedTarget, Pfp, Rel, SOExists, SOForall, Tc,
     WrongSourceVocabulary, all_variables, apply_T_ord, apply_T_unord,
-    char_free, fragment_of, free_vars, godel_decode, godel_encode,
+    char_free, children, fragment_of, free_vars, godel_decode, godel_encode,
     in_fragment, n_nodes, pad_structure_ord, pad_structure_unord,
     parse_formula, print_formula, psi_encode, psi_recognize,
     validate_sentence,
@@ -57,11 +60,99 @@ def test_print_parse_identity_examples():
         assert parse_formula(print_formula(f)) == f
 
 
+# One node of each class at the root, with its text and Goedel code as
+# the printer and encoder produced them before the syntax table existed.
+GOLDEN = [
+    (Rel("E", ("x", "y", "x")), "E(x,y,x)",
+     "10111011010001011101011101101111000101101111001101101111000"),
+    (Eq("x", "y1"), "x = y1", "110101010110111100011010100111100100110001"),
+    (Neq("x", "y"), "x != y", "1101011101101111000101101111001"),
+    (Lt("x", "y"), "x < y", "11011100101101111000101101111001"),
+    (Bit("x", "y"), "BIT(x,y)", "11011101101101111000101101111001"),
+    (And(Rel("P", ("x",)), Eq("x", "y")), "(P(x) & x = y)",
+     "11011110101110110101000010111011011110001101010101101111000101101111001"),
+    (Or(Lt("x", "y"), Not(Rel("P", ("y",)))), "(x < y | ~P(y))",
+     "11011111110111001011011110001011011110011110100100010111011010100001011101"
+     "101111001"),
+    (Not(Rel("P", ("x",))), "~P(x)",
+     "1110100100010111011010100001011101101111000"),
+    (Exists("x", Rel("P", ("x",))), "Ex P(x)",
+     "1110100100110110111100010111011010100001011101101111000"),
+    (Forall("y", Exists("x", Rel("E", ("x", "y")))), "Ay Ex E(x,y)",
+     "11101001010101101111001111010010011011011110001011101101000101110101010110"
+     "1111000101101111001"),
+    (SOExists("Q", 2, Rel("Q", ("x", "y"))), "EQ:2 Q(x,y)",
+     "11101001011101101010001110101010111011010100011101010101101111000101101111"
+     "001"),
+    (SOForall("Q1", 1, Rel("Q1", ("x",))), "AQ1:1 Q1(x)",
+     "11101001100110101001010001001100011011101111010100101000100110001101110110"
+     "1111000"),
+    (Tc("u", "v", Rel("E", ("u", "v")), "x", "y"), "TC[u,v: E(u,v)](x,y)",
+     "11101001101101101110101101101110110101110110100010111010101011011101011011"
+     "01110110101101111000101101111001"),
+    (Lfp("Q", ("u", "v"), Or(Rel("E", ("u", "v")), Rel("Q", ("v", "u"))),
+         ("x", "y")),
+     "LFP[Q,u,v: (E(u,v) | Q(v,u))](x,y)",
+     "11101001110101101010001110101010110111010110110111011011011111101110110100"
+     "01011101010101101110101101101110110101110110101000111010101011011101101011"
+     "01110101101101111000101101111001"),
+    (Pfp("S", ("u",), Not(Rel("S", ("u",))), ("x",)), "PFP[S,u: ~S(u)](x)",
+     "11101001111101101010011101110110111010111101001000101110110101001110111011"
+     "01110101101101111000"),
+    (CharOrd("101", "0011"), "CHAR_ORD{d,13}",
+     "1110101100001101011101110111000011"),
+    (CharUnord("", "1"), "CHAR_UNORD{1,3}", "111010110001101010111"),
+    (CoCharUnord("1", ""), "COCHAR_UNORD{3,1}", "111010110010101111010"),
+    (CharNpconp("0", "110"), "CHAR_NPCONP{2,e}", "111010110011101101101011110"),
+    (CharCfg("10110"), "CHAR_CFG{36}", "1110101101001101110110110"),
+]
+
+
+@pytest.mark.parametrize("node,text,code", GOLDEN,
+                         ids=[type(node).__name__ for node, _, _ in GOLDEN])
+def test_golden_syntax(node, text, code):
+    assert print_formula(node) == text
+    assert parse_formula(text) == node
+    assert godel_encode(node) == code
+    assert godel_decode(code) == node
+
+
+def test_unknown_nodes_are_rejected():
+    for fn in (print_formula, godel_encode, free_vars, all_variables):
+        for junk in (None, Not(None)):
+            with pytest.raises(FormulaError):
+                fn(junk)
+    with pytest.raises(FormulaError):
+        children(None)
+
+
+def test_print_and_encode_do_not_recurse():
+    w = "10" * 10_000
+    f = psi_encode(w)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text, code = print_formula(f), godel_encode(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    k = len(w)
+    prefix = "".join(f"{'E' if b == '1' else 'A'}x{i} " for i, b in enumerate(w, 1))
+    assert text == (prefix + "(" * (k - 1) + "x1 != x1"
+                    + "".join(f" & x{i} != x{i})" for i in range(2, k + 1)))
+    quantifiers = "".join(encode_nat(9 if b == "1" else 10) + encode_str(f"x{i}")
+                          for i, b in enumerate(w, 1))
+    atoms = "".join(encode_nat(3) + encode_str(f"x{i}") * 2 for i in range(1, k + 1))
+    assert code == quantifiers + encode_nat(6) * (k - 1) + atoms
+
+
 def test_roundtrip_random_corpus():
     rng = random.Random(2024)
     vocab = parse_vocab("R:1 E:2 <")
-    for i in range(1000):
-        f = random_formula(rng, vocab, rng.randint(1, 12))
+    # At the fixed size 12 of the second thousand, an inner binder often
+    # reuses the name of an outer relation variable.
+    for i in range(2000):
+        f = random_formula(rng, vocab, rng.randint(1, 12) if i < 1000 else 12)
+        validate_sentence(f, vocab)
         assert parse_formula(print_formula(f)) == f, print_formula(f)
         bits = godel_encode(f)
         assert godel_decode(bits) == f

@@ -22,9 +22,9 @@ from fmwb.machines import (
     identity_machine,
 )
 from fmwb.semantics import (
-    CHUNK_BITS, EvalConfig, MissingDistinguished, RecursionBudgetExhausted,
-    _Batch, _batch_program, _InexactCare, _LeafPending, _NoFixpoint,
-    sentence_checker, sweep,
+    CHUNK_BITS, EvalConfig, MissingDistinguished, NoLeastFixpoint,
+    RecursionBudgetExhausted, _Batch, _batch_program, _InexactCare,
+    _LeafPending, sentence_checker, sweep,
 )
 from test_acceptance import ORD_UPSILONS, UNORD_UPSILONS
 
@@ -277,7 +277,7 @@ def test_cycling_least_fixpoint_goes_to_the_checker():
     # that reaches the LFP.  Structure 0 falsifies the guard first.
     lfp = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
     vocab = parse_vocab("R:1 <")
-    with pytest.raises(_NoFixpoint):
+    with pytest.raises(NoLeastFixpoint):
         table(parse_formula(lfp), vocab, 2)
     guarded = parse_formula(f"(Ex R(x) & {lfp})")
     assert sweep(vocab, 3, guarded) == structure_from_index(vocab, 2, 0)
