@@ -9,6 +9,7 @@ reader command accepts back.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import aristotelian, cfg, charsets, forms, logic, machines
@@ -398,7 +399,10 @@ def _add_upsilon_opts(p) -> None:
                    help="characteristic-leaf recursion budget")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared after it;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fmwb", description="finite model theory workbench"
     )

@@ -6,19 +6,22 @@ entering QUE the oracle tape is decoded as a structure encoding; the next
 state is YES exactly when that structure satisfies the oracle sentence, the
 tape is erased, and nothing else happens.  Exceeding any resource bound is a
 rejection, never an error, so every decoded description is a total decider.
+A run that repeats a configuration is rejected when the repeat is seen: from
+there on it would only go round the same cycle until its clock ran out.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
 from .core import Structure, Vocabulary, NoIntegerUniverse, decode_bin, encode_bin, enumerate_structures
 from .logic import Formula
-from .semantics import EvalConfig, models, sentence_checker
+from .semantics import EvalConfig, sentence_checker
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -34,6 +37,7 @@ _STATE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 TransKey = tuple[str, str, str]
 TransVal = tuple[str, str, str, str, str]
+_SHIFT = {"L": -1, "R": 1, "S": 0}
 
 
 class MachineError(ValueError):
@@ -91,8 +95,10 @@ class OracleMachine:
         return cls(tuple(states), start, kind, clock_c, step_c, table)
 
     @cached_property
-    def delta(self) -> dict[TransKey, TransVal]:
-        return dict(self.transitions)
+    def step_table(self) -> dict[TransKey, tuple[str, str, int, int, str]]:
+        """The transitions with head moves as -1/0/+1."""
+        return {key: (nxt, write, _SHIFT[in_mv], _SHIFT[sto_mv], app)
+                for key, (nxt, write, in_mv, sto_mv, app) in self.transitions}
 
     def step_limit(self, input_len: int) -> int:
         """(input_len+2)^step_c, or the smaller clock power for polytime,
@@ -200,54 +206,84 @@ def run(m: OracleMachine, input_bits: str, oracle_sentence: Formula,
     limit = m.step_limit(len(input_bits))
     if max_steps is not None:
         limit = min(limit, max_steps)
-    space_cap = m.space_limit(len(input_bits))
-    delta = m.delta
+    return _simulate(m, input_bits, limit,
+                     _oracle_answers(oracle_sentence, oracle_vocab, config))
 
+
+def _oracle_answers(sentence: Formula, vocab: Vocabulary,
+                    config: EvalConfig | None) -> Callable[[str], bool]:
+    """Answers to oracle queries.  The sentence is compiled at the first
+    query that decodes, so a machine that never asks never compiles it."""
+    checker = None
+
+    def ask(query: str) -> bool:
+        nonlocal checker
+        try:
+            b = decode_bin(vocab, query)
+        except NoIntegerUniverse:
+            return False
+        if checker is None:
+            checker = sentence_checker(sentence, config)
+        return checker(b)
+    return ask
+
+
+def _simulate(m: OracleMachine, input_bits: str, limit: int,
+              ask: Callable[[str], bool]) -> bool:
+    """run() after its input check: at most `limit` steps, queries to `ask`.
+
+    The configuration (state, heads, storage, oracle tape) determines the
+    rest of the run, so a repeated one is a cycle that never reaches ACC.
+    Brent's method finds it: the configuration after steps 1, 2, 4, 8, ...
+    is kept until the next power of two, and every step is compared with
+    it, cheap fields first.  Each query and each check of the space bound
+    on the cycle happened once before the repeat is seen, so the verdict
+    and any exception are those of the run to its clock.
+    """
+    table = m.step_table
+    space_cap = m.space_limit(len(input_bits))
+    visited = {0} if space_cap is not None else None
+    last = len(input_bits) - 1
     state = m.start
-    in_head = 0
+    in_head = sto_head = 0
     storage: dict[int, str] = {}
-    sto_head = 0
-    visited = {0}
     oracle: list[str] = []
     steps = 0
+    # the configuration after step seen_at // 2
+    seen_at = 1
+    seen_state = seen_in = seen_sto = seen_storage = seen_oracle = None
     while True:
-        if state == "ACC":
-            return True
-        if steps >= limit:
-            return False
-        if state == "QUE":
-            query = "".join(oracle)
-            try:
-                b = decode_bin(oracle_vocab, query)
-                answer = models(b, oracle_sentence, config)
-            except NoIntegerUniverse:
-                answer = False
-            oracle.clear()
-            assert not oracle
-            state = "YES" if answer else "NO"
-            steps += 1
-            continue
-        in_sym = input_bits[in_head] if 0 <= in_head < len(input_bits) else BLANK
-        sto_sym = storage.get(sto_head, BLANK)
-        action = delta.get((state, in_sym, sto_sym))
+        in_sym = input_bits[in_head] if 0 <= in_head <= last else BLANK
+        action = table.get((state, in_sym, storage.get(sto_head, BLANK)))
         if action is None:
-            return False
-        state, write, in_mv, sto_mv, app = action
-        storage[sto_head] = write
-        if in_mv == "L":
-            in_head -= 1
-        elif in_mv == "R":
-            in_head += 1
-        if sto_mv == "L":
-            sto_head -= 1
-        elif sto_mv == "R":
-            sto_head += 1
-        visited.add(sto_head)
-        if space_cap is not None and len(visited) > space_cap:
-            return False
-        if app:
-            oracle.append(app)
+            # No transition leaves ACC or QUE, so both come here too.
+            if state == "ACC":
+                return True
+            if state != "QUE" or steps >= limit:
+                return False
+            state = "YES" if ask("".join(oracle)) else "NO"
+            oracle = []
+        else:
+            if steps >= limit:
+                return False
+            state, write, in_dx, sto_dx, app = action
+            storage[sto_head] = write
+            in_head += in_dx
+            sto_head += sto_dx
+            if visited is not None:
+                visited.add(sto_head)
+                if len(visited) > space_cap:
+                    return False
+            if app:
+                oracle.append(app)
         steps += 1
+        if (in_head == seen_in and sto_head == seen_sto and state == seen_state
+                and storage == seen_storage and oracle == seen_oracle):
+            return False
+        if steps == seen_at:
+            seen_state, seen_in, seen_sto = state, in_head, sto_head
+            seen_storage, seen_oracle = dict(storage), list(oracle)
+            seen_at <<= 1
 
 
 def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
@@ -258,9 +294,10 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     check = sentence_checker(target, config)
+    ask = _oracle_answers(gamma, vocab, config)
     for b in enumerate_structures(vocab, n_max):
-        accepted = run(m, encode_bin(b), gamma, vocab, config=config)
-        if accepted != check(b):
+        bits = encode_bin(b)
+        if _simulate(m, bits, m.step_limit(len(bits)), ask) != check(b):
             return b
     return None
 

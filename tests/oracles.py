@@ -2,17 +2,19 @@
 
 Nothing here shares code with fmwb's evaluator: naive_models is a plain
 recursive truth definition over fresh assignment dicts, table_models builds
-truth tables with numpy, and the remaining helpers are direct restatements
-of the properties under test (breadth-first closure, exhaustive coloring,
-derivation search).
+truth tables with numpy, naive_run simulates a machine to its clock, and the
+remaining helpers are direct restatements of the properties under test
+(breadth-first closure, exhaustive coloring, derivation search).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from fmwb.core import NoIntegerUniverse, decode_bin
 from fmwb.logic import (
     And, Bit, Eq, Exists, Forall, Lt, Neq, Not, Or, Rel,
 )
@@ -122,6 +124,48 @@ def table_models(vocab, structures, formula):
         # vacuously quantified free slots cannot remain in a sentence
         raise AssertionError(f"unbound variable {v} in sentence")
     return arr
+
+
+def naive_run(machine, word, sentence, vocab):
+    """A machine run step by step to its clock, with no cycle test.
+
+    The clock is recomputed from the exponents, so they must be small.
+    Queries that decode are answered by naive_models; others answer NO.
+    """
+    exponent = machine.step_c
+    if machine.kind == "polytime":
+        exponent = min(exponent, machine.clock_c)
+    limit = min((len(word) + 2) ** exponent, 2 ** 63)
+    space = None
+    if machine.kind == "logspace":
+        space = math.floor(machine.clock_c * math.log2(len(word) + 2))
+    delta = dict(machine.transitions)
+    moves = {"L": -1, "S": 0, "R": 1}
+    state, in_head, sto_head, storage, query = machine.start, 0, 0, {}, ""
+    cells = {0}
+    for _ in range(limit):
+        if state == "ACC":
+            return True
+        if state == "QUE":
+            try:
+                yes = naive_models(decode_bin(vocab, query), sentence)
+            except NoIntegerUniverse:
+                yes = False
+            state, query = ("YES" if yes else "NO"), ""
+            continue
+        read = word[in_head] if 0 <= in_head < len(word) else "_"
+        key = (state, read, storage.get(sto_head, "_"))
+        if key not in delta:
+            return False
+        state, write, in_move, sto_move, append = delta[key]
+        storage[sto_head] = write
+        in_head += moves[in_move]
+        sto_head += moves[sto_move]
+        cells.add(sto_head)
+        if space is not None and len(cells) > space:
+            return False
+        query += append
+    return state == "ACC"
 
 
 def reachable_pairs(a, rel_name="E"):

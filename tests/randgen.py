@@ -65,6 +65,15 @@ def random_formula(rng: random.Random, vocab: Vocabulary, size: int,
             return None
         return rng.choice(choices)()
 
+    def bound_names(count, fo_vars):
+        # Fresh names first; once the pool runs out, reused names hide
+        # their outer binding, as in the quantifier branch.
+        fresh = [v for v in FO_POOL if v not in fo_vars]
+        if len(fresh) >= count:
+            return fresh[:count]
+        reused = [v for v in FO_POOL if v not in fresh]
+        return fresh + rng.sample(reused, count - len(fresh))
+
     def build(budget, fo_vars, so_rels):
         if budget <= 1:
             leaf = atom(fo_vars, so_rels)
@@ -98,13 +107,11 @@ def random_formula(rng: random.Random, vocab: Vocabulary, size: int,
                 relvar, arity, body
             )
         if kind == "tc":
-            fresh = [v for v in FO_POOL if v not in fo_vars]
-            v1, v2 = fresh[0], fresh[1]
+            v1, v2 = bound_names(2, fo_vars)
             body = build(budget - 2, fo_vars + [v1, v2], so_rels)
             return Tc(v1, v2, body, rng.choice(fo_vars), rng.choice(fo_vars))
-        fresh = [v for v in FO_POOL if v not in fo_vars]
         arity = rng.randint(1, 2)
-        vars_ = tuple(fresh[:arity])
+        vars_ = tuple(bound_names(arity, fo_vars))
         relvar = rng.choice(SO_POOL)
         body = build(budget - 2, fo_vars + list(vars_),
                      so_rels + [(relvar, arity)])
@@ -134,7 +141,8 @@ def _syntactically_positive(f, name, polarity=True):
     return True
 
 
-def random_machine(rng: random.Random, kind: str = "polytime") -> OracleMachine:
+def random_machine(rng: random.Random, kind: str = "polytime",
+                   max_transitions: int = 6) -> OracleMachine:
     extras = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
     states = extras + RESERVED
     symbols = ("0", "1", "_")
@@ -143,7 +151,7 @@ def random_machine(rng: random.Random, kind: str = "polytime") -> OracleMachine:
     sources = [s for s in states if s not in ("ACC", "QUE")]
     keys = [(s, a, b) for s in sources for a in symbols for b in symbols]
     transitions = {}
-    for key in rng.sample(keys, rng.randint(0, min(6, len(keys)))):
+    for key in rng.sample(keys, rng.randint(0, min(max_transitions, len(keys)))):
         transitions[key] = (
             rng.choice(states), rng.choice(symbols), rng.choice(moves),
             rng.choice(moves), rng.choice(appends),

@@ -6,9 +6,14 @@ from pathlib import Path
 import pytest
 
 import fmwb
+from fmwb.charsets import char_sentence
 from fmwb.cli import main, read_structure
 from fmwb.core import Structure, Vocabulary, encode_bin
-from fmwb.machines import format_machine, identity_machine
+from fmwb.logic import parse_formula, print_formula
+from fmwb.machines import (
+    BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, format_machine,
+    identity_machine,
+)
 
 
 @pytest.fixture
@@ -19,6 +24,16 @@ def files(tmp_path):
         return str(path)
 
     return write, tmp_path
+
+
+def _fmwb_process(argv, timeout):
+    """`fmwb <argv>` as its own process: (exit code, stdout, stderr)."""
+    src = str(Path(fmwb.__file__).resolve().parent.parent)
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "fmwb.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_mc_exit_codes(files, capsys):
@@ -237,16 +252,57 @@ def test_cycling_least_fixpoint_is_an_error(files):
     write, _ = files
     lfp = write("lfp.sent", "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)")
     struct = write("a.struct", "vocab R:1 <\nn = 2\nR = (0)")
-    src = str(Path(fmwb.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     for argv in (["mc", struct, lfp],
                  ["valid-upto", lfp, "--tau", "R:1 <", "--nmax", "2"]):
-        done = subprocess.run([sys.executable, "-m", "fmwb.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert done.stderr.startswith("fmwb: ") and "least fixpoint" in done.stderr
+        rc, out, err = _fmwb_process(argv, timeout=60)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("fmwb: ") and "least fixpoint" in err
+
+
+def test_mc_decides_a_spinning_leaf_with_huge_clocks(files):
+    # The machine never halts and its clocks are 2^40, so only its first
+    # repeated configuration ends each run before 2^63 steps.
+    write, _ = files
+    spin = OracleMachine.make(
+        ("q0",) + RESERVED, "q0", POLYTIME, 2**40, 2**40,
+        {("q0", sym, BLANK): ("q0", BLANK, "S", "S", "") for sym in SYMBOLS})
+    leaf = char_sentence("unord", gamma=parse_formula("Ex E(x,x)"), machine=spin)
+    sentence = write("spin.sent", print_formula(leaf))
+    ups = write("ups.sent", "Ax Ey R(x,y)")
+    struct = write("a.struct", "vocab E:2\nn = 4\nE = (0,1)")
+    assert _fmwb_process(["mc", struct, sentence, "--upsilon", ups],
+                         timeout=30) == (1, "false\n", "")
+
+
+def test_one_process_answers_as_separate_processes(files, capsys, monkeypatch):
+    # The parser is built once per process; calls in sequence must not see
+    # each other.
+    monkeypatch.setenv("COLUMNS", "80")
+    write, _ = files
+    struct = write("c2.struct", "vocab E:2\nn = 2\nE = (0,1) (1,0)")
+    edge = write("edge.sent", "Ex Ey E(x,y)")
+    machine = write("id.tm", format_machine(identity_machine()))
+    word = write("w.bits", encode_bin(read_structure(struct)))
+    calls = [
+        ["mc", struct, edge],
+        ["valid-upto", edge, "--tau", "E:2", "--nmax", "3"],
+        ["--help"],
+        ["tm", "run", machine, "--input", word, "--oracle", edge,
+         "--tau", "E:2", "--budget", "3"],
+        ["mc", struct],
+        ["tm", "run", machine, "--input", word, "--oracle", edge,
+         "--tau", "E:2"],
+        ["enc", struct],
+        ["valid-upto", edge, "--tau", "E:2", "--nmax", "3", "--bogus"],
+    ]
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == _fmwb_process(argv, 30), argv
 
 
 def test_valid_upto_parallel_path(files, capsys):

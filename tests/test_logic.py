@@ -158,6 +158,15 @@ def test_roundtrip_random_corpus():
         assert godel_decode(bits) == f
 
 
+def test_random_formulas_outlast_the_variable_pool():
+    # At size 30 a path often binds all 18 first-order names of the pool.
+    vocab = parse_vocab("P:1 E:2")
+    for seed in range(300):
+        rng = random.Random(seed)
+        for _ in range(3):
+            validate_sentence(random_formula(rng, vocab, 30), vocab)
+
+
 def test_godel_distinct_codes_exhaustive(v_graph):
     corpus = fo_sentences(v_graph, 4)
     codes = {godel_encode(f) for f in corpus}

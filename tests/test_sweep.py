@@ -192,8 +192,10 @@ def leaf_calls(monkeypatch):
 
 
 def spinning_leaf():
-    # The machine never halts and its clock is capped at 2^63 steps, so this
-    # leaf's verdict is never computed to the end.
+    # The machine never halts and its clocks are 2^40, but each run ends at
+    # its first repeated configuration, so the verdict is quick to compute.
+    # The leaf_calls fixture, not the verdict's cost, shows that a sweep
+    # never computes it.
     spin = OracleMachine.make(
         ("q0",) + RESERVED, "q0", POLYTIME, 2**40, 2**40,
         {("q0", sym, BLANK): ("q0", BLANK, "S", "S", "") for sym in SYMBOLS})
