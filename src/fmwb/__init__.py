@@ -4,8 +4,9 @@ and canonical sentence forms."""
 
 import sys
 
-# Encoding sentences carry one quantifier per code bit, so machine-code
-# disjuncts recurse far past the default interpreter limit.
+# The Goedel decoder, both sentence compilers and validate_sentence recurse
+# once per nesting level, and parsing and decoding accept sentences up to
+# logic.MAX_DEPTH levels deep: past the default interpreter limit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 
 from .core import (  # noqa: E402,F401

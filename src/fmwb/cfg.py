@@ -300,7 +300,7 @@ def encode_grammar(g: Grammar) -> str:
 
 
 def decode_grammar(bits: str) -> Grammar:
-    if not bits or any(b not in "01" for b in bits):
+    if not bits or bits.strip("01"):
         raise MalformedGrammar("grammar code must be a nonempty bit string")
     r = BitReader(bits)
     try:

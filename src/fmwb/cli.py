@@ -65,7 +65,7 @@ def read_sentence(path: str) -> logic.Formula:
 
 def read_bits(path: str) -> str:
     bits = "".join(_read(path).split())
-    if any(b not in "01" for b in bits):
+    if bits.strip("01"):
         raise CliError(f"{path}: expected a bit string")
     return bits
 

@@ -18,9 +18,10 @@ normalized form: '->' is expanded and binary connectives are parenthesized).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from string import Formatter
+from types import SimpleNamespace
 
 from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
 from .core import Structure, Vocabulary
@@ -190,10 +191,64 @@ class CharCfg:
     grammar_code: str
 
 
+class _Hash:
+    """Stands for a node inside a tuple being hashed: hashing a tuple reads
+    only the hashes of its items."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Psi:
+    """The encoding sentence psi_w as one leaf.
+
+    It stands for its expansion Q1 x1 ... Qk xk (((x1 != x1 & x2 != x2) &
+    ...) & xk != xk), where Qi is E when w[i-1] is '1' and A otherwise.  It
+    prints, Goedel-codes, compares and hashes as that expansion.
+    """
+
+    bits: str
+    _hash: int | None = field(default=None, init=False, repr=False)
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(f"x{i}" for i in range(1, len(self.bits) + 1))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Psi:
+            return self.bits == other.bits
+        if type(other) is Exists or type(other) is Forall:
+            return psi_recognize(other) == self.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            # The expansion's hash, built bottom-up as the dataclass hashes
+            # of its nodes build it from the hashes of their fields.
+            h = hash(("x1", "x1"))
+            for i in range(2, len(self.bits) + 1):
+                x = f"x{i}"
+                h = hash((_Hash(h), (x, x)))
+            for i in range(len(self.bits), 0, -1):
+                h = hash((f"x{i}", _Hash(h)))
+            object.__setattr__(self, "_hash", h)
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so the cache stays behind.
+        return Psi, (self.bits,)
+
+
 Formula = (
     Rel | Eq | Neq | Lt | Bit | And | Or | Not | Exists | Forall
     | SOExists | SOForall | Tc | Lfp | Pfp
-    | CharOrd | CharUnord | CoCharUnord | CharNpconp | CharCfg
+    | CharOrd | CharUnord | CoCharUnord | CharNpconp | CharCfg | Psi
 )
 
 ATOMS = (Rel, Eq, Neq, Lt, Bit)
@@ -241,7 +296,7 @@ def _bits_to_hex(bits: str) -> str:
 
 
 def _hex_to_bits(h: str) -> str:
-    if not h or any(c not in "0123456789abcdef" for c in h):
+    if not h or h.strip("0123456789abcdef"):
         raise FormulaError(f"bad hex payload {h!r}")
     s = format(int(h, 16), "b")
     return s[1:]
@@ -278,7 +333,7 @@ class _Layout:
     """A syntax-table row, unpacked once for the traversals."""
 
     def __init__(self, cls, tag: int, kinds: str, template: str):
-        names = [field.name for field in fields(cls)]
+        names = [f.name for f in fields(cls)]
         self.cls, self.tag = cls, tag
         self.fields = tuple(zip(names, kinds.split(), strict=True))
         kind_of = dict(self.fields)
@@ -299,6 +354,39 @@ class _Layout:
 
 _LAYOUTS = {cls: _Layout(cls, *row) for cls, row in _SYNTAX.items()}
 _BY_TAG = {layout.tag: layout for layout in _LAYOUTS.values()}
+
+
+def _psi_text(w: str) -> str:
+    head = "".join(f"{'E' if b == '1' else 'A'}x{i} " for i, b in enumerate(w, 1))
+    return (head + "(" * (len(w) - 1) + "x1 != x1"
+            + "".join(f" & x{i} != x{i})" for i in range(2, len(w) + 1)))
+
+
+# The Goedel tag of the quantifier each bit of w stands for.
+_PSI_TAGS = (("1", _LAYOUTS[Exists].tag_code), ("0", _LAYOUTS[Forall].tag_code))
+# The codes an encoding sentence can start with.
+_PSI_HEADS = tuple(tag + encode_str("x1") for _, tag in _PSI_TAGS)
+
+
+def _psi_matrix_code(xs: list[str]) -> str:
+    """The code of x1 != x1 & ... & xk != xk, given the codes of x1 .. xk."""
+    neq = _LAYOUTS[Neq].tag_code
+    return _LAYOUTS[And].tag_code * (len(xs) - 1) + "".join(neq + x + x for x in xs)
+
+
+def _psi_code(w: str) -> str:
+    xs = [encode_str(f"x{i}") for i in range(1, len(w) + 1)]
+    tags = dict(_PSI_TAGS)
+    return "".join(tags[b] + x for b, x in zip(w, xs)) + _psi_matrix_code(xs)
+
+
+# Psi has no row of its own: it is a leaf that binds its variables, and it
+# prints and codes as its expansion.
+_LAYOUTS[Psi] = SimpleNamespace(
+    cls=Psi, subs=(), children=_getter(()), binders=("variables",),
+    occurrences=(), text=(("", "bits", _psi_text),), tag_code="",
+    code=(("bits", _psi_code),),
+)
 
 
 def _layout(f) -> _Layout:
@@ -401,10 +489,7 @@ def validate_sentence(f: Formula, vocab: Vocabulary) -> None:
         elif isinstance(node, Not):
             check(node.sub, fo, so)
         elif isinstance(node, (Exists, Forall)):
-            # An encoding sentence is closed; walking its one quantifier per
-            # code bit would copy the bound set once per bit.
-            if psi_recognize(node) is None:
-                check(node.sub, fo | {node.var}, so)
+            check(node.sub, fo | {node.var}, so)
         elif isinstance(node, (SOExists, SOForall)):
             if node.arity < 1:
                 raise FormulaError(f"relation variable arity must be >= 1")
@@ -424,7 +509,7 @@ def validate_sentence(f: Formula, vocab: Vocabulary) -> None:
             missing = set(node.args) - fo
             if missing:
                 raise FormulaError(f"free variables {sorted(missing)}")
-        elif isinstance(node, CHAR_NODES):
+        elif isinstance(node, CHAR_NODES) or type(node) is Psi:
             pass
         else:
             raise FormulaError(f"unexpected node {node!r}")
@@ -481,8 +566,13 @@ def print_formula(f: Formula) -> str:
 
 # --- parsing -----------------------------------------------------------
 
+# The deepest sentence tree that parsing and decoding accept; a Psi is one
+# level.  Hashing and comparing nodes recurse in C through their fields,
+# and near 13,000 levels that overflows the interpreter's stack.
+MAX_DEPTH = 10_000
+
 _TOKEN_RE = re.compile(
-    r"\s*(->|!=|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{}:,&|~=<]|[0-9a-f]+)"
+    r"(\s*)(->|!=|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{}:,&|~=<]|[0-9a-f]+)"
 )
 
 _CHAR_KEYWORDS = {
@@ -493,216 +583,319 @@ _CHAR_KEYWORDS = {
     "CHAR_CFG": CharCfg,
 }
 
+_CLOSING = {"(": ")", "[": "]"}
+# How tightly each binary connective binds, and which pending connectives
+# one closes when it arrives: '->' groups to the right, so it leaves an
+# earlier '->' open.  Anything else closes them all.
+_BINDS = {"&": 3, "|": 2, "->": 1}
+_CLOSES = {"&": 3, "|": 2, "->": 2}
+
+
+class _Pattern:
+    """An operand that may still become an encoding sentence: x1 != x1 &
+    ... & xk != xk under one quantifier per entry of bits, innermost
+    (binding xk) first.  It is built out only if it does not."""
+
+    __slots__ = ("k", "bits")
+
+    def __init__(self):
+        self.k, self.bits = 1, []
+
+
+def _built(node, depth: int) -> tuple[Formula, int]:
+    """The node an operand stands for, and its depth."""
+    if type(node) is not _Pattern:
+        return node, depth
+    built: Formula = Neq("x1", "x1")
+    for i in range(2, node.k + 1):
+        x = f"x{i}"
+        built = And(built, Neq(x, x))
+    for i, bit in zip(range(node.k, 0, -1), node.bits):
+        built = (Exists if bit == "1" else Forall)(f"x{i}", built)
+    return built, node.k + len(node.bits)
+
 
 class _Parser:
+    """One pass over the tokens with an explicit stack, so that the depth
+    of a sentence never reaches the Python stack.
+
+    The stack holds, innermost last, the open prefixes (tuples: '~' and the
+    quantifiers, which wrap the next operand) and the open contexts (lists:
+    the whole text, a bracket, a TC or fixpoint body), each with its head
+    and its pending (left operand, depth, connective) triples.
+    """
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise FormulaSyntaxError(
-                        f"unexpected character {text[pos]!r}", pos
-                    )
-                break
-            self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
+        # Per token: the text skipped before it, which is empty unless a
+        # character there starts no token, its leading whitespace, and the
+        # token itself.  Then the rest of the text.
+        self.parts = _TOKEN_RE.split(text)
+        self.tokens: list[str] = self.parts[2::3]
         self.i = 0
+        skipped = self.parts[0::3]
+        if any(skipped[:-1]) or skipped[-1].strip():
+            k = next(k for k, s in enumerate(skipped) if s.strip())
+            pos = self.offset(3 * k)
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+
+    def offset(self, j: int) -> int:
+        """Where the j-th part of the text starts."""
+        return sum(map(len, self.parts[:j]))
+
+    def error(self, message: str) -> FormulaSyntaxError:
+        """The error at the next token."""
+        return FormulaSyntaxError(message, self.offset(3 * self.i + 2))
 
     def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return len(self.text)
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def next(self) -> str:
         if self.i >= len(self.tokens):
-            raise FormulaSyntaxError("unexpected end of input", len(self.text))
-        tok = self.tokens[self.i][0]
+            raise self.error("unexpected end of input")
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect(self, tok: str) -> None:
-        got = self.peek()
-        if got != tok:
-            raise FormulaSyntaxError(f"expected {tok!r}, found {got!r}", self.pos())
+        if self.i >= len(self.tokens) or self.tokens[self.i] != tok:
+            raise self.error(f"expected {tok!r}, found {self.peek()!r}")
         self.i += 1
 
     def variable(self) -> str:
-        tok = self.next()
+        if self.i >= len(self.tokens):
+            raise self.error("unexpected end of input")
+        tok = self.tokens[self.i]
+        self.i += 1
         if not _VAR_RE.match(tok):
-            raise FormulaSyntaxError(f"expected a variable, found {tok!r}",
-                                     self.pos())
+            raise self.error(f"expected a variable, found {tok!r}")
         return tok
 
-    # precedence: -> weakest, then |, then &, then ~/quantifiers/atoms
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.next()
-            right = self.formula()
-            return Or(Not(left), right)
-        return left
+    def variables(self, first: str) -> tuple[str, ...]:
+        names = [first]
+        while self.peek() == ",":
+            self.i += 1
+            names.append(self.variable())
+        return tuple(names)
 
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek() == "|":
-            self.next()
-            node = Or(node, self.conjunction())
-        return node
+    def too_deep(self) -> FormulaSyntaxError:
+        return self.error(f"sentence nests deeper than {MAX_DEPTH} levels")
 
-    def conjunction(self) -> Formula:
-        node = self.unary()
-        while self.peek() == "&":
-            self.next()
-            node = And(node, self.unary())
-        return node
+    def sentence(self) -> Formula:
+        tokens, n = self.tokens, len(self.tokens)
+        stack: list = [[None, []]]
+        while True:
+            # One unary: its prefixes go on the stack, then its operand.
+            tok = tokens[self.i] if self.i < n else None
+            if tok == "~":
+                self.i += 1
+                stack.append((Not,))
+                continue
+            if tok == "(" or tok == "[":
+                self.i += 1
+                stack.append([_CLOSING[tok], []])
+                continue
+            if tok is None:
+                raise self.error("unexpected end of input")
+            if tok in _CHAR_KEYWORDS:
+                node = self.char_leaf()
+            elif tok == "BIT":
+                node = self.bit()
+            elif tok == "TC" or tok == "LFP" or tok == "PFP":
+                stack.append([self.tc_head() if tok == "TC" else self.fixpoint_head(), []])
+                continue
+            else:
+                node = self.printed_psi() if tok == "Ex1" or tok == "Ax1" else None
+                if node is None:
+                    prefix = self.quantifier(tok) if tok[0] in "EA" else None
+                    if prefix is not None:
+                        stack.append(prefix)
+                        continue
+                    node = self.atom(tok)
+            depth = 1
+            # Close everything the operand completes, up to a connective.
+            while True:
+                if depth > MAX_DEPTH:
+                    raise self.too_deep()
+                if not stack:
+                    return node
+                top = stack[-1]
+                if type(top) is tuple:
+                    stack.pop()
+                    node, depth = self.wrap(top, node, depth)
+                    continue
+                head, pending = top
+                op = tokens[self.i] if self.i < n else None
+                floor = _CLOSES.get(op, 0)
+                while pending and _BINDS[pending[-1][2]] >= floor:
+                    left, left_depth, left_op = pending.pop()
+                    node, depth = _combine(left_op, left, left_depth, node, depth)
+                if floor:
+                    if depth > MAX_DEPTH:
+                        raise self.too_deep()
+                    self.i += 1
+                    pending.append((node, depth, op))
+                    break
+                stack.pop()
+                node, depth = self.close(head, node, depth)
 
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "~":
-            self.next()
-            return Not(self.unary())
-        if tok in ("(", "["):
-            closing = ")" if tok == "(" else "]"
-            self.next()
-            node = self.formula()
-            self.expect(closing)
-            return node
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.pos())
-        if tok in _CHAR_KEYWORDS:
-            return self.char_leaf()
-        if tok == "BIT":
-            self.next()
-            self.expect("(")
-            left = self.variable()
+    def wrap(self, prefix: tuple, node, depth: int):
+        cls = prefix[0]
+        if type(node) is _Pattern:
+            if (cls is Exists or cls is Forall) \
+                    and prefix[1] == f"x{node.k - len(node.bits)}":
+                node.bits.append("1" if cls is Exists else "0")
+                if len(node.bits) < node.k:
+                    return node, depth
+                return Psi("".join(reversed(node.bits))), 1
+            node, depth = _built(node, depth)
+        return cls(*prefix[1:], node), depth + 1
+
+    def close(self, head, node, depth: int):
+        if type(head) is str:
+            self.expect(head)
+            return node, depth
+        node, depth = _built(node, depth)
+        if head is None:
+            return node, depth
+        self.expect("]")
+        self.expect("(")
+        if head[0] is Tc:
+            arg1 = self.variable()
             self.expect(",")
-            right = self.variable()
+            arg2 = self.variable()
             self.expect(")")
-            return Bit(left, right)
-        if tok == "TC":
-            return self.tc()
-        if tok in ("LFP", "PFP"):
-            return self.fixpoint()
+            return Tc(head[1], head[2], node, arg1, arg2), depth + 1
+        args = self.variables(self.variable())
+        self.expect(")")
+        return head[0](head[1], head[2], node, args), depth + 1
+
+    def printed_psi(self) -> Psi | None:
+        """Read an encoding sentence in its printed form in one step, when
+        the next token is Ex1 or Ax1.
+
+        Any other text of one builds it through _Pattern, token by token.
+        That alone covers the printed form too, but took twice as long per
+        operation on forms carrying machine codes of thousands of bits.
+        """
+        tokens, i, k = self.tokens, self.i, 1
+        while i + k < len(tokens) and tokens[i + k][1:] == f"x{k + 1}" \
+                and tokens[i + k][0] in "EA":
+            k += 1
+        # The matrix is k - 1 brackets, x1 != x1, then & xj != xj) for
+        # each j from 2 to k.  Most sentences fail at x1 != x1.
+        j = i + 2 * k - 1
+        if tokens[j:j + 3] != ["x1", "!=", "x1"] or tokens[i + k:j] != ["("] * (k - 1):
+            return None
+        rest = [tok for x in map("x{}".format, range(2, k + 1))
+                for tok in ("&", x, "!=", x, ")")]
+        if tokens[j + 3:j + 3 + len(rest)] != rest:
+            return None
+        self.i = j + 3 + len(rest)
+        return Psi("".join("1" if tok[0] == "E" else "0" for tok in tokens[i:i + k]))
+
+    def quantifier(self, tok: str) -> tuple | None:
         if len(tok) > 1 and tok[0] in "EA":
             rest = tok[1:]
             if _VAR_RE.match(rest):
-                self.next()
-                sub = self.unary()
-                return Exists(rest, sub) if tok[0] == "E" else Forall(rest, sub)
+                self.i += 1
+                return (Exists if tok[0] == "E" else Forall, rest)
             if _REL_RE.match(rest) and self.i + 1 < len(self.tokens) \
-                    and self.tokens[self.i + 1][0] == ":":
-                self.next()
-                self.expect(":")
+                    and self.tokens[self.i + 1] == ":":
+                self.i += 2
                 arity_tok = self.next()
                 if not arity_tok.isdigit() or int(arity_tok) < 1:
-                    raise FormulaSyntaxError(
-                        f"bad relation-variable arity {arity_tok!r}", self.pos()
-                    )
-                sub = self.unary()
-                cls = SOExists if tok[0] == "E" else SOForall
-                return cls(rest, int(arity_tok), sub)
-        return self.atom()
+                    raise self.error(f"bad relation-variable arity {arity_tok!r}")
+                return (SOExists if tok[0] == "E" else SOForall, rest, int(arity_tok))
+        return None
 
     def char_leaf(self) -> Formula:
         kind = _CHAR_KEYWORDS[self.next()]
         self.expect("{")
         payloads = [self.next()]
         while self.peek() == ",":
-            self.next()
+            self.i += 1
             payloads.append(self.next())
         self.expect("}")
         try:
             bits = [_hex_to_bits(p) for p in payloads]
         except FormulaError as exc:
-            raise FormulaSyntaxError(str(exc), self.pos()) from exc
+            raise self.error(str(exc)) from exc
         expected = 1 if kind is CharCfg else 2
         if len(bits) != expected:
-            raise FormulaSyntaxError(
-                f"{kind.__name__} takes {expected} payloads, got {len(bits)}",
-                self.pos(),
-            )
+            raise self.error(f"{kind.__name__} takes {expected} payloads, got {len(bits)}")
         return kind(*bits)
 
-    def tc(self) -> Formula:
-        self.next()
-        self.expect("[")
-        v1 = self.variable()
-        self.expect(",")
-        v2 = self.variable()
-        self.expect(":")
-        sub = self.formula()
-        self.expect("]")
+    def bit(self) -> Formula:
+        self.i += 1
         self.expect("(")
-        a1 = self.variable()
+        left = self.variable()
         self.expect(",")
-        a2 = self.variable()
+        right = self.variable()
         self.expect(")")
-        return Tc(v1, v2, sub, a1, a2)
+        return Bit(left, right)
 
-    def fixpoint(self) -> Formula:
+    def tc_head(self) -> tuple:
+        self.i += 1
+        self.expect("[")
+        var1 = self.variable()
+        self.expect(",")
+        var2 = self.variable()
+        self.expect(":")
+        return (Tc, var1, var2)
+
+    def fixpoint_head(self) -> tuple:
         cls = Lfp if self.next() == "LFP" else Pfp
         self.expect("[")
         relvar = self.next()
         if not _REL_RE.match(relvar):
-            raise FormulaSyntaxError(
-                f"expected a relation variable, found {relvar!r}", self.pos()
-            )
-        vars_ = []
-        while self.peek() == ",":
-            self.next()
-            vars_.append(self.variable())
-        if not vars_:
-            raise FormulaSyntaxError("fixpoint binds at least one variable",
-                                     self.pos())
+            raise self.error(f"expected a relation variable, found {relvar!r}")
+        if self.peek() != ",":
+            raise self.error("fixpoint binds at least one variable")
+        self.i += 1
+        vars_ = self.variables(self.variable())
         self.expect(":")
-        sub = self.formula()
-        self.expect("]")
-        self.expect("(")
-        args = [self.variable()]
-        while self.peek() == ",":
-            self.next()
-            args.append(self.variable())
-        self.expect(")")
-        return cls(relvar, tuple(vars_), sub, tuple(args))
+        return (cls, relvar, vars_)
 
-    def atom(self) -> Formula:
-        tok = self.next()
+    def atom(self, tok: str) -> Formula:
+        self.i += 1
         if _REL_RE.match(tok):
             self.expect("(")
-            args = [self.variable()]
-            while self.peek() == ",":
-                self.next()
-                args.append(self.variable())
+            args = self.variables(self.variable())
             self.expect(")")
-            return Rel(tok, tuple(args))
+            return Rel(tok, args)
         if _VAR_RE.match(tok):
             op = self.next()
             right = self.variable()
+            if op == "!=":
+                return _Pattern() if tok == right == "x1" else Neq(tok, right)
             if op == "=":
                 return Eq(tok, right)
-            if op == "!=":
-                return Neq(tok, right)
             if op == "<":
                 return Lt(tok, right)
-            raise FormulaSyntaxError(f"unknown comparison {op!r}", self.pos())
-        raise FormulaSyntaxError(f"unexpected token {tok!r}", self.pos())
+            raise self.error(f"unknown comparison {op!r}")
+        raise self.error(f"unexpected token {tok!r}")
+
+
+def _combine(op: str, left, left_depth: int, right, right_depth: int):
+    if type(left) is _Pattern:
+        if op == "&" and not left.bits and type(right) is Neq \
+                and right.left == right.right == f"x{left.k + 1}":
+            left.k += 1
+            return left, 1
+        left, left_depth = _built(left, left_depth)
+    right, right_depth = _built(right, right_depth)
+    if op == "&":
+        return And(left, right), max(left_depth, right_depth) + 1
+    if op == "|":
+        return Or(left, right), max(left_depth, right_depth) + 1
+    return Or(Not(left), right), max(left_depth + 1, right_depth) + 1
 
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
-    node = parser.formula()
+    node = parser.sentence()
     if parser.i != len(parser.tokens):
-        raise FormulaSyntaxError(
-            f"trailing input {parser.peek()!r}", parser.pos()
-        )
+        raise parser.error(f"trailing input {parser.peek()!r}")
     return node
-
 
 # --- Goedel coding -----------------------------------------------------
 
@@ -726,7 +919,34 @@ def _read_ident(r: BitReader, pattern: re.Pattern) -> str:
     return s
 
 
-def _read_formula(r: BitReader) -> Formula:
+def _read_psi(r: BitReader) -> Psi | None:
+    """Read an encoding sentence if the code of one starts here."""
+    bits, pos, w, xs = r.bits, r.pos, [], []
+    if not bits.startswith(_PSI_HEADS, pos):
+        return None
+    while True:
+        x = encode_str(f"x{len(xs) + 1}")
+        for bit, tag in _PSI_TAGS:
+            if bits.startswith(tag + x, pos):
+                w.append(bit)
+                xs.append(x)
+                pos += len(tag) + len(x)
+                break
+        else:
+            break
+    matrix = _psi_matrix_code(xs)
+    if not bits.startswith(matrix, pos):
+        return None
+    r.pos = pos + len(matrix)
+    return Psi("".join(w))
+
+
+def _read_formula(r: BitReader, depth: int = 1) -> Formula:
+    if depth > MAX_DEPTH:
+        raise MalformedGodelCode(f"sentence nests deeper than {MAX_DEPTH} levels")
+    psi = _read_psi(r)
+    if psi is not None:
+        return psi
     tag = r.nat()
     layout = _BY_TAG.get(tag)
     if layout is None:
@@ -737,7 +957,7 @@ def _read_formula(r: BitReader) -> Formula:
         if kind == "V":
             values.append(_read_ident(r, _VAR_RE))
         elif kind == "F":
-            values.append(_read_formula(r))
+            values.append(_read_formula(r, depth + 1))
         elif kind == "R":
             values.append(_read_ident(r, _REL_RE))
         elif kind == "N":
@@ -762,7 +982,7 @@ def _read_formula(r: BitReader) -> Formula:
 
 
 def godel_decode(bits: str) -> Formula:
-    if any(b not in "01" for b in bits):
+    if bits.strip("01"):
         raise MalformedGodelCode("code must consist of '0'/'1' characters")
     r = BitReader(bits)
     try:
@@ -942,21 +1162,15 @@ def psi_encode(w: str) -> Formula:
     """The identically false sentence whose quantifier pattern spells w."""
     if not w:
         raise EmptyString("encoding sentences need a nonempty bit string")
-    if any(c not in "01" for c in w):
+    if w.strip("01"):
         raise FormulaError(f"bit string expected, got {w!r}")
-    k = len(w)
-    matrix: Formula = Neq("x1", "x1")
-    for i in range(2, k + 1):
-        matrix = And(matrix, Neq(f"x{i}", f"x{i}"))
-    body = matrix
-    for i in range(k, 0, -1):
-        cls = Exists if w[i - 1] == "1" else Forall
-        body = cls(f"x{i}", body)
-    return body
+    return Psi(w)
 
 
 def psi_recognize(f: Formula) -> str | None:
     """Return w when f is syntactically psi_encode(w), else None."""
+    if type(f) is Psi:
+        return f.bits
     bits = []
     node = f
     while isinstance(node, (Exists, Forall)):

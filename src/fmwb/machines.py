@@ -145,7 +145,7 @@ def encode_tm(m: OracleMachine) -> str:
 
 
 def decode_tm(bits: str) -> OracleMachine:
-    if not bits or any(b not in "01" for b in bits):
+    if not bits or bits.strip("01"):
         raise MalformedMachine("machine code must be a nonempty bit string")
     r = BitReader(bits)
 
@@ -201,7 +201,7 @@ def run(m: OracleMachine, input_bits: str, oracle_sentence: Formula,
     Resource bounds come from the machine's own clocks; max_steps can only
     tighten them.  Oracle strings that encode no structure answer NO.
     """
-    if any(b not in "01" for b in input_bits):
+    if input_bits.strip("01"):
         raise MachineError("machine input must be a bit string")
     limit = m.step_limit(len(input_bits))
     if max_steps is not None:

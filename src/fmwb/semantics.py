@@ -31,7 +31,7 @@ from .core import (
 )
 from .logic import (
     And, Bit, CHAR_NODES, Eq, Exists, Forall, Formula, Lfp, Lt, Neq, Not,
-    Or, Pfp, Rel, SOExists, SOForall, Tc, children, psi_recognize,
+    Or, Pfp, Psi, Rel, SOExists, SOForall, Tc, children,
 )
 
 
@@ -142,11 +142,10 @@ def _compile(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
     if t is Not:
         sub = _compile(f.sub, slots, so_bound, state)
         return lambda ctx, env: not sub(ctx, env)
+    if t is Psi:
+        # Identically false; its expansion would cost n^|code| loops.
+        return lambda ctx, env: False
     if t is Exists or t is Forall:
-        # Encoding sentences are identically false but carry one quantifier
-        # per code bit; expanding them would cost n^|code| loops.
-        if psi_recognize(f) is not None:
-            return lambda ctx, env: False
         slot = len(slots)
         state["slots"] = max(state["slots"], slot + 1)
         sub = _compile(f.sub, {**slots, f.var: slot}, so_bound, state)
@@ -456,9 +455,9 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
     if t is Not:
         sub = _compile_batch(f.sub, slots, so_bound, state)
         return lambda b, env, care: b.full ^ sub(b, env, care)
+    if t is Psi:
+        return lambda b, env, care: 0
     if t is Exists or t is Forall:
-        if psi_recognize(f) is not None:
-            return lambda b, env, care: 0
         slot = len(slots)
         state["slots"] = max(state["slots"], slot + 1)
         sub = _compile_batch(f.sub, {**slots, f.var: slot}, so_bound, state)

@@ -2,7 +2,8 @@
 
 Nothing here shares code with fmwb's evaluator: naive_models is a plain
 recursive truth definition over fresh assignment dicts, table_models builds
-truth tables with numpy, naive_run simulates a machine to its clock, and the
+truth tables with numpy, naive_run simulates a machine to its clock,
+naive_parse is a recursive-descent parser of the text syntax, and the
 remaining helpers are direct restatements of the properties under test
 (breadth-first closure, exhaustive coloring, derivation search).
 """
@@ -11,18 +12,34 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
 from fmwb.core import NoIntegerUniverse, decode_bin
 from fmwb.logic import (
-    And, Bit, Eq, Exists, Forall, Lt, Neq, Not, Or, Rel,
+    And, Bit, CharCfg, CharNpconp, CharOrd, CharUnord, CoCharUnord, Eq,
+    Exists, Forall, FormulaError, FormulaSyntaxError, Lfp, Lt, Neq, Not, Or,
+    Pfp, Psi, Rel, SOExists, SOForall, Tc,
 )
+
+
+def psi_expansion(w):
+    """The nested sentence Psi(w) stands for, built here from its definition."""
+    k = len(w)
+    matrix = Neq("x1", "x1")
+    for i in range(2, k + 1):
+        matrix = And(matrix, Neq(f"x{i}", f"x{i}"))
+    for i in range(k, 0, -1):
+        matrix = (Exists if w[i - 1] == "1" else Forall)(f"x{i}", matrix)
+    return matrix
 
 
 def naive_models(a, f, env=None):
     """Direct recursive Tarskian truth definition for first-order sentences."""
     env = env or {}
+    if isinstance(f, Psi):
+        return naive_models(a, psi_expansion(f.bits), env)
     if isinstance(f, Rel):
         return tuple(env[x] for x in f.args) in a.rel[f.name]
     if isinstance(f, Eq):
@@ -166,6 +183,242 @@ def naive_run(machine, word, sentence, vocab):
             return False
         query += append
     return state == "ACC"
+
+
+# --- reference parser ------------------------------------------------------
+# A plain recursive-descent parser of the text syntax: one method per
+# grammar level, tokens and their positions listed up front.  It builds
+# encoding sentences node by node, which compare equal to Psi leaves.
+
+_VAR = re.compile(r"[a-z][a-z0-9_]*\Z")
+_REL = re.compile(r"[A-Z][A-Z0-9_]*\Z")
+_TOKEN = re.compile(
+    r"\s*(->|!=|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{}:,&|~=<]|[0-9a-f]+)"
+)
+_CHAR_KEYWORDS = {
+    "CHAR_ORD": CharOrd,
+    "CHAR_UNORD": CharUnord,
+    "COCHAR_UNORD": CoCharUnord,
+    "CHAR_NPCONP": CharNpconp,
+    "CHAR_CFG": CharCfg,
+}
+
+
+def _hex_to_bits(h):
+    if not h or any(c not in "0123456789abcdef" for c in h):
+        raise FormulaError(f"bad hex payload {h!r}")
+    return format(int(h, 16), "b")[1:]
+
+
+class _NaiveParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if not m:
+                if text[pos:].strip():
+                    raise FormulaSyntaxError(
+                        f"unexpected character {text[pos]!r}", pos
+                    )
+                break
+            self.tokens.append((m.group(1), m.start(1)))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def pos(self):
+        if self.i < len(self.tokens):
+            return self.tokens[self.i][1]
+        return len(self.text)
+
+    def next(self):
+        if self.i >= len(self.tokens):
+            raise FormulaSyntaxError("unexpected end of input", len(self.text))
+        tok = self.tokens[self.i][0]
+        self.i += 1
+        return tok
+
+    def expect(self, tok):
+        got = self.peek()
+        if got != tok:
+            raise FormulaSyntaxError(f"expected {tok!r}, found {got!r}", self.pos())
+        self.i += 1
+
+    def variable(self):
+        tok = self.next()
+        if not _VAR.match(tok):
+            raise FormulaSyntaxError(f"expected a variable, found {tok!r}",
+                                     self.pos())
+        return tok
+
+    # precedence: -> weakest, then |, then &, then ~/quantifiers/atoms
+    def formula(self):
+        left = self.disjunction()
+        if self.peek() == "->":
+            self.next()
+            right = self.formula()
+            return Or(Not(left), right)
+        return left
+
+    def disjunction(self):
+        node = self.conjunction()
+        while self.peek() == "|":
+            self.next()
+            node = Or(node, self.conjunction())
+        return node
+
+    def conjunction(self):
+        node = self.unary()
+        while self.peek() == "&":
+            self.next()
+            node = And(node, self.unary())
+        return node
+
+    def unary(self):
+        tok = self.peek()
+        if tok == "~":
+            self.next()
+            return Not(self.unary())
+        if tok in ("(", "["):
+            closing = ")" if tok == "(" else "]"
+            self.next()
+            node = self.formula()
+            self.expect(closing)
+            return node
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", self.pos())
+        if tok in _CHAR_KEYWORDS:
+            return self.char_leaf()
+        if tok == "BIT":
+            self.next()
+            self.expect("(")
+            left = self.variable()
+            self.expect(",")
+            right = self.variable()
+            self.expect(")")
+            return Bit(left, right)
+        if tok == "TC":
+            return self.tc()
+        if tok in ("LFP", "PFP"):
+            return self.fixpoint()
+        if len(tok) > 1 and tok[0] in "EA":
+            rest = tok[1:]
+            if _VAR.match(rest):
+                self.next()
+                sub = self.unary()
+                return Exists(rest, sub) if tok[0] == "E" else Forall(rest, sub)
+            if _REL.match(rest) and self.i + 1 < len(self.tokens) \
+                    and self.tokens[self.i + 1][0] == ":":
+                self.next()
+                self.expect(":")
+                arity_tok = self.next()
+                if not arity_tok.isdigit() or int(arity_tok) < 1:
+                    raise FormulaSyntaxError(
+                        f"bad relation-variable arity {arity_tok!r}", self.pos()
+                    )
+                sub = self.unary()
+                cls = SOExists if tok[0] == "E" else SOForall
+                return cls(rest, int(arity_tok), sub)
+        return self.atom()
+
+    def char_leaf(self):
+        kind = _CHAR_KEYWORDS[self.next()]
+        self.expect("{")
+        payloads = [self.next()]
+        while self.peek() == ",":
+            self.next()
+            payloads.append(self.next())
+        self.expect("}")
+        try:
+            bits = [_hex_to_bits(p) for p in payloads]
+        except FormulaError as exc:
+            raise FormulaSyntaxError(str(exc), self.pos()) from exc
+        expected = 1 if kind is CharCfg else 2
+        if len(bits) != expected:
+            raise FormulaSyntaxError(
+                f"{kind.__name__} takes {expected} payloads, got {len(bits)}",
+                self.pos(),
+            )
+        return kind(*bits)
+
+    def tc(self):
+        self.next()
+        self.expect("[")
+        v1 = self.variable()
+        self.expect(",")
+        v2 = self.variable()
+        self.expect(":")
+        sub = self.formula()
+        self.expect("]")
+        self.expect("(")
+        a1 = self.variable()
+        self.expect(",")
+        a2 = self.variable()
+        self.expect(")")
+        return Tc(v1, v2, sub, a1, a2)
+
+    def fixpoint(self):
+        cls = Lfp if self.next() == "LFP" else Pfp
+        self.expect("[")
+        relvar = self.next()
+        if not _REL.match(relvar):
+            raise FormulaSyntaxError(
+                f"expected a relation variable, found {relvar!r}", self.pos()
+            )
+        vars_ = []
+        while self.peek() == ",":
+            self.next()
+            vars_.append(self.variable())
+        if not vars_:
+            raise FormulaSyntaxError("fixpoint binds at least one variable",
+                                     self.pos())
+        self.expect(":")
+        sub = self.formula()
+        self.expect("]")
+        self.expect("(")
+        args = [self.variable()]
+        while self.peek() == ",":
+            self.next()
+            args.append(self.variable())
+        self.expect(")")
+        return cls(relvar, tuple(vars_), sub, tuple(args))
+
+    def atom(self):
+        tok = self.next()
+        if _REL.match(tok):
+            self.expect("(")
+            args = [self.variable()]
+            while self.peek() == ",":
+                self.next()
+                args.append(self.variable())
+            self.expect(")")
+            return Rel(tok, tuple(args))
+        if _VAR.match(tok):
+            op = self.next()
+            right = self.variable()
+            if op == "=":
+                return Eq(tok, right)
+            if op == "!=":
+                return Neq(tok, right)
+            if op == "<":
+                return Lt(tok, right)
+            raise FormulaSyntaxError(f"unknown comparison {op!r}", self.pos())
+        raise FormulaSyntaxError(f"unexpected token {tok!r}", self.pos())
+
+
+def naive_parse(text):
+    """Parse the text syntax by recursive descent (shallow sentences only)."""
+    parser = _NaiveParser(text)
+    node = parser.formula()
+    if parser.i != len(parser.tokens):
+        raise FormulaSyntaxError(
+            f"trailing input {parser.peek()!r}", parser.pos()
+        )
+    return node
 
 
 def reachable_pairs(a, rel_name="E"):

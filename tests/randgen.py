@@ -10,7 +10,9 @@ from fmwb.logic import (
     And, Bit, CharCfg, CharNpconp, CharOrd, CharUnord, CoCharUnord, Eq,
     Exists, Forall, Lfp, Lt, Neq, Not, Or, Pfp, Rel, SOExists, SOForall, Tc,
 )
-from fmwb.machines import RESERVED, OracleMachine
+from fmwb.machines import (
+    BLANK, RESERVED, OracleMachine, encode_tm, identity_machine,
+)
 
 FO_POOL = tuple(f"{base}{i}" for base in "xyzuvw" for i in range(1, 4))
 SO_POOL = tuple(f"Q{i}" for i in range(1, 6))
@@ -162,13 +164,41 @@ def random_machine(rng: random.Random, kind: str = "polytime",
     )
 
 
+def padded_identity_machine(min_bits: int) -> OracleMachine:
+    """identity_machine plus unreachable self-looping states, until its
+    code has at least min_bits bits."""
+    base = identity_machine()
+    pad = 0
+    while True:
+        extra = tuple(f"p{i}" for i in range(pad))
+        transitions = dict(base.transitions)
+        transitions.update({(s, BLANK, BLANK): (s, BLANK, "S", "S", "")
+                            for s in extra})
+        m = OracleMachine.make(base.states + extra, base.start, base.kind,
+                               base.clock_c, base.step_c, transitions)
+        if len(encode_tm(m)) >= min_bits:
+            return m
+        pad += 16
+
+
 # --- single-node mutation machinery for recognizer robustness tests ------
 
 from dataclasses import replace as _dc_replace
 
 from fmwb.logic import (
-    children as _children, with_children as _with_children,
+    Psi, children as _children, with_children as _with_children,
 )
+from oracles import psi_expansion as _psi_expansion
+
+
+def _expand_psi(f):
+    """f with every Psi leaf replaced by the nested sentence it stands for."""
+    if isinstance(f, Psi):
+        return _psi_expansion(f.bits)
+    kids = _children(f)
+    if not kids:
+        return f
+    return _with_children(f, tuple(_expand_psi(k) for k in kids))
 
 
 def _paths(f, path=()):
@@ -215,7 +245,11 @@ def _mutate_node(node, rng):
 
 
 def single_node_mutations(f, rng, want):
-    """Distinct formulas differing from f by one local node edit."""
+    """Distinct formulas differing from f by one local node edit.
+
+    Encoding sentences are expanded first, so that edits reach inside them.
+    """
+    f = _expand_psi(f)
     spots = list(_paths(f))
     rng.shuffle(spots)
     out = []

@@ -9,11 +9,13 @@ import fmwb
 from fmwb.charsets import char_sentence
 from fmwb.cli import main, read_structure
 from fmwb.core import Structure, Vocabulary, encode_bin
+from fmwb.forms import build_form
 from fmwb.logic import parse_formula, print_formula
 from fmwb.machines import (
-    BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, format_machine,
-    identity_machine,
+    BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, encode_tm,
+    format_machine, identity_machine,
 )
+from randgen import padded_identity_machine
 
 
 @pytest.fixture
@@ -354,3 +356,29 @@ def test_mc_evaluates_characteristic_leaves(files, capsys):
     assert capsys.readouterr().out.strip() == "true"
     # without the distinguished sentence the leaf is unresolvable
     assert main(["mc", struct, built]) == 2
+
+
+def test_form_recognize_reads_a_long_machine_code(files):
+    write, _ = files
+    machine = padded_identity_machine(12_068)
+    code = encode_tm(machine)
+    ups = write("ups.sent", "Ex R(x)")
+    gamma = parse_formula("Ex R1(x)")
+    built = build_form("ord5", gamma, tau=Vocabulary((("R1", 1),), has_order=True),
+                       cls="NP", machine=machine, upsilon=parse_formula("Ex R(x)"))
+    form = write("big.sent", print_formula(built.formula))
+    rc, out, err = _fmwb_process(["form", "recognize", form, "--kind", "ord5",
+                                  "--tau", "R1:1 <", "--upsilon", ups,
+                                  "--class", "NP"], timeout=120)
+    assert (rc, err) == (0, "")
+    assert out == f"gamma: Ex R1(x)\nmachine: {code}\n"
+
+
+def test_mc_rejects_sentences_nested_past_the_ceiling(files):
+    # Before the ceiling, hashing this sentence overflowed the C stack.
+    write, _ = files
+    struct = write("c2.struct", "vocab E:2\nn = 2\nE = (0,1)")
+    deep = write("deep.sent", "~" * 20_000 + "Ex E(x,x)")
+    rc, out, err = _fmwb_process(["mc", struct, deep], timeout=120)
+    assert rc == 2 and out == ""
+    assert err.startswith("fmwb: ") and "deeper than" in err

@@ -1,4 +1,6 @@
 import random
+import sys
+
 import pytest
 
 from fmwb.core import parse_vocab
@@ -8,11 +10,14 @@ from fmwb.forms import (
 )
 from fmwb.logic import (
     And, AristotelianTarget, CharNpconp, CharOrd, Exists, Not, Or, Rel,
-    SOExists, apply_T_ord, apply_T_unord, godel_encode, parse_formula,
-    psi_encode, psi_recognize,
+    Psi, SOExists, apply_T_ord, apply_T_unord, godel_encode, parse_formula,
+    print_formula, psi_encode, psi_recognize,
 )
 from fmwb.machines import encode_tm, identity_machine
-from randgen import random_machine, single_node_mutations
+from fmwb.semantics import EvalConfig, mod_eq_upto
+from randgen import (
+    padded_identity_machine, random_machine, single_node_mutations,
+)
 
 V_ORD = parse_vocab("R1:1 <")
 V_E = parse_vocab("E:2")
@@ -131,6 +136,29 @@ def test_mutations_are_rejected():
     for candidate in muts:
         assert recognize("ord5", candidate, tau=V_ORD, cls="NP",
                          upsilon=UPS_ORD) is None
+
+
+def test_long_encoding_sentences_need_no_deep_recursion():
+    machine = padded_identity_machine(20_000)
+    code = encode_tm(machine)
+    assert len(code) >= 20_000
+    gamma = apply_T_ord(UPS_ORD, V_ORD)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        built = build_form("ord5", gamma, tau=V_ORD, cls="NP",
+                           machine=machine, upsilon=UPS_ORD)
+        text = print_formula(built.formula)
+        parsed = parse_formula(text)
+        got = recognize("ord5", parsed, tau=V_ORD, cls="NP", upsilon=UPS_ORD)
+        swept = mod_eq_upto(parsed, gamma, V_ORD, 3,
+                            EvalConfig(upsilon_ord=UPS_ORD))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert parsed == built.formula and type(parsed.right) is Psi
+    assert text.endswith(print_formula(psi_encode(code)) + ")")
+    assert got.machine == machine and got.gamma == gamma
+    assert swept is None
 
 
 def test_psi_quantifier_flips_rejected():

@@ -3,6 +3,7 @@ and anything they accept re-encodes canonically."""
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from fmwb.aristotelian import MalformedBenc, NotAristotelian, reconstruct
@@ -13,6 +14,7 @@ from fmwb.logic import (
     parse_formula, print_formula,
 )
 from fmwb.machines import MalformedMachine, decode_tm, encode_tm
+from oracles import naive_parse
 
 V_MON = Vocabulary((("R", 1),))
 
@@ -78,8 +80,14 @@ def test_parser_mutation_fuzz():
                 text[rng.randrange(len(text))] = rng.choice(glyphs)
         mutated = "".join(text)
         try:
-            f = parse_formula(mutated)
-        except FormulaSyntaxError:
+            expected = naive_parse(mutated)
+        except FormulaSyntaxError as exc:
+            # the same error at the same place as the reference parser
+            with pytest.raises(FormulaSyntaxError) as info:
+                parse_formula(mutated)
+            assert (str(info.value), info.value.pos) == (str(exc), exc.pos)
             continue
+        f = parse_formula(mutated)
+        assert f == expected
         # whatever still parses must round trip
         assert parse_formula(print_formula(f)) == f

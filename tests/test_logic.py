@@ -10,14 +10,15 @@ from fmwb.logic import (
     FO, FO_LFP, FO_TC, OTHER, SO_A, SO_E, SO_PFP,
     And, AristotelianTarget, Bit, CharCfg, CharNpconp, CharOrd, CharUnord,
     CoCharUnord, EmptyString, Eq, Exists, Forall, FormulaError,
-    FormulaSyntaxError, Lfp, Lt, MalformedGodelCode, Neq, NoOrderInTarget,
-    Not, Or, OrderedTarget, Pfp, Rel, SOExists, SOForall, Tc,
-    WrongSourceVocabulary, all_variables, apply_T_ord, apply_T_unord,
-    char_free, children, fragment_of, free_vars, godel_decode, godel_encode,
-    in_fragment, n_nodes, pad_structure_ord, pad_structure_unord,
-    parse_formula, print_formula, psi_encode, psi_recognize,
-    validate_sentence,
+    FormulaSyntaxError, Lfp, Lt, MAX_DEPTH, MalformedGodelCode, Neq,
+    NoOrderInTarget, Not, Or, OrderedTarget, Pfp, Psi, Rel, SOExists,
+    SOForall, Tc, WrongSourceVocabulary, all_variables, apply_T_ord,
+    apply_T_unord, char_free, children, fragment_of, free_vars, godel_decode,
+    godel_encode, in_fragment, n_nodes, pad_structure_ord,
+    pad_structure_unord, parse_formula, print_formula, psi_encode,
+    psi_recognize, validate_sentence, walk, with_children,
 )
+from oracles import naive_parse, psi_expansion
 from randgen import random_formula
 
 
@@ -143,6 +144,69 @@ def test_print_and_encode_do_not_recurse():
                           for i, b in enumerate(w, 1))
     atoms = "".join(encode_nat(3) + encode_str(f"x{i}") * 2 for i in range(1, k + 1))
     assert code == quantifiers + encode_nat(6) * (k - 1) + atoms
+
+
+def test_parser_matches_the_reference_parser():
+    texts = [print_formula(f) for f in fo_sentences(parse_vocab("E:2 <"), 5)]
+    assert len(texts) == 9480
+    rng = random.Random(77)
+    vocab = parse_vocab("R:1 E:2 <")
+    texts += [print_formula(random_formula(rng, vocab, rng.randint(1, 14)))
+              for _ in range(2000)]
+    for text in texts:
+        assert parse_formula(text) == naive_parse(text), text
+
+
+def test_nesting_ceiling():
+    deepest = "~" * (MAX_DEPTH - 1) + "x = x"
+    assert godel_decode(godel_encode(parse_formula(deepest))) == naive_parse(deepest)
+    for text in ("~" * MAX_DEPTH + "x = x",
+                 "x = x" + " & x = x" * MAX_DEPTH,
+                 "(x = x | " * MAX_DEPTH + "x = x" + ")" * MAX_DEPTH,
+                 "Ex " * 20_000 + "x = x"):
+        with pytest.raises(FormulaSyntaxError, match="deeper than"):
+            parse_formula(text)
+    # Brackets alone add no level.
+    assert parse_formula("(" * 20_000 + "x = x" + ")" * 20_000) == Eq("x", "x")
+    f = Eq("x", "x")
+    for _ in range(20_000):
+        f = Not(f)
+    with pytest.raises(MalformedGodelCode, match="deeper than"):
+        godel_decode(godel_encode(f))
+    # A Psi is one level, however long its code.
+    w = "01" * 10_000
+    assert godel_decode(godel_encode(Not(Psi(w)))) == Not(Psi(w))
+
+
+def test_psi_is_its_expansion():
+    for k in range(1, 11):
+        for i in range(1 << k):
+            w = format(i, f"0{k}b")
+            psi, nested = Psi(w), psi_expansion(w)
+            assert psi == nested and nested == psi
+            assert not (psi != nested or nested != psi)
+            assert hash(psi) == hash(nested)
+            text, code = print_formula(nested), godel_encode(nested)
+            assert print_formula(psi) == text and godel_encode(psi) == code
+            # Square brackets take the parser off the printed-form fast path.
+            square = text.replace("(", "[").replace(")", "]")
+            for back in (parse_formula(text), parse_formula(square), godel_decode(code)):
+                assert type(back) is Psi and back.bits == w
+            assert all_variables(psi) == all_variables(nested)
+            assert free_vars(psi) == set() and children(psi) == ()
+            assert with_children(psi, ()) is psi
+            assert psi_recognize(psi) == psi_recognize(nested) == w
+            assert fragment_of(psi) == fragment_of(nested) == FO
+    # Inside other nodes, and in any text that spells one.
+    f = parse_formula("(Ex0 Ex1 x1 != x1 | Ax1 [Ex2 ((x1 != x1) & x2 != x2)])")
+    assert f == Or(Exists("x0", Psi("1")), Psi("01"))
+    assert type(f.left.sub) is Psi and type(f.right) is Psi
+    flat = parse_formula("Ex1 Ex2 Ex3 (x1 != x1 & x2 != x2 & x3 != x3)")
+    assert type(flat) is Psi and flat.bits == "111"
+    for text in ("Ex1 (x1 != x1 & x1 != x1)", "Ex2 Ex1 (x1 != x1 & x2 != x2)",
+                 "Ex1 Ax2 x1 != x1 & x2 != x2", "x1 != x1 & x2 != x2"):
+        assert parse_formula(text) == naive_parse(text)
+        assert not any(type(node) is Psi for node in walk(parse_formula(text)))
 
 
 def test_roundtrip_random_corpus():

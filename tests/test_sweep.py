@@ -15,7 +15,7 @@ from fmwb.cli import main
 from fmwb.core import encoding_length, parse_vocab, structure_from_index
 from fmwb.forms import build_form, fo_sentences
 from fmwb.logic import (
-    apply_T_ord, apply_T_unord, parse_formula, print_formula, psi_encode,
+    Psi, apply_T_ord, apply_T_unord, parse_formula, print_formula, psi_encode,
 )
 from fmwb.machines import (
     BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, always_reject_machine,
@@ -26,6 +26,7 @@ from fmwb.semantics import (
     RecursionBudgetExhausted, _Batch, _batch_program, _InexactCare,
     _LeafPending, sentence_checker, sweep,
 )
+from oracles import psi_expansion
 from test_acceptance import ORD_UPSILONS, UNORD_UPSILONS
 
 V_E = parse_vocab("E:2")
@@ -289,3 +290,20 @@ def test_encoding_sentences_are_false_in_batch():
     psi = psi_encode("1011")
     assert table(psi, V_E, 2) == 0
     assert sweep(V_E, 3, psi).n == 2
+
+
+def test_every_short_psi_is_false_on_every_structure():
+    structures = [structure_from_index(V_E, n, i)
+                  for n in (2, 3) for i in range(1 << encoding_length(V_E, n))]
+    assert len(structures) == 528
+    for k in range(1, 11):
+        for i in range(1 << k):
+            psi = Psi(format(i, f"0{k}b"))
+            assert table(psi, V_E, 2) == table(psi, V_E, 3) == 0
+            check = sentence_checker(psi)
+            assert not any(check(a) for a in structures)
+    # Evaluated node by node, a nested one is false too.
+    nested = psi_expansion("1101")
+    assert type(nested) is not Psi
+    assert table(nested, V_E, 3) == 0
+    assert not any(sentence_checker(nested)(a) for a in structures)
