@@ -229,14 +229,16 @@ class Psi:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # The expansion's hash, built bottom-up as the dataclass hashes
-            # of its nodes build it from the hashes of their fields.
-            h = hash(("x1", "x1"))
+            # The expansion's hash, built bottom-up as the hashes of its
+            # nodes build it from their tags and the hashes of their fields.
+            neq, conj = _SYNTAX[Neq][0], _SYNTAX[And][0]
+            quantifier = {"1": _SYNTAX[Exists][0], "0": _SYNTAX[Forall][0]}
+            h = hash((neq, "x1", "x1"))
             for i in range(2, len(self.bits) + 1):
                 x = f"x{i}"
-                h = hash((_Hash(h), (x, x)))
+                h = hash((conj, _Hash(h), _Hash(hash((neq, x, x)))))
             for i in range(len(self.bits), 0, -1):
-                h = hash((f"x{i}", _Hash(h)))
+                h = hash((quantifier[self.bits[i - 1]], f"x{i}", _Hash(h)))
             object.__setattr__(self, "_hash", h)
         return self._hash
 
@@ -354,6 +356,21 @@ class _Layout:
 
 _LAYOUTS = {cls: _Layout(cls, *row) for cls, row in _SYNTAX.items()}
 _BY_TAG = {layout.tag: layout for layout in _LAYOUTS.values()}
+
+
+def _tagged_hash(layout: _Layout):
+    """A node's hash: its tag and the hashes of its fields, so that nodes of
+    two classes with equal fields, such as Exists and Forall, hash apart.
+
+    Compiled from source, as dataclasses compile theirs: a generic field
+    getter doubles the cost, and the checker cache hashes whole sentences.
+    """
+    fields = "".join(f", f.{name}" for name, _ in layout.fields)
+    return eval(f"lambda f: hash(({layout.tag}{fields}))")
+
+
+for _node in _LAYOUTS.values():
+    _node.cls.__hash__ = _tagged_hash(_node)
 
 
 def _psi_text(w: str) -> str:

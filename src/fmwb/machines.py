@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
-from .core import Structure, Vocabulary, NoIntegerUniverse, decode_bin, encode_bin, enumerate_structures
+from .core import Structure, Vocabulary, NoIntegerUniverse, decode_bin, encoding_length
 from .logic import Formula
-from .semantics import EvalConfig, sentence_checker
+from .semantics import EvalConfig, sentence_checker, truth_table
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -211,21 +211,52 @@ def run(m: OracleMachine, input_bits: str, oracle_sentence: Formula,
 
 
 def _oracle_answers(sentence: Formula, vocab: Vocabulary,
-                    config: EvalConfig | None) -> Callable[[str], bool]:
+                    config: EvalConfig | None,
+                    n_max: int | None = None) -> Callable[[str], bool]:
     """Answers to oracle queries.  The sentence is compiled at the first
-    query that decodes, so a machine that never asks never compiles it."""
+    query that decodes, so a machine that never asks never compiles it.
+
+    Given n_max, a query that decodes to a size m <= n_max is read off the
+    sentence's truth table for size m, built at the first such query.  A
+    size without a table (see truth_table), and every other size, goes to
+    the checker, which then gives exactly the verdicts, exceptions and leaf
+    computations of checking each query.
+    """
     checker = None
+    # Encoding length -> size for the sizes that may get a table.  Without
+    # relation symbols every length is 0 and no query decodes.
+    sizes = ({encoding_length(vocab, m): m for m in range(2, n_max + 1)}
+             if n_max is not None and vocab.symbols else {})
+    tables: dict[int, str | None] = {}
 
     def ask(query: str) -> bool:
         nonlocal checker
-        try:
-            b = decode_bin(vocab, query)
-        except NoIntegerUniverse:
-            return False
+        m = sizes.get(len(query))
+        if m is None:
+            try:
+                b = decode_bin(vocab, query)
+            except NoIntegerUniverse:
+                return False
         if checker is None:
             checker = sentence_checker(sentence, config)
+        if m is not None:
+            if m not in tables:
+                tables[m] = _flags(truth_table(sentence, vocab, m, config),
+                                   len(query))
+            flags = tables[m]
+            if flags is not None:
+                return flags[int(query, 2)] == "1"
+            b = Structure(vocab, m, int(query, 2))
         return checker(b)
     return ask
+
+
+def _flags(table: int | None, length: int) -> str | None:
+    """A truth table over the 2^length structures of one size as a string
+    whose character i is '1' exactly when bit i is set."""
+    if table is None:
+        return None
+    return format(table, f"0{1 << length}b")[::-1]
 
 
 def _simulate(m: OracleMachine, input_bits: str, limit: int,
@@ -290,15 +321,31 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
                       vocab: Vocabulary, n_max: int,
                       config: EvalConfig | None = None) -> Structure | None:
     """First structure where accepting the encoding differs from satisfying
-    the target sentence, or None when the reduction condition holds up to n_max."""
+    the target sentence, or None when the reduction condition holds up to n_max.
+
+    Structures are visited by size, then index.  The target's verdicts and
+    the oracle's answers are read off per-size truth tables where those
+    exist; elsewhere the checker decides, one structure at a time, so the
+    result, any exception and the leaves computed are those of checking
+    every structure in turn.
+    """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     check = sentence_checker(target, config)
-    ask = _oracle_answers(gamma, vocab, config)
-    for b in enumerate_structures(vocab, n_max):
-        bits = encode_bin(b)
-        if _simulate(m, bits, m.step_limit(len(bits)), ask) != check(b):
-            return b
+    ask = _oracle_answers(gamma, vocab, config, n_max)
+    for n in range(2, n_max + 1):
+        length = encoding_length(vocab, n)
+        limit = m.step_limit(length)
+        holds = _flags(truth_table(target, vocab, n, config), length)
+        top = 1 << length
+        for index in range(top):
+            accepted = _simulate(m, bin(index | top)[3:], limit, ask)
+            if holds is None:
+                verdict = check(Structure(vocab, n, index))
+            else:
+                verdict = holds[index] == "1"
+            if accepted != verdict:
+                return Structure(vocab, n, index)
     return None
 
 

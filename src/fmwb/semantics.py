@@ -10,7 +10,9 @@ structures; models() is the compile-and-run convenience wrapper.
 Sweeps over all structures up to a size go through sweep(), which compiles
 the sentence a second way: into a batch evaluator whose values are truth
 tables over every structure of one size at once, one bit per structure.
-The per-structure checker stays the reference that sweep() falls back to.
+truth_table() hands out one size's table, which the reduction-agreement
+sweeps in machines read their verdicts from.  The per-structure checker
+stays the reference that both fall back to.
 
 Characteristic leaves delegate to the decision procedures in charsets under
 a recursion budget, since decoded payloads are untrusted and may nest
@@ -759,3 +761,23 @@ def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,
         if hit is not None:
             return structure_from_index(vocab, n, hit)
     return None
+
+
+def truth_table(f: Formula, vocab: Vocabulary, n: int,
+                config: EvalConfig | None = None) -> int | None:
+    """f's verdicts on every size-n structure as one int, bit i for the
+    structure with index i; None when the size is more than one batch or the
+    batch raises for any reason.
+
+    A pending leaf raises too, so no leaf is computed here: a caller that
+    gets None decides the size with the checker, which gives exactly its
+    results, exceptions and leaves.
+    """
+    low = encoding_length(vocab, n)
+    if low > CHUNK_BITS:
+        return None
+    try:
+        batch = _Batch(vocab, n, 0, low, config or _EMPTY_CONFIG)
+        return _batch_program(f)(batch, batch.full)
+    except Exception:
+        return None

@@ -3,6 +3,7 @@
 Nothing here shares code with fmwb's evaluator: naive_models is a plain
 recursive truth definition over fresh assignment dicts, table_models builds
 truth tables with numpy, naive_run simulates a machine to its clock,
+naive_reduction_upto checks a reduction one structure at a time with those two,
 naive_parse is a recursive-descent parser of the text syntax, and the
 remaining helpers are direct restatements of the properties under test
 (breadth-first closure, exhaustive coloring, derivation search).
@@ -16,12 +17,13 @@ import re
 
 import numpy as np
 
-from fmwb.core import NoIntegerUniverse, decode_bin
+from fmwb.core import NoIntegerUniverse, Structure, decode_bin
 from fmwb.logic import (
     And, Bit, CharCfg, CharNpconp, CharOrd, CharUnord, CoCharUnord, Eq,
     Exists, Forall, FormulaError, FormulaSyntaxError, Lfp, Lt, Neq, Not, Or,
     Pfp, Psi, Rel, SOExists, SOForall, Tc,
 )
+from fmwb.semantics import NoLeastFixpoint
 
 
 def psi_expansion(w):
@@ -35,13 +37,22 @@ def psi_expansion(w):
     return matrix
 
 
-def naive_models(a, f, env=None):
-    """Direct recursive Tarskian truth definition for first-order sentences."""
+def naive_models(a, f, env=None, rels=None):
+    """Direct recursive Tarskian truth definition for first-order sentences
+    with transitive closure and fixpoints.
+
+    rels holds the relation variables that fixpoints bind.  A fixpoint's
+    stages go from the empty relation until one repeats the stage before it;
+    a stage that comes back after a different one is a cycle, which a least
+    fixpoint reports as NoLeastFixpoint and a partial one reads as empty.
+    """
     env = env or {}
+    rels = rels or {}
     if isinstance(f, Psi):
-        return naive_models(a, psi_expansion(f.bits), env)
+        return naive_models(a, psi_expansion(f.bits), env, rels)
     if isinstance(f, Rel):
-        return tuple(env[x] for x in f.args) in a.rel[f.name]
+        extension = rels[f.name] if f.name in rels else a.rel[f.name]
+        return tuple(env[x] for x in f.args) in extension
     if isinstance(f, Eq):
         return env[f.left] == env[f.right]
     if isinstance(f, Neq):
@@ -51,22 +62,50 @@ def naive_models(a, f, env=None):
     if isinstance(f, Bit):
         return (env[f.left] >> env[f.right]) % 2 == 1
     if isinstance(f, And):
-        return naive_models(a, f.left, env) and naive_models(a, f.right, env)
+        return naive_models(a, f.left, env, rels) and naive_models(a, f.right, env, rels)
     if isinstance(f, Or):
-        return naive_models(a, f.left, env) or naive_models(a, f.right, env)
+        return naive_models(a, f.left, env, rels) or naive_models(a, f.right, env, rels)
     if isinstance(f, Not):
-        return not naive_models(a, f.sub, env)
+        return not naive_models(a, f.sub, env, rels)
     if isinstance(f, Exists):
         for value in range(a.n):
-            if naive_models(a, f.sub, {**env, f.var: value}):
+            if naive_models(a, f.sub, {**env, f.var: value}, rels):
                 return True
         return False
     if isinstance(f, Forall):
         for value in range(a.n):
-            if not naive_models(a, f.sub, {**env, f.var: value}):
+            if not naive_models(a, f.sub, {**env, f.var: value}, rels):
                 return False
         return True
-    raise TypeError(f"naive oracle only covers FO, got {f!r}")
+    if isinstance(f, Tc):
+        # Every edge first, then the elements reachable in zero or more steps.
+        edges = {(u, v) for u in range(a.n) for v in range(a.n)
+                 if naive_models(a, f.sub, {**env, f.var1: u, f.var2: v}, rels)}
+        reached, frontier = {env[f.arg1]}, [env[f.arg1]]
+        while frontier:
+            u = frontier.pop()
+            for v in range(a.n):
+                if (u, v) in edges and v not in reached:
+                    reached.add(v)
+                    frontier.append(v)
+        return env[f.arg2] in reached
+    if isinstance(f, (Lfp, Pfp)):
+        tuples = list(itertools.product(range(a.n), repeat=len(f.vars)))
+        stages = [frozenset()]
+        while True:
+            inner = {**rels, f.relvar: stages[-1]}
+            nxt = frozenset(t for t in tuples if naive_models(
+                a, f.sub, {**env, **dict(zip(f.vars, t))}, inner))
+            if nxt == stages[-1]:
+                break
+            if nxt in stages:
+                if isinstance(f, Lfp):
+                    raise NoLeastFixpoint(f"stages of {f.relvar} cycle")
+                stages.append(frozenset())
+                break
+            stages.append(nxt)
+        return tuple(env[x] for x in f.args) in stages[-1]
+    raise TypeError(f"naive oracle does not cover {f!r}")
 
 
 def table_models(vocab, structures, formula):
@@ -183,6 +222,21 @@ def naive_run(machine, word, sentence, vocab):
             return False
         query += append
     return state == "ACC"
+
+
+def naive_reduction_upto(machine, gamma, target, vocab, n_max):
+    """(n, bits) of the first structure, by size and then encoding, where
+    naive_run of the machine on the encoding differs from naive_models of
+    the target; None if there is none."""
+    for n in range(2, n_max + 1):
+        length = sum(n ** arity for _, arity in vocab.symbols)
+        for bits in range(2 ** length):
+            word = "".join("1" if bits >> (length - 1 - i) & 1 else "0"
+                           for i in range(length))
+            accepted = naive_run(machine, word, gamma, vocab)
+            if accepted != naive_models(Structure(vocab, n, bits), target):
+                return n, bits
+    return None
 
 
 # --- reference parser ------------------------------------------------------

@@ -81,12 +81,16 @@ def random_formula(rng: random.Random, vocab: Vocabulary, size: int,
             leaf = atom(fo_vars, so_rels)
             if leaf is not None:
                 return leaf
-            budget = 2
-        kinds = ["not", "and", "or", "exists", "forall"]
-        if allow_so:
-            kinds += ["soexists", "soforall"]
-        if allow_fix and fo_vars and budget >= 3:
-            kinds += ["tc", "lfp", "pfp"]
+            # No atom without a variable: bind one.  Drawing from every kind
+            # here would open one new subformula per step on average, and
+            # such a draw can grow without end.
+            budget, kinds = 2, ["exists", "forall"]
+        else:
+            kinds = ["not", "and", "or", "exists", "forall"]
+            if allow_so:
+                kinds += ["soexists", "soforall"]
+            if allow_fix and fo_vars and budget >= 3:
+                kinds += ["tc", "lfp", "pfp"]
         kind = rng.choice(kinds)
         if kind == "not":
             return Not(build(budget - 1, fo_vars, so_rels))

@@ -136,6 +136,24 @@ def test_tm_commands(files, capsys):
     capsys.readouterr()
 
 
+def test_tm_check_reduction_prints_the_first_violating_structure(files, capsys):
+    # gamma and the target differ first on the directed 3-cycle 0 -> 2 -> 1,
+    # which comes after every size-2 structure.
+    write, _ = files
+    machine = write("id.tm", format_machine(identity_machine()))
+    edge = write("edge.sent", "Ex Ey E(x,y)")
+    acyclic = write("acyclic.sent", "(Ex Ey E(x,y) & ~Ex Ey Ez (x != y & y != z"
+                    " & x != z & E(x,y) & E(y,z) & E(z,x)))")
+    assert main(["tm", "check-reduction", machine, "--gamma", edge,
+                 "--target", acyclic, "--tau", "E:2", "--nmax", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "violated by:\nvocab E:2\nn = 3\nE = (0,2) (1,0) (2,1)\n"
+    assert captured.err == ""
+    assert main(["tm", "check-reduction", machine, "--gamma", edge,
+                 "--target", acyclic, "--tau", "E:2", "--nmax", "2"]) == 0
+    assert capsys.readouterr().out == "reduction condition holds up to n = 2\n"
+
+
 def test_cfg_commands(files, capsys):
     write, _ = files
     grammar = write("g.cfg", "S -> a S b | eps")

@@ -178,6 +178,25 @@ def test_nesting_ceiling():
     assert godel_decode(godel_encode(Not(Psi(w)))) == Not(Psi(w))
 
 
+def test_node_hashes_tell_classes_with_equal_fields_apart():
+    f = parse_formula("Ex R(x)")
+    g = Rel("R", ("y",))
+    groups = [
+        (Exists("x", f), Forall("x", f)),
+        (And(f, g), Or(f, g)),
+        (Eq("x", "y"), Neq("x", "y"), Lt("x", "y"), Bit("x", "y")),
+        (SOExists("Q", 1, f), SOForall("Q", 1, f)),
+        (Lfp("Q", ("x",), g, ("y",)), Pfp("Q", ("x",), g, ("y",))),
+        (CharOrd("10", "01"), CharUnord("10", "01"), CoCharUnord("10", "01"),
+         CharNpconp("10", "01")),
+        (Psi("10"), Psi("01")),
+    ]
+    for group in groups:
+        assert len({hash(node) for node in group}) == len(group), group
+    # Every encoding sentence of one length hashes apart from the others.
+    assert len({hash(Psi(format(i, "06b"))) for i in range(64)}) == 64
+
+
 def test_psi_is_its_expansion():
     for k in range(1, 11):
         for i in range(1 << k):

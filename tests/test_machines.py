@@ -5,17 +5,22 @@ from itertools import product
 
 import pytest
 
-from fmwb.core import Structure, Vocabulary, encode_bin, enumerate_structures
-from fmwb.logic import parse_formula
+from fmwb import charsets, machines
+from fmwb.core import (
+    Structure, Vocabulary, encode_bin, enumerate_structures, parse_vocab,
+)
+from fmwb.forms import fo_sentences
+from fmwb.logic import And, Or, parse_formula, print_formula
 from fmwb.machines import (
     APPENDS, BLANK, LOGSPACE, MOVES, POLYTIME, RESERVED, SYMBOLS, MachineError,
     MalformedMachine, OracleMachine, always_accept_machine,
     always_reject_machine, decode_tm, encode_tm, format_machine,
     identity_machine, is_reduction_upto, parse_machine, run,
 )
-from fmwb.semantics import models
-from oracles import naive_run
-from randgen import random_machine
+from fmwb.semantics import EvalConfig, NoLeastFixpoint, models, sentence_checker
+from oracles import naive_reduction_upto, naive_run
+from randgen import random_formula, random_machine
+from test_sweep import spinning_leaf
 
 V_E = Vocabulary((("E", 2),))
 V_P = Vocabulary((("P", 1),))
@@ -263,3 +268,168 @@ def test_the_oracle_tape_is_part_of_the_configuration():
     at_most_two = parse_formula("~Ex Ey Ez (x != y & x != z & y != z)")
     assert run(m, "", at_most_two, V_P)
     assert naive_run(m, "", at_most_two, V_P)
+
+
+# --- reduction-agreement sweeps against the per-structure reference -------
+
+
+def _assert_reduction_matches(m, gamma, target, vocab, n_max):
+    """The sweep's outcome, as (n, bits) of its witness, None or the type it
+    raised, after checking it against the reference."""
+    got = _outcome(is_reduction_upto, m, gamma, target, vocab, n_max)
+    if isinstance(got, Structure):
+        got = got.n, got.bits
+    want = _outcome(naive_reduction_upto, m, gamma, target, vocab, n_max)
+    assert got == want, (format_machine(m), print_formula(gamma),
+                         print_formula(target))
+    return got
+
+
+def _at_least(k):
+    """The sentence saying the universe has at least k elements."""
+    xs = [f"x{i}" for i in range(k)]
+    return parse_formula(" ".join(f"E{x}" for x in xs) + " (" + " & ".join(
+        f"{x} != {y}" for i, x in enumerate(xs) for y in xs[i + 1:]) + ")")
+
+
+@pytest.mark.parametrize("tau, n_max, seed", [
+    ("E:2", 3, 8101), ("R1:1 <", 3, 8102), ("P:1 Q:1", 4, 8103),
+])
+def test_reduction_sweeps_match_the_reference(tau, n_max, seed):
+    # Second-order quantifiers are left out: the reference loops over every
+    # relation for every structure, which takes too long here.
+    vocab = parse_vocab(tau)
+    rng = random.Random(seed)
+    pool = fo_sentences(vocab, 5)
+
+    def sentence():
+        if rng.random() < 0.5:
+            return rng.choice(pool)
+        return random_formula(rng, vocab, rng.randint(2, 7), allow_so=False,
+                              allow_char=False)
+
+    outcomes = []
+    for draw in range(150):
+        kind = rng.choice((POLYTIME, LOGSPACE))
+        gamma = sentence()
+        if draw % 2:
+            m = random_machine(rng, kind, rng.choice((4, 8, 20)))
+            target = sentence()
+        else:
+            m = identity_machine(kind, rng.randint(1, 3), rng.randint(1, 3))
+            # Targets equal to gamma on the smaller sizes make the identity
+            # machine sweep them and differ, if at all, at a later one.
+            large = And(_at_least(rng.randint(3, n_max)), sentence())
+            target = rng.choice((gamma, Or(gamma, large), sentence()))
+        outcomes.append(_assert_reduction_matches(m, gamma, target, vocab, n_max))
+    assert None in outcomes
+    assert {w[0] for w in outcomes if isinstance(w, tuple)} == set(range(2, n_max + 1))
+
+
+CYCLING_LFP = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
+V_R = parse_vocab("R:1 <")
+
+
+def test_cycling_fixpoints_raise_where_the_reference_raises():
+    # The stages cycle on every structure that reaches the LFP; the guard
+    # keeps structure 0 (R empty) from reaching it.
+    cycling = parse_formula(f"(Ex R(x) & {CYCLING_LFP})")
+    holds, never = parse_formula("Ax x = x"), parse_formula("Ex R(x)")
+    cases = [
+        # target raises at structure 1, unless structure 0 is a witness
+        (always_reject_machine(), never, cycling, NoLeastFixpoint),
+        (always_accept_machine(), never, cycling, (2, 0)),
+        # gamma raises at the query of structure 1, unless structure 0 is one
+        (identity_machine(), cycling, never, NoLeastFixpoint),
+        (identity_machine(), cycling, holds, (2, 0)),
+    ]
+    for m, gamma, target, want in cases:
+        assert _assert_reduction_matches(m, gamma, target, V_R, 3) == want
+
+
+def _query_machine(word):
+    """Writes `word` on the oracle tape whatever its input, queries, and
+    accepts exactly on YES."""
+    chain = tuple(f"q{i}" for i in range(len(word))) + ("QUE",)
+    transitions = {(chain[i], sym, BLANK): (chain[i + 1], BLANK, "S", "S", bit)
+                   for i, bit in enumerate(word) for sym in SYMBOLS}
+    transitions.update({("YES", sym, BLANK): ("ACC", BLANK, "S", "S", "")
+                        for sym in SYMBOLS})
+    return OracleMachine.make(chain[:-1] + RESERVED, chain[0], POLYTIME, 3, 3,
+                              transitions)
+
+
+def test_queries_outside_the_tabled_sizes_answer_as_before():
+    complete = parse_formula("Ax Ay E(x,y)")
+    loops = parse_formula("Ex E(x,x)")
+    for word in ("1" * 16, "0" * 16, "0", "1" * 5, "1" * 9):
+        # 16 bits decode to n = 4 > n_max, 9 bits to n = 3; 1 and 5 to no size
+        m = _query_machine(word)
+        for gamma in (complete, loops):
+            for target in (complete, loops, parse_formula("Ax x = x")):
+                _assert_reduction_matches(m, gamma, target, V_E, 3)
+    assert is_reduction_upto(_query_machine("1" * 16), complete,
+                             parse_formula("Ax x = x"), V_E, 3) is None
+
+
+def test_order_only_vocabulary_answers_every_query_no():
+    order_only = Vocabulary((), has_order=True)
+    holds, fails = parse_formula("Ax x = x"), parse_formula("Ex x != x")
+    for gamma in (holds, fails):
+        # The identity machine queries the empty string, which encodes no
+        # structure here, so it rejects every input.
+        assert _assert_reduction_matches(identity_machine(), gamma, holds,
+                                         order_only, 4) == (2, 0)
+        assert _assert_reduction_matches(identity_machine(), gamma, fails,
+                                         order_only, 4) is None
+
+
+def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(monkeypatch):
+    config = EvalConfig(parse_formula("Ex R(x)"), parse_formula("Ax Ey R(x,y)"))
+    calls = []
+    compute = charsets.leaf_verdict
+
+    def record(vocab, n, node, config, budget):
+        calls.append(n)
+        return compute(vocab, n, node, config, budget)
+    monkeypatch.setattr(charsets, "leaf_verdict", record)
+
+    def scan(m, gamma, target, n_max):
+        check = sentence_checker(target, config)
+        for b in enumerate_structures(V_E, n_max):
+            if run(m, encode_bin(b), gamma, V_E, config=config) != check(b):
+                return b
+        return None
+
+    leaf = print_formula(spinning_leaf())
+    holds = parse_formula("Ax x = x")
+    cases = [
+        # no structure reaches the leaf
+        (parse_formula(f"(Ax ~E(x,x) & ~(Ex E(x,x) & {leaf}))"),
+         parse_formula("Ax ~E(x,x)")),
+        # structure 3 reaches it first, but structure 1 is the witness
+        (parse_formula(f"Ax (E(x,x) -> (Ay E(x,y) & {leaf}))"), holds),
+        # structure 1 of each size reaches it, in gamma and in the target
+        (parse_formula(f"(Ax ~E(x,x) | {leaf})"), holds),
+        (parse_formula(f"(Ax ~E(x,x) | ~{leaf})"),
+         parse_formula(f"(Ax ~E(x,x) | ~{leaf})")),
+    ]
+    seen = []
+    for gamma, target in cases:
+        m = identity_machine()
+        calls.clear()
+        want = scan(m, gamma, target, 3)
+        scan_calls = list(calls)
+        calls.clear()
+        assert is_reduction_upto(m, gamma, target, V_E, 3, config) == want
+        assert calls == scan_calls
+        seen.append(len(calls))
+    assert seen[:2] == [0, 0] and min(seen[2:]) > 0
+
+
+def test_single_runs_build_no_truth_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("truth table built")
+    monkeypatch.setattr(machines, "truth_table", refuse)
+    assert run(identity_machine(), encode_bin(two_cycle()), EDGE, V_E)
+    assert not run(identity_machine(), "0000", EDGE, V_E)
