@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from operator import attrgetter
 from string import Formatter
 from types import SimpleNamespace
@@ -373,10 +374,14 @@ for _node in _LAYOUTS.values():
     _node.cls.__hash__ = _tagged_hash(_node)
 
 
+_QUANTIFIER_TEXT = {"1": "Ex", "0": "Ax"}
+
+
 def _psi_text(w: str) -> str:
-    head = "".join(f"{'E' if b == '1' else 'A'}x{i} " for i, b in enumerate(w, 1))
-    return (head + "(" * (len(w) - 1) + "x1 != x1"
-            + "".join(f" & x{i} != x{i})" for i in range(2, len(w) + 1)))
+    nums = list(map(str, range(2, len(w) + 1)))
+    head = " ".join(map("".join, zip(map(_QUANTIFIER_TEXT.__getitem__, w), ["1", *nums])))
+    matrix = "".join(map("".join, zip(repeat(" & x"), nums, repeat(" != x"), nums, repeat(")"))))
+    return f"{head} {'(' * len(nums)}x1 != x1{matrix}"
 
 
 # The Goedel tag of the quantifier each bit of w stands for.
@@ -474,10 +479,26 @@ def free_vars(f: Formula, bound: frozenset[str] = frozenset()) -> set[str]:
     return out
 
 
-def validate_sentence(f: Formula, vocab: Vocabulary) -> None:
-    """Check closedness, arity correctness, and numeric-atom availability."""
+def _all_bound(names, fo: frozenset[str]) -> None:
+    missing = set(names) - fo
+    if missing:
+        raise FormulaError(f"free variables {sorted(missing)}")
 
-    def check(node, fo: frozenset[str], so: dict[str, int]):
+
+def validate_sentence(f: Formula, vocab: Vocabulary) -> None:
+    """Check closedness, arity correctness, and numeric-atom availability.
+
+    An explicit stack visits the nodes in order, left child first, so the
+    first error found is the leftmost.  A pair on it holds the arguments of
+    a TC or fixpoint, checked after its body.
+    """
+    stack: list = [(f, frozenset(), {})]
+    while stack:
+        item = stack.pop()
+        if len(item) == 2:
+            _all_bound(*item)
+            continue
+        node, fo, so = item
         if isinstance(node, Rel):
             if node.name in so:
                 expected = so[node.name]
@@ -489,49 +510,35 @@ def validate_sentence(f: Formula, vocab: Vocabulary) -> None:
                 raise FormulaError(
                     f"{node.name} expects {expected} arguments, got {len(node.args)}"
                 )
-            missing = set(node.args) - fo
-            if missing:
-                raise FormulaError(f"free variables {sorted(missing)}")
+            _all_bound(node.args, fo)
         elif isinstance(node, (Eq, Neq, Lt, Bit)):
             if isinstance(node, (Lt, Bit)) and not vocab.has_order:
                 raise FormulaError(
                     f"{type(node).__name__} atoms need an ordered vocabulary"
                 )
-            missing = {node.left, node.right} - fo
-            if missing:
-                raise FormulaError(f"free variables {sorted(missing)}")
+            _all_bound((node.left, node.right), fo)
         elif isinstance(node, (And, Or)):
-            check(node.left, fo, so)
-            check(node.right, fo, so)
+            stack += ((node.right, fo, so), (node.left, fo, so))
         elif isinstance(node, Not):
-            check(node.sub, fo, so)
+            stack.append((node.sub, fo, so))
         elif isinstance(node, (Exists, Forall)):
-            check(node.sub, fo | {node.var}, so)
+            stack.append((node.sub, fo | {node.var}, so))
         elif isinstance(node, (SOExists, SOForall)):
             if node.arity < 1:
                 raise FormulaError(f"relation variable arity must be >= 1")
-            check(node.sub, fo, {**so, node.relvar: node.arity})
+            stack.append((node.sub, fo, {**so, node.relvar: node.arity}))
         elif isinstance(node, Tc):
-            check(node.sub, fo | {node.var1, node.var2}, so)
-            missing = {node.arg1, node.arg2} - fo
-            if missing:
-                raise FormulaError(f"free variables {sorted(missing)}")
+            stack += (((node.arg1, node.arg2), fo),
+                      (node.sub, fo | {node.var1, node.var2}, so))
         elif isinstance(node, (Lfp, Pfp)):
             if len(node.args) != len(node.vars):
                 raise FormulaError("fixpoint application arity mismatch")
             if len(set(node.vars)) != len(node.vars):
                 raise FormulaError("fixpoint variables must be distinct")
-            check(node.sub, fo | set(node.vars),
-                  {**so, node.relvar: len(node.vars)})
-            missing = set(node.args) - fo
-            if missing:
-                raise FormulaError(f"free variables {sorted(missing)}")
-        elif isinstance(node, CHAR_NODES) or type(node) is Psi:
-            pass
-        else:
+            stack += ((node.args, fo),
+                      (node.sub, fo | set(node.vars), {**so, node.relvar: len(node.vars)}))
+        elif not (isinstance(node, CHAR_NODES) or type(node) is Psi):
             raise FormulaError(f"unexpected node {node!r}")
-
-    check(f, frozenset(), {})
 
 
 def is_sentence_over(f: Formula, vocab: Vocabulary) -> bool:
@@ -592,6 +599,35 @@ _TOKEN_RE = re.compile(
     r"(\s*)(->|!=|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{}:,&|~=<]|[0-9a-f]+)"
 )
 
+# A printed encoding sentence starts with Ex1 or Ax1 on a token boundary;
+# its quantifiers lie in the run of _PSI_RUN characters from there.
+_PSI_START = re.compile(r"(?<![A-Za-z0-9_])[EA]x1 ")
+_PSI_RUN = re.compile(r"[EAx0-9 ]*")
+_PSI_BITS = str.maketrans("EA", "10", "x0123456789 ")
+_IDENT_CHAR = re.compile(r"[A-Za-z0-9_]")
+
+
+def _psi_spans(text: str):
+    """(start, end, w) for each encoding sentence that text spells exactly
+    as the printer prints it, with a token boundary at both ends.
+
+    Each candidate reads the run of quantifiers after it once, and no
+    candidate starts inside a run already read, so this is linear in text.
+    """
+    # Any other sentence quantifying x1 would make candidates, but seldom
+    # holds the innermost atoms of a printed encoding sentence.
+    pos = 0 if "x1 x1 != x1" in text or "(x1 != x1 & x2 != x2)" in text else len(text)
+    while m := _PSI_START.search(text, pos):
+        start = m.start()
+        pos = _PSI_RUN.match(text, start).end()
+        w = text[start:pos].translate(_PSI_BITS)
+        printed = _psi_text(w)
+        end = start + len(printed)
+        if text.startswith(printed, start) and not _IDENT_CHAR.match(text, end):
+            yield start, end, w
+            pos = end
+
+
 _CHAR_KEYWORDS = {
     "CHAR_ORD": CharOrd,
     "CHAR_UNORD": CharUnord,
@@ -642,18 +678,32 @@ class _Parser:
     and its pending (left operand, depth, connective) triples.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, spans):
         # Per token: the text skipped before it, which is empty unless a
         # character there starts no token, its leading whitespace, and the
-        # token itself.  Then the rest of the text.
-        self.parts = _TOKEN_RE.split(text)
+        # token itself.  Then the rest of the text.  A span from _psi_spans
+        # is one token, which reads as the node psi[its index]; the
+        # whitespace before it counts as skipped text.
+        self.text, self.parts, self.psi = text, [], {}
+        start = 0
+        for begin, end, w in spans:
+            self.split(start, begin)
+            self.psi[len(self.parts) // 3] = Psi(w)
+            self.parts += ("", text[begin:end])
+            start = end
+        self.split(start, len(text))
         self.tokens: list[str] = self.parts[2::3]
         self.i = 0
-        skipped = self.parts[0::3]
+
+    def split(self, start: int, end: int) -> None:
+        """Append the parts of text[start:end]."""
+        j, parts = len(self.parts), _TOKEN_RE.split(self.text[start:end])
+        self.parts += parts
+        skipped = parts[0::3]
         if any(skipped[:-1]) or skipped[-1].strip():
             k = next(k for k, s in enumerate(skipped) if s.strip())
-            pos = self.offset(3 * k)
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            pos = self.offset(j + 3 * k)
+            raise FormulaSyntaxError(f"unexpected character {self.text[pos]!r}", pos)
 
     def offset(self, j: int) -> int:
         """Where the j-th part of the text starts."""
@@ -696,8 +746,14 @@ class _Parser:
     def too_deep(self) -> FormulaSyntaxError:
         return self.error(f"sentence nests deeper than {MAX_DEPTH} levels")
 
+    def parse(self) -> Formula:
+        node = self.sentence()
+        if self.i != len(self.tokens):
+            raise self.error(f"trailing input {self.peek()!r}")
+        return node
+
     def sentence(self) -> Formula:
-        tokens, n = self.tokens, len(self.tokens)
+        tokens, n, psi = self.tokens, len(self.tokens), self.psi
         stack: list = [[None, []]]
         while True:
             # One unary: its prefixes go on the stack, then its operand.
@@ -719,14 +775,15 @@ class _Parser:
             elif tok == "TC" or tok == "LFP" or tok == "PFP":
                 stack.append([self.tc_head() if tok == "TC" else self.fixpoint_head(), []])
                 continue
+            elif self.i in psi:
+                node = psi[self.i]
+                self.i += 1
             else:
-                node = self.printed_psi() if tok == "Ex1" or tok == "Ax1" else None
-                if node is None:
-                    prefix = self.quantifier(tok) if tok[0] in "EA" else None
-                    if prefix is not None:
-                        stack.append(prefix)
-                        continue
-                    node = self.atom(tok)
+                prefix = self.quantifier(tok) if tok[0] in "EA" else None
+                if prefix is not None:
+                    stack.append(prefix)
+                    continue
+                node = self.atom(tok)
             depth = 1
             # Close everything the operand completes, up to a connective.
             while True:
@@ -784,30 +841,6 @@ class _Parser:
         args = self.variables(self.variable())
         self.expect(")")
         return head[0](head[1], head[2], node, args), depth + 1
-
-    def printed_psi(self) -> Psi | None:
-        """Read an encoding sentence in its printed form in one step, when
-        the next token is Ex1 or Ax1.
-
-        Any other text of one builds it through _Pattern, token by token.
-        That alone covers the printed form too, but took twice as long per
-        operation on forms carrying machine codes of thousands of bits.
-        """
-        tokens, i, k = self.tokens, self.i, 1
-        while i + k < len(tokens) and tokens[i + k][1:] == f"x{k + 1}" \
-                and tokens[i + k][0] in "EA":
-            k += 1
-        # The matrix is k - 1 brackets, x1 != x1, then & xj != xj) for
-        # each j from 2 to k.  Most sentences fail at x1 != x1.
-        j = i + 2 * k - 1
-        if tokens[j:j + 3] != ["x1", "!=", "x1"] or tokens[i + k:j] != ["("] * (k - 1):
-            return None
-        rest = [tok for x in map("x{}".format, range(2, k + 1))
-                for tok in ("&", x, "!=", x, ")")]
-        if tokens[j + 3:j + 3 + len(rest)] != rest:
-            return None
-        self.i = j + 3 + len(rest)
-        return Psi("".join("1" if tok[0] == "E" else "0" for tok in tokens[i:i + k]))
 
     def quantifier(self, tok: str) -> tuple | None:
         if len(tok) > 1 and tok[0] in "EA":
@@ -908,11 +941,17 @@ def _combine(op: str, left, left_depth: int, right, right_depth: int):
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    node = parser.sentence()
-    if parser.i != len(parser.tokens):
-        raise parser.error(f"trailing input {parser.peek()!r}")
-    return node
+    """Parse the text syntax.  Each encoding sentence printed as the printer
+    prints it is read as one token; _Pattern reads any other spelling."""
+    spans = list(_psi_spans(text))
+    try:
+        return _Parser(text, spans).parse()
+    except FormulaSyntaxError:
+        if not spans:
+            raise
+    # A span is an operand wherever the plain tokens make one of it, and an
+    # error anywhere else: the plain tokens report that error.
+    return _Parser(text, ()).parse()
 
 # --- Goedel coding -----------------------------------------------------
 

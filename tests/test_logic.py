@@ -1,10 +1,13 @@
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 from fmwb.aristotelian import encode_nat, encode_str
 from fmwb.core import Structure, Vocabulary, parse_vocab
+from fmwb import logic
 from fmwb.forms import fo_sentences
 from fmwb.logic import (
     FO, FO_LFP, FO_TC, OTHER, SO_A, SO_E, SO_PFP,
@@ -228,6 +231,108 @@ def test_psi_is_its_expansion():
         assert not any(type(node) is Psi for node in walk(parse_formula(text)))
 
 
+def plain_parse(text):
+    """parse_formula with every token from the tokenizer: no span of a
+    printed encoding sentence is read as one token."""
+    return logic._Parser(text, ()).parse()
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except FormulaSyntaxError as exc:
+        return str(exc)
+
+
+# A printed encoding sentence where no operand goes.  Reading it as one
+# token everywhere changes five of these eight messages.
+MISPLACED_PSI = [
+    "R(x) Ex1 x1 != x1",
+    "Ex R(x) Ex1 Ax2 (x1 != x1 & x2 != x2)",
+    "R(Ex1 x1 != x1)",
+    "(Ex1 x1 != x1",
+    "Ex1 x1 != x1)",
+    "TC[Ex1 x1 != x1]",
+    "CHAR_CFG{Ex1 x1 != x1}",
+    "Ex1 x1 != x1 ~",
+]
+
+
+def test_printed_encoding_sentences_parse_as_their_plain_tokens():
+    rng = random.Random(91)
+    ws = [format(rng.getrandbits(k), f"0{k}b") for k in range(1, 13)]
+    ws.append(format(rng.getrandbits(2000) | 1 << 1999, "b"))
+    texts = MISPLACED_PSI + ["Ex1 x1 != x10", "x1 != x10", "Ex1 x1 != x1 R(x)"]
+    for w in ws:
+        psi = print_formula(Psi(w))
+        k = len(w)
+        assert list(logic._psi_spans(psi)) == [(0, len(psi), w)]
+        assert type(parse_formula(psi)) is Psi and parse_formula(psi).bits == w
+        old, new = ("Ex", "Ax") if w[-1] == "1" else ("Ax", "Ex")
+        flipped = psi.replace(f"{old}{k} ", f"{new}{k} ", 1)
+        broken = psi.replace(f"x{k} ", f"x{k + 1} ", 1)
+        texts += [
+            psi, f"R(x) | {psi}", f"~{psi}", f"Ey {psi}", f"Ax3 {psi}",
+            f"({psi})", f"({psi} & {psi})", f"({psi} -> R(x))",
+            f"{{{psi}}}", f"TC[x,y: {psi}](x,y)", f"TC[{psi}](x,y)",
+            f"R({psi})", f"LFP[Q,x: {psi}](y)", f"{psi} R(x)", f"{psi})",
+            f"{psi} & x1 != x1", f"x1 != x1 & {psi}", f"{psi}0", f"y{psi}",
+            f"Ey{psi}", f"Ax3{psi}", flipped, broken, psi[:-1], psi + " ~",
+        ]
+        # No span without a token boundary at both ends.
+        for glued in (f"{psi}0", f"y{psi}", f"Ey{psi}", f"Ax3{psi}"):
+            assert not any(logic._psi_spans(glued)), glued
+        if k > 1:
+            # The last two quantifiers swapped.
+            head = psi[:psi.index("(")].split()
+            head[-2:] = head[:-3:-1]
+            texts.append(" ".join(head) + psi[psi.index("(") - 1:])
+    for text in texts:
+        got = outcome(parse_formula, text)
+        assert got == outcome(plain_parse, text), text
+        assert got == outcome(naive_parse, text), text
+    assert outcome(parse_formula, MISPLACED_PSI[0]) \
+        == "trailing input 'Ex1' (at position 5)"
+    assert outcome(parse_formula, MISPLACED_PSI[6]) \
+        == "expected '}', found 'x1' (at position 13)"
+
+
+@pytest.mark.parametrize("text", [
+    "Ex1 Ax1 " * 4500 + "R(x1)",
+    "Ex1  Ex1  " * 4500 + "R(x1)",
+    "Ex1 Ax2 " * 4500 + "(x1 != x1 & x2 != x2)",
+    "(Ex1 x1 != x1 | " * 3000 + "R(x)" + ")" * 3000,
+], ids=["repeated-x1", "double-spaces", "long-run", "many-spans"])
+def test_quantifier_runs_parse_in_linear_time_and_memory(text):
+    # Each takes about 0.05 s.  A regex alternative for the whole run of
+    # quantifiers backtracks in quadratic time here, 3 s at 4,000 repeats.
+    start = time.perf_counter()
+    got = outcome(parse_formula, text)
+    assert time.perf_counter() - start < 2.0
+    assert got == outcome(plain_parse, text)
+    tracemalloc.start()
+    try:
+        parse_formula(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * len(text)
+
+
+def test_a_long_printed_encoding_sentence_parses_without_its_tokens():
+    w = format(random.Random(3).getrandbits(12_000) | 1 << 11_999, "b")
+    text = print_formula(Psi(w))
+    tracemalloc.start()
+    try:
+        f = parse_formula(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(f) is Psi and f.bits == w
+    # About 2 MB, against 8 MB to split the text into its tokens.
+    assert peak < 4_000_000
+
+
 def test_roundtrip_random_corpus():
     rng = random.Random(2024)
     vocab = parse_vocab("R:1 E:2 <")
@@ -281,6 +386,33 @@ def test_free_vars_and_validation(v_graph):
     validate_sentence(And(psi, parse_formula("Ex E(x,x)")), v_graph)
     with pytest.raises(FormulaError):
         validate_sentence(And(psi, f), v_graph)
+
+
+def test_validation_does_not_recurse(v_graph):
+    closed, open_ = parse_formula("Ex E(x,x)"), parse_formula("Ex E(x,y)")
+    for _ in range(9_990):
+        closed, open_ = Not(closed), Not(open_)
+    deep = Or(And(closed, open_), Rel("S", ("x",)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        validate_sentence(closed, v_graph)
+        with pytest.raises(FormulaError, match=r"free variables \['y'\]"):
+            validate_sentence(deep, v_graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    # The first error is the leftmost: the body of a TC or fixpoint before
+    # its arguments, and each check of a node before its body.
+    for text, message in [
+        ("(E(x,y) & S(x))", r"free variables \['x', 'y'\]"),
+        ("TC[u,v: E(u,w)](s,t)", r"free variables \['w'\]"),
+        ("Es Et TC[u,v: S(u)](s,z)", "unknown relation 'S'"),
+        ("LFP[Q,u: Q(u,u)](y,z)", "arity mismatch"),
+        ("Ey LFP[Q,u: Q(u,u)](y)", "Q expects 1 arguments, got 2"),
+        ("(Ex x < x | Ex x = y)", "ordered vocabulary"),
+    ]:
+        with pytest.raises(FormulaError, match=message):
+            validate_sentence(parse_formula(text), v_graph)
 
 
 def test_apply_T_ord_examples():
