@@ -8,13 +8,19 @@ tape is erased, and nothing else happens.  Exceeding any resource bound is a
 rejection, never an error, so every decoded description is a total decider.
 A run that repeats a configuration is rejected when the repeat is seen: from
 there on it would only go round the same cycle until its clock ran out.
+
+A reduction-agreement sweep runs the machine on all 2^L encodings of one
+size in a single walk.  The inputs share one run until its input head reads
+a position whose bit decides the next step, and the run forks there, so a
+machine that never reads its input runs once per size.  A single run is
+the same walk with every input bit known, which never forks.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,8 +212,8 @@ def run(m: OracleMachine, input_bits: str, oracle_sentence: Formula,
     limit = m.step_limit(len(input_bits))
     if max_steps is not None:
         limit = min(limit, max_steps)
-    return _simulate(m, input_bits, limit,
-                     _oracle_answers(oracle_sentence, oracle_vocab, config))
+    ask = _oracle_answers(oracle_sentence, oracle_vocab, config)
+    return next(_walk(m, len(input_bits), input_bits, limit, ask))[2]
 
 
 def _oracle_answers(sentence: Formula, vocab: Vocabulary,
@@ -259,62 +265,101 @@ def _flags(table: int | None, length: int) -> str | None:
     return format(table, f"0{1 << length}b")[::-1]
 
 
-def _simulate(m: OracleMachine, input_bits: str, limit: int,
-              ask: Callable[[str], bool]) -> bool:
-    """run() after its input check: at most `limit` steps, queries to `ask`.
+def _walk(m: OracleMachine, length: int, word: str, limit: int,
+          ask: Callable[[str], bool]) -> Iterator[tuple[int, int, bool]]:
+    """The runs on every `length`-bit input that starts with `word`, each at
+    most `limit` steps and with queries to `ask`, as (lo, hi, accepted):
+    every input whose index, read as a binary numeral, lies in [lo, hi) is
+    accepted exactly when `accepted` is true.  The ranges come in index
+    order and cover every such input, so a whole input of `length` bits is
+    one range, whose lo is its index.
+
+    Inputs run alike until the input head first reads a position whose bit
+    decides the step.  Only then does the walk fork: it fixes every bit not
+    yet fixed up to the head, follows the inputs with 0s there, and keeps a
+    copy of the configuration for each run with a 1 at one of them (after
+    0s), to follow later.  So the bits fixed are always a prefix, and a run
+    that has fixed its first k bits p covers [p << (length-k),
+    (p+1) << (length-k)).  Every step taken is the step of the lowest input
+    the run covers, so queries, exceptions and their order are those of
+    running each input in turn, less the repeats of shared queries.
 
     The configuration (state, heads, storage, oracle tape) determines the
-    rest of the run, so a repeated one is a cycle that never reaches ACC.
+    rest of a run, so a repeated one is a cycle that never reaches ACC.
     Brent's method finds it: the configuration after steps 1, 2, 4, 8, ...
     is kept until the next power of two, and every step is compared with
     it, cheap fields first.  Each query and each check of the space bound
     on the cycle happened once before the repeat is seen, so the verdict
-    and any exception are those of the run to its clock.
+    and any exception are those of the run to its clock.  The kept
+    configurations are never changed, so forked runs share them.
     """
     table = m.step_table
-    space_cap = m.space_limit(len(input_bits))
-    visited = {0} if space_cap is not None else None
-    last = len(input_bits) - 1
-    state = m.start
-    in_head = sto_head = 0
-    storage: dict[int, str] = {}
-    oracle: list[str] = []
-    steps = 0
-    # the configuration after step seen_at // 2
-    seen_at = 1
-    seen_state = seen_in = seen_sto = seen_storage = seen_oracle = None
-    while True:
-        in_sym = input_bits[in_head] if 0 <= in_head <= last else BLANK
-        action = table.get((state, in_sym, storage.get(sto_head, BLANK)))
-        if action is None:
-            # No transition leaves ACC or QUE, so both come here too.
-            if state == "ACC":
-                return True
-            if state != "QUE" or steps >= limit:
-                return False
-            state = "YES" if ask("".join(oracle)) else "NO"
-            oracle = []
-        else:
-            if steps >= limit:
-                return False
-            state, write, in_dx, sto_dx, app = action
-            storage[sto_head] = write
-            in_head += in_dx
-            sto_head += sto_dx
-            if visited is not None:
-                visited.add(sto_head)
-                if len(visited) > space_cap:
-                    return False
-            if app:
-                oracle.append(app)
-        steps += 1
-        if (in_head == seen_in and sto_head == seen_sto and state == seen_state
-                and storage == seen_storage and oracle == seen_oracle):
-            return False
-        if steps == seen_at:
-            seen_state, seen_in, seen_sto = state, in_head, sto_head
-            seen_storage, seen_oracle = dict(storage), list(oracle)
-            seen_at <<= 1
+    space_cap = m.space_limit(length)
+    # Forked runs not yet followed, the next in index order last.
+    pending = [(word, m.start, 0, 0, {}, "",
+                {0} if space_cap is not None else None,
+                0, 1, None, None, None, None, None)]
+    while pending:
+        (word, state, in_head, sto_head, storage, oracle, visited, steps,
+         seen_at, seen_state, seen_in, seen_sto, seen_storage,
+         seen_oracle) = pending.pop()
+        known = len(word)
+        while True:
+            if 0 <= in_head < known:
+                in_sym = word[in_head]
+            elif in_head < 0 or in_head >= length:
+                in_sym = BLANK
+            else:
+                in_sym = "0"
+                sto_sym = storage.get(sto_head, BLANK)
+                if table.get((state, "0", sto_sym)) != table.get((state, "1", sto_sym)):
+                    # This run reads 0s up to the head; a 1 at one of those
+                    # positions is a later range, the nearest pushed last.
+                    for pos in range(known, in_head + 1):
+                        pending.append((
+                            word + "0" * (pos - known) + "1", state, in_head,
+                            sto_head, dict(storage), oracle,
+                            None if visited is None else set(visited), steps,
+                            seen_at, seen_state, seen_in, seen_sto,
+                            seen_storage, seen_oracle))
+                    word += "0" * (in_head + 1 - known)
+                    known = in_head + 1
+            action = table.get((state, in_sym, storage.get(sto_head, BLANK)))
+            if action is None:
+                # No transition leaves ACC or QUE, so both come here too.
+                if state == "ACC":
+                    accepted = True
+                    break
+                if state != "QUE" or steps >= limit:
+                    accepted = False
+                    break
+                state = "YES" if ask(oracle) else "NO"
+                oracle = ""
+            else:
+                if steps >= limit:
+                    accepted = False
+                    break
+                state, write, in_dx, sto_dx, app = action
+                storage[sto_head] = write
+                in_head += in_dx
+                sto_head += sto_dx
+                if visited is not None:
+                    visited.add(sto_head)
+                    if len(visited) > space_cap:
+                        accepted = False
+                        break
+                oracle += app
+            steps += 1
+            if (in_head == seen_in and sto_head == seen_sto and state == seen_state
+                    and storage == seen_storage and oracle == seen_oracle):
+                accepted = False
+                break
+            if steps == seen_at:
+                seen_state, seen_in, seen_sto = state, in_head, sto_head
+                seen_storage, seen_oracle = dict(storage), oracle
+                seen_at <<= 1
+        lo = int(word, 2) << (length - known) if word else 0
+        yield lo, lo + (1 << (length - known)), accepted
 
 
 def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
@@ -323,11 +368,14 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
     """First structure where accepting the encoding differs from satisfying
     the target sentence, or None when the reduction condition holds up to n_max.
 
-    Structures are visited by size, then index.  The target's verdicts and
-    the oracle's answers are read off per-size truth tables where those
-    exist; elsewhere the checker decides, one structure at a time, so the
-    result, any exception and the leaves computed are those of checking
-    every structure in turn.
+    Structures are visited by size, then index.  At each size one walk runs
+    the machine on all encodings at once (see _walk) and gives a verdict
+    for each range of encodings that share the bits their run read.  The
+    target's verdicts and the oracle's answers are read off per-size truth
+    tables where those exist; elsewhere the checker decides, one structure
+    at a time.  So the result, any exception, the first asking of each
+    query and the leaves computed are those of running the machine and
+    checking the target on every structure in turn.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -335,17 +383,16 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
     ask = _oracle_answers(gamma, vocab, config, n_max)
     for n in range(2, n_max + 1):
         length = encoding_length(vocab, n)
-        limit = m.step_limit(length)
         holds = _flags(truth_table(target, vocab, n, config), length)
-        top = 1 << length
-        for index in range(top):
-            accepted = _simulate(m, bin(index | top)[3:], limit, ask)
+        for lo, hi, accepted in _walk(m, length, "", m.step_limit(length), ask):
             if holds is None:
-                verdict = check(Structure(vocab, n, index))
+                for index in range(lo, hi):
+                    if check(Structure(vocab, n, index)) != accepted:
+                        return Structure(vocab, n, index)
             else:
-                verdict = holds[index] == "1"
-            if accepted != verdict:
-                return Structure(vocab, n, index)
+                index = holds.find("0" if accepted else "1", lo, hi)
+                if index >= 0:
+                    return Structure(vocab, n, index)
     return None
 
 

@@ -295,6 +295,23 @@ def test_mc_decides_a_spinning_leaf_with_huge_clocks(files):
                          timeout=30) == (1, "false\n", "")
 
 
+def test_mc_decides_an_unord6_form_at_once(files, capsys):
+    # Both leaves of the form sweep every E:2 structure up to n = 3 with the
+    # identity machine; the whole check takes well under a second.
+    write, tmp = files
+    gamma = write("gamma.sent", "Ax Ey E(x,y)")
+    ups = write("ups.sent", "Ax Ey R(x,y)")
+    machine = write("id.tm", format_machine(identity_machine()))
+    form = str(tmp / "form.sent")
+    assert main(["form", "build", "--kind", "unord6", "--tau", "E:2",
+                 "--class", "NP", "--gamma", gamma, "--machine", machine,
+                 "--upsilon", ups, "--emit", form]) == 0
+    capsys.readouterr()
+    struct = write("p3.struct", "vocab E:2\nn = 3\nE = (0,1) (1,2)")
+    assert _fmwb_process(["mc", struct, form, "--upsilon", ups],
+                         timeout=30) == (1, "false\n", "")
+
+
 def test_one_process_answers_as_separate_processes(files, capsys, monkeypatch):
     # The parser is built once per process; calls in sequence must not see
     # each other.

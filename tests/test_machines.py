@@ -385,12 +385,15 @@ def test_order_only_vocabulary_answers_every_query_no():
 
 
 def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(monkeypatch):
+    # The sweep computes the distinct leaves a scan computes, in the scan's
+    # order.  It may compute one less often: a query that many inputs share
+    # is asked once for all of them.
     config = EvalConfig(parse_formula("Ex R(x)"), parse_formula("Ax Ey R(x,y)"))
     calls = []
     compute = charsets.leaf_verdict
 
     def record(vocab, n, node, config, budget):
-        calls.append(n)
+        calls.append((n, node, budget))
         return compute(vocab, n, node, config, budget)
     monkeypatch.setattr(charsets, "leaf_verdict", record)
 
@@ -403,28 +406,35 @@ def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(monkeypatch)
 
     leaf = print_formula(spinning_leaf())
     holds = parse_formula("Ax x = x")
+    identity = identity_machine()
     cases = [
         # no structure reaches the leaf
-        (parse_formula(f"(Ax ~E(x,x) & ~(Ex E(x,x) & {leaf}))"),
+        (identity, parse_formula(f"(Ax ~E(x,x) & ~(Ex E(x,x) & {leaf}))"),
          parse_formula("Ax ~E(x,x)")),
         # structure 3 reaches it first, but structure 1 is the witness
-        (parse_formula(f"Ax (E(x,x) -> (Ay E(x,y) & {leaf}))"), holds),
+        (identity, parse_formula(f"Ax (E(x,x) -> (Ay E(x,y) & {leaf}))"), holds),
         # structure 1 of each size reaches it, in gamma and in the target
-        (parse_formula(f"(Ax ~E(x,x) | {leaf})"), holds),
-        (parse_formula(f"(Ax ~E(x,x) | ~{leaf})"),
+        (identity, parse_formula(f"(Ax ~E(x,x) | {leaf})"), holds),
+        (identity, parse_formula(f"(Ax ~E(x,x) | ~{leaf})"),
          parse_formula(f"(Ax ~E(x,x) | ~{leaf})")),
+        # every input asks the same query, whose structure reaches the leaf
+        (_query_machine("1111"), parse_formula(f"(Ax ~E(x,x) | ~{leaf})"), holds),
     ]
     seen = []
-    for gamma, target in cases:
-        m = identity_machine()
+    for m, gamma, target in cases:
         calls.clear()
         want = scan(m, gamma, target, 3)
         scan_calls = list(calls)
         calls.clear()
         assert is_reduction_upto(m, gamma, target, V_E, 3, config) == want
-        assert calls == scan_calls
+        assert list(dict.fromkeys(calls)) == list(dict.fromkeys(scan_calls))
+        if m is identity:
+            # every input asks its own query, so nothing is shared
+            assert calls == scan_calls
         seen.append(len(calls))
     assert seen[:2] == [0, 0] and min(seen[2:]) > 0
+    # the shared query computes the leaf once per size, not once per input
+    assert seen[4] == 2 and len(scan_calls) == 16 + 512
 
 
 def test_single_runs_build_no_truth_table(monkeypatch):
@@ -433,3 +443,138 @@ def test_single_runs_build_no_truth_table(monkeypatch):
     monkeypatch.setattr(machines, "truth_table", refuse)
     assert run(identity_machine(), encode_bin(two_cycle()), EDGE, V_E)
     assert not run(identity_machine(), "0000", EDGE, V_E)
+
+
+# --- the walk over all inputs of one size ----------------------------------
+
+
+def _bookends_machine():
+    """Accepts exactly when the first and the last input bit are equal.  It
+    passes over the input without using its bits, reads the last bit, goes
+    back and reads the first bit again."""
+    transitions = {("s", sym, BLANK): ("r", BLANK, "R", "S", "") for sym in SYMBOLS}
+    transitions.update({("r", bit, BLANK): ("r", BLANK, "R", "S", "") for bit in "01"})
+    transitions[("r", BLANK, BLANK)] = ("t", BLANK, "L", "S", "")
+    transitions[("t", BLANK, BLANK)] = ("ACC", BLANK, "S", "S", "")
+    for last in "01":
+        back, first = f"u{last}", f"v{last}"
+        transitions[("t", last, BLANK)] = (back, BLANK, "L", "S", "")
+        transitions.update({(back, bit, BLANK): (back, BLANK, "L", "S", "")
+                            for bit in "01"})
+        transitions[(back, BLANK, BLANK)] = (first, BLANK, "R", "S", "")
+        transitions[(first, last, BLANK)] = ("ACC", BLANK, "S", "S", "")
+    return OracleMachine.make(("s", "r", "t", "u0", "u1", "v0", "v1") + RESERVED,
+                              "s", POLYTIME, 3, 3, transitions)
+
+
+def _walk_verdicts(m, length, ask):
+    """Each input's verdict from one walk over all `length`-bit inputs,
+    after checking that the ranges are nonempty, in order and cover them."""
+    verdicts = []
+    for lo, hi, accepted in machines._walk(m, length, "", m.step_limit(length), ask):
+        assert lo == len(verdicts) < hi
+        verdicts.extend([accepted] * (hi - lo))
+    assert len(verdicts) == 1 << length
+    return verdicts
+
+
+def test_walk_verdicts_match_the_reference_on_every_input():
+    oracle = parse_formula("Ex P(x)")
+    bookends = _bookends_machine()
+    rng = random.Random(4177)
+    for draw in range(360):
+        length = draw % 9
+        if draw < 9:
+            m = bookends
+        else:
+            m = random_machine(rng, (POLYTIME, LOGSPACE)[draw % 2],
+                               rng.choice((6, 12, 45)))
+            m = replace(m, clock_c=rng.randint(1, 3), step_c=rng.randint(1, 3))
+        got = _walk_verdicts(m, length, machines._oracle_answers(oracle, V_P, None))
+        words = ["".join(w) for w in product("01", repeat=length)]
+        assert got == [naive_run(m, w, oracle, V_P) for w in words], (
+            format_machine(m), length)
+    assert _walk_verdicts(bookends, 5, None) == [
+        w[0] == w[-1] for w in ("".join(w) for w in product("01", repeat=5))]
+
+
+def _recorded_events(monkeypatch, m, gamma, target, vocab, n_max):
+    """The queries and target checks of a per-input scan and of a sweep, in
+    the order of their first occurrences, with truth tables refused so that
+    the sweep checks every structure."""
+    events = []
+    answers, checker = machines._oracle_answers, machines.sentence_checker
+
+    def recording_answers(*args):
+        ask = answers(*args)
+
+        def recorded(query):
+            events.append(("query", query))
+            return ask(query)
+        return recorded
+
+    def recording_checker(*args):
+        check = checker(*args)
+
+        def recorded(b):
+            events.append(("target", b.n, b.bits))
+            return check(b)
+        return recorded
+
+    monkeypatch.setattr(machines, "_oracle_answers", recording_answers)
+    monkeypatch.setattr(machines, "sentence_checker", recording_checker)
+    monkeypatch.setattr(machines, "truth_table", lambda *args: None)
+    check = machines.sentence_checker(target, None)
+    scan = None
+    for b in enumerate_structures(vocab, n_max):
+        if run(m, encode_bin(b), gamma, vocab) != check(b):
+            scan = b
+            break
+    scan_events = list(dict.fromkeys(events))
+    events.clear()
+    assert is_reduction_upto(m, gamma, target, vocab, n_max) == scan
+    monkeypatch.undo()
+    return scan_events, list(dict.fromkeys(events))
+
+
+def test_walk_asks_and_checks_in_the_order_of_a_scan(monkeypatch):
+    v_pq = parse_vocab("P:1 Q:1")
+    rng = random.Random(6121)
+    pool = fo_sentences(v_pq, 4)
+    some_p, holds = parse_formula("Ex P(x)"), parse_formula("Ax x = x")
+    cases = [
+        # every query differs, and no structure is a witness
+        (identity_machine(), some_p, some_p),
+        (identity_machine(LOGSPACE, 1, 2), rng.choice(pool), rng.choice(pool)),
+        # every input asks "1001", P = {0} and Q = {1}, and is accepted
+        (_query_machine("1001"), some_p, holds),
+        (_query_machine("10"), some_p, rng.choice(pool)),
+        (_query_machine("1" * 8), rng.choice(pool), rng.choice(pool)),
+    ]
+    cases += [(random_machine(rng, rng.choice((POLYTIME, LOGSPACE)),
+                              rng.choice((20, 45))),
+               rng.choice(pool), rng.choice(pool)) for _ in range(600)]
+    interleaved = 0
+    for m, gamma, target in cases:
+        scan, walk = _recorded_events(monkeypatch, m, gamma, target, v_pq, 3)
+        assert walk == scan, (format_machine(m), print_formula(gamma),
+                              print_formula(target))
+        # a query asked first after some target check
+        kinds = [kind for kind, *_ in scan]
+        interleaved += "query" in kinds[kinds.index("target"):] if "target" in kinds else 0
+    assert interleaved >= 30
+
+
+def test_walk_forks_only_where_a_bit_decides_a_step():
+    ask = machines._oracle_answers(EDGE, V_E, None)
+    for length in (0, 4, 9):
+        limit = identity_machine().step_limit(length)
+        for m in (always_accept_machine(), always_reject_machine(),
+                  _query_machine("1111")):
+            assert len(list(machines._walk(m, length, "", limit, ask))) == 1
+        assert len(list(machines._walk(identity_machine(), length, "", limit,
+                                       ask))) == 1 << length
+    # A single input is one run, which never forks.
+    limit = identity_machine().step_limit(4)
+    assert list(machines._walk(identity_machine(), 4, "0110", limit, ask)) == [
+        (6, 7, True)]
