@@ -4,7 +4,7 @@ and canonical sentence forms."""
 
 import sys
 
-# The Goedel decoder and both sentence compilers recurse once per nesting
+# The Goedel decoder and the sentence compiler recurse once per nesting
 # level, and parsing and decoding accept sentences up to
 # logic.MAX_DEPTH levels deep: past the default interpreter limit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))

@@ -131,11 +131,6 @@ class Structure:
         return tuple(out)
 
     @cached_property
-    def positions(self) -> dict[str, list]:
-        """bit_positions(vocab, n), looked up once per structure."""
-        return bit_positions(self.vocab, self.n)
-
-    @cached_property
     def rel(self) -> dict[str, frozenset[tuple[int, ...]]]:
         return dict(self.relations)
 

@@ -2,17 +2,17 @@
 
 Everything is evaluated exhaustively: first-order quantifiers loop over the
 universe, second-order quantifiers loop over all 2^(n^a) relations, and the
-fixpoint operators iterate stage by stage.  A sentence is first compiled
-into nested closures over slot-indexed environments (one pass of structural
-recursion), after which the same checker can be run against any number of
-structures; models() is the compile-and-run convenience wrapper.
+fixpoint operators iterate stage by stage.
 
-Sweeps over all structures up to a size go through sweep(), which compiles
-the sentence a second way: into a batch evaluator whose values are truth
-tables over every structure of one size at once, one bit per structure.
-truth_table() hands out one size's table, which the reduction-agreement
-sweeps in machines read their verdicts from.  The per-structure checker
-stays the reference that both fall back to.
+A sentence is compiled, by one pass of structural recursion, into a
+program over batches of structures of one size: its values are truth
+tables, one bit per structure of the batch.  A batch is either one
+structure, which is how models() and sentence_checker() decide single
+structures, or a chunk of up to 2^CHUNK_BITS structures, which is how
+sweep() decides every structure up to a size.  truth_table() hands out one
+size's table; the reduction-agreement sweeps in machines read their
+verdicts from it, and a checker that is asked about many structures of one
+size builds it once and reads the rest off it.
 
 Characteristic leaves delegate to the decision procedures in charsets under
 a recursion budget, since decoded payloads are untrusted and may nest
@@ -24,12 +24,11 @@ the evaluator itself does not re-validate on every call.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
-    Structure, Vocabulary, bit_position, encoding_length, structure_from_index,
+    Structure, Vocabulary, bit_positions, encoding_length, structure_from_index,
 )
 from .logic import (
     And, Bit, CHAR_NODES, Eq, Exists, Forall, Formula, Lfp, Lt, Neq, Not,
@@ -70,281 +69,27 @@ class EvalConfig:
 _EMPTY_CONFIG = EvalConfig()
 
 
-class _Ctx:
-    __slots__ = ("universe", "bits", "pos", "renv", "structure", "budget",
-                 "config")
-
-    def __init__(self, structure: Structure, config: EvalConfig):
-        self.universe = range(structure.n)
-        self.bits = structure.bits
-        self.pos = structure.positions
-        self.renv: dict[str, frozenset] = {}
-        self.structure = structure
-        self.budget = config.char_budget
-        self.config = config
-
-
-def _positive_in(f: Formula, name: str, polarity: bool = True) -> bool:
-    if isinstance(f, Rel):
-        return polarity or f.name != name
-    if isinstance(f, (SOExists, SOForall, Lfp, Pfp)) and f.relvar == name:
-        return True
-    if isinstance(f, Not):
-        polarity = not polarity
-    return all(_positive_in(sub, name, polarity) for sub in children(f))
-
-
-def _compile(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
-             state: dict):
-    """Structural recursion into a closure run(ctx, env) -> bool."""
-    t = type(f)
-    if t is Rel:
-        name = f.name
-        if name in so_bound:
-            if len(f.args) == 2:
-                i, j = slots[f.args[0]], slots[f.args[1]]
-                return lambda ctx, env: (env[i], env[j]) in ctx.renv[name]
-            idx = tuple(slots[v] for v in f.args)
-            return lambda ctx, env: tuple(env[i] for i in idx) in ctx.renv[name]
-        # A vocabulary atom is one bit of the structure's encoding.
-        if len(f.args) == 2:
-            i, j = slots[f.args[0]], slots[f.args[1]]
-            return lambda ctx, env: ctx.bits >> ctx.pos[name][env[i]][env[j]] & 1 == 1
-        if len(f.args) == 1:
-            i = slots[f.args[0]]
-            return lambda ctx, env: ctx.bits >> ctx.pos[name][env[i]] & 1 == 1
-        idx = tuple(slots[v] for v in f.args)
-
-        def run_rel(ctx, env):
-            p = ctx.pos[name]
-            for i in idx:
-                p = p[env[i]]
-            return ctx.bits >> p & 1 == 1
-        return run_rel
-    if t is Eq:
-        i, j = slots[f.left], slots[f.right]
-        return lambda ctx, env: env[i] == env[j]
-    if t is Neq:
-        i, j = slots[f.left], slots[f.right]
-        return lambda ctx, env: env[i] != env[j]
-    if t is Lt:
-        i, j = slots[f.left], slots[f.right]
-        return lambda ctx, env: env[i] < env[j]
-    if t is Bit:
-        i, j = slots[f.left], slots[f.right]
-        return lambda ctx, env: (env[i] >> env[j]) & 1 == 1
-    if t is And:
-        left = _compile(f.left, slots, so_bound, state)
-        right = _compile(f.right, slots, so_bound, state)
-        return lambda ctx, env: left(ctx, env) and right(ctx, env)
-    if t is Or:
-        left = _compile(f.left, slots, so_bound, state)
-        right = _compile(f.right, slots, so_bound, state)
-        return lambda ctx, env: left(ctx, env) or right(ctx, env)
-    if t is Not:
-        sub = _compile(f.sub, slots, so_bound, state)
-        return lambda ctx, env: not sub(ctx, env)
-    if t is Psi:
-        # Identically false; its expansion would cost n^|code| loops.
-        return lambda ctx, env: False
-    if t is Exists or t is Forall:
-        slot = len(slots)
-        state["slots"] = max(state["slots"], slot + 1)
-        sub = _compile(f.sub, {**slots, f.var: slot}, so_bound, state)
-        if t is Exists:
-            def run_exists(ctx, env):
-                for value in ctx.universe:
-                    env[slot] = value
-                    if sub(ctx, env):
-                        return True
-                return False
-            return run_exists
-
-        def run_forall(ctx, env):
-            for value in ctx.universe:
-                env[slot] = value
-                if not sub(ctx, env):
-                    return False
-            return True
-        return run_forall
-    if t is SOExists or t is SOForall:
-        name, arity = f.relvar, f.arity
-        sub = _compile(f.sub, slots, so_bound | {name}, state)
-        want = t is SOExists
-
-        def run_so(ctx, env):
-            tuples = list(itertools.product(ctx.universe, repeat=arity))
-            renv = ctx.renv
-            saved = renv.get(name)
-            result = not want
-            for mask in range(1 << len(tuples)):
-                renv[name] = frozenset(
-                    tup for i, tup in enumerate(tuples) if mask >> i & 1
-                )
-                if sub(ctx, env) == want:
-                    result = want
-                    break
-            if saved is None:
-                del renv[name]
-            else:
-                renv[name] = saved
-            return result
-        return run_so
-    if t is Tc:
-        slot1, slot2 = len(slots), len(slots) + 1
-        state["slots"] = max(state["slots"], slot2 + 1)
-        sub = _compile(f.sub, {**slots, f.var1: slot1, f.var2: slot2},
-                       so_bound, state)
-        arg1, arg2 = slots[f.arg1], slots[f.arg2]
-
-        def run_tc(ctx, env):
-            universe = ctx.universe
-            n = len(universe)
-            reach = [[False] * n for _ in universe]
-            for u in universe:
-                env[slot1] = u
-                row = reach[u]
-                for v in universe:
-                    env[slot2] = v
-                    row[v] = sub(ctx, env)
-                row[u] = True
-            for k in universe:
-                row_k = reach[k]
-                for u in universe:
-                    if reach[u][k]:
-                        row_u = reach[u]
-                        for v in universe:
-                            if row_k[v]:
-                                row_u[v] = True
-            return reach[env[arg1]][env[arg2]]
-        return run_tc
-    if t is Lfp or t is Pfp:
-        if t is Lfp and not _positive_in(f.sub, f.relvar):
-            raise PositivityViolation(
-                f"{f.relvar} occurs negatively under its least fixpoint"
-            )
-        name = f.relvar
-        base = len(slots)
-        var_slots = list(range(base, base + len(f.vars)))
-        state["slots"] = max(state["slots"], base + len(f.vars))
-        inner = dict(slots)
-        inner.update(zip(f.vars, var_slots))
-        sub = _compile(f.sub, inner, so_bound | {name}, state)
-        arg_slots = tuple(slots[v] for v in f.args)
-        least = t is Lfp
-
-        def run_fp(ctx, env):
-            tuples = list(itertools.product(ctx.universe, repeat=len(var_slots)))
-            renv = ctx.renv
-            saved = renv.get(name)
-
-            def stage(current):
-                renv[name] = current
-                out = set()
-                for tup in tuples:
-                    for slot, value in zip(var_slots, tup):
-                        env[slot] = value
-                    if sub(ctx, env):
-                        out.add(tup)
-                return frozenset(out)
-
-            # A stage that comes back without being a fixpoint starts a
-            # cycle: a partial fixpoint is then empty, a least one undefined.
-            # Only 2^|tuples| stages are distinct, so some stage repeats.
-            current = frozenset()
-            seen = {current}
-            while True:
-                nxt = stage(current)
-                if nxt == current:
-                    break
-                if nxt in seen:
-                    if least:
-                        raise NoLeastFixpoint(
-                            f"{name} has no least fixpoint: its stages cycle")
-                    current = frozenset()
-                    break
-                seen.add(nxt)
-                current = nxt
-            if saved is None:
-                del renv[name]
-            else:
-                renv[name] = saved
-            return tuple(env[i] for i in arg_slots) in current
-        return run_fp
-    if t in CHAR_NODES:
-        def run_char(ctx, env):
-            if ctx.budget <= 0:
-                raise RecursionBudgetExhausted(
-                    "nested characteristic leaves exceeded the recursion budget"
-                )
-            from . import charsets
-
-            a = ctx.structure
-            return charsets.leaf_verdict(a.vocab, a.n, f, ctx.config,
-                                         ctx.budget - 1)
-        return run_char
-    raise TypeError(f"cannot evaluate {f!r}")
-
-
-@lru_cache(maxsize=512)
-def _checker(f: Formula, config: EvalConfig):
-    state = {"slots": 0}
-    run = _compile(f, {}, frozenset(), state)
-    width = state["slots"]
-
-    def check(a: Structure) -> bool:
-        return run(_Ctx(a, config), [None] * width)
-
-    return check
-
-
-def sentence_checker(f: Formula, config: EvalConfig | None = None):
-    """Compile a sentence once; the result maps structures to verdicts."""
-    return _checker(f, config or _EMPTY_CONFIG)
-
-
-def models(a: Structure, f: Formula, config: EvalConfig | None = None) -> bool:
-    """Does the structure satisfy the sentence?"""
-    return _checker(f, config or _EMPTY_CONFIG)(a)
-
-
-def valid_upto(f: Formula, vocab: Vocabulary, n_max: int,
-               config: EvalConfig | None = None) -> Structure | None:
-    """First structure of size <= n_max falsifying f, or None if f holds on all."""
-    return sweep(vocab, n_max, f, None, config)
-
-
-def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
-                config: EvalConfig | None = None) -> Structure | None:
-    """First structure of size <= n_max where the two sentences disagree."""
-    # Both sentences compile before either is evaluated, so a compile error
-    # in g wins over an evaluation error of f on the first structure.
-    sentence_checker(f, config)
-    sentence_checker(g, config)
-    return sweep(vocab, n_max, f, g, config)
-
-
-# --- bit-parallel sweeps ------------------------------------------------
+# --- batches ------------------------------------------------------------
 #
 # A batch is every structure of one size whose index shares the bits above
 # the lowest `low`; a truth table is a Python int with one bit per structure
 # of the batch, bit i for structure (chunk << low) | i.  First-order
 # variables take the same value in every structure at once, so equality,
 # order and BIT are constant tables, and each connective is one big-int
-# operation.
+# operation.  With low = 0 the batch is the single structure `chunk`.
 #
-# Every node is evaluated under a care mask: the structures whose checker
-# evaluates that node there, given the short-circuits above it.  A node's
-# table is exact on its care mask and arbitrary elsewhere.  The mask is what
-# keeps the batch from computing a characteristic leaf that no structure's
-# checker would reach.
+# Every node is evaluated under a care mask: the structures that reach the
+# node when each is evaluated on its own, given the short-circuits above
+# it.  A node's table is exact on its care mask and arbitrary elsewhere.
+# The mask is what keeps a batch from computing a characteristic leaf that
+# no structure of it reaches.
 
 CHUNK_BITS = 20
 
 
 class _LeafPending(Exception):
     """A leaf whose verdict for this size is not known yet is reached by the
-    structures of a care mask; a checker scan computes it at the lowest one."""
+    structures of a care mask; a scan computes it at the lowest one."""
 
     def __init__(self, care: int, resolve):
         super().__init__("characteristic leaf verdict not yet known")
@@ -354,7 +99,7 @@ class _LeafPending(Exception):
 
 class _InexactCare(Exception):
     """A leaf is first reached in a partial fixpoint's later stages, where the
-    care mask may hold structures whose checker has already stopped."""
+    care mask may hold structures whose own evaluation has already stopped."""
 
 
 def _bit_table(p: int, width: int) -> int:
@@ -371,60 +116,104 @@ def _bit_table(p: int, width: int) -> int:
     return table
 
 
+_BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+@lru_cache(maxsize=64)
+def _shape(vocab: Vocabulary, n: int) -> tuple[dict[str, list], int]:
+    """The bit positions and the encoding length of size n over vocab."""
+    return bit_positions(vocab, n), encoding_length(vocab, n)
+
+
 class _Batch:
     """The structures of size n whose indices have `chunk` above their lowest
-    `low` bits, with the atom tables and relation environment they share."""
+    `low` bits, with the atom tables and relation environment they share.
 
-    __slots__ = ("vocab", "n", "universe", "full", "atoms", "renv", "config",
-                 "budget", "exact")
+    leaves holds the verdicts of the leaves computed so far for this
+    vocabulary and size, by leaf.  A leaf whose verdict is not known raises
+    _LeafPending.  Each run of a program sets renv and exact afresh.
+    """
+
+    __slots__ = ("vocab", "n", "universe", "full", "pos", "tab", "renv",
+                 "config", "leaves", "exact")
+    single = False
 
     def __init__(self, vocab: Vocabulary, n: int, chunk: int, low: int,
-                 config: EvalConfig):
+                 config: EvalConfig, leaves: dict):
         width = 1 << low
         self.vocab = vocab
         self.n = n
         self.universe = range(n)
         self.full = full = (1 << width) - 1
-        # Encoding bits at or above `low` are fixed by the chunk, so their
-        # atoms are constant.
-        self.atoms: dict[str, dict[tuple, int]] = {}
-        for name, arity in vocab.symbols:
-            tables = {}
-            for tup in itertools.product(self.universe, repeat=arity):
-                p = bit_position(vocab, n, name, tup)
-                if p >= low:
-                    tables[tup] = full if chunk >> (p - low) & 1 else 0
-                else:
-                    tables[tup] = _bit_table(p, width)
-            self.atoms[name] = tables
-        self.renv: dict[str, dict[tuple, int]] = {}
+        # The atom of a tuple is the table of its bit in the encoding, and
+        # bits at or above `low` are fixed by the chunk.
+        self.pos, length = _shape(vocab, n)
+        self.tab = [_bit_table(p, width) if p < low else full * (chunk >> (p - low) & 1)
+                    for p in range(length)]
         self.config = config
-        self.budget = config.char_budget
-        # False while care masks may over-approximate the checker's path.
-        self.exact = True
+        self.leaves = leaves
+
+
+class _One(_Batch):
+    """The batch of one structure being checked.  Its care masks are exact,
+    so it computes a leaf where it first reaches it."""
+
+    __slots__ = ()
+    single = True
+
+    def __init__(self, a: Structure, config: EvalConfig,
+                 shape: tuple[dict[str, list], int]):
+        self.vocab = a.vocab
+        self.n = a.n
+        self.universe = range(a.n)
+        self.full = 1
+        self.pos, length = shape
+        # Byte p of the encoding, reversed, is the bit at position p.
+        self.tab = bin(a.bits | 1 << length)[:2:-1].encode().translate(_BYTE_BITS)
+        self.config = config
+        self.leaves = {}
+
+
+def _positive_in(f: Formula, name: str, polarity: bool = True) -> bool:
+    if isinstance(f, Rel):
+        return polarity or f.name != name
+    if isinstance(f, (SOExists, SOForall, Lfp, Pfp)) and f.relvar == name:
+        return True
+    if isinstance(f, Not):
+        polarity = not polarity
+    return all(_positive_in(sub, name, polarity) for sub in children(f))
 
 
 def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                    state: dict):
-    """As _compile, into a closure run(batch, env, care) -> truth table.
+    """Structural recursion into a closure run(batch, env, care) -> truth table.
 
-    Each node mirrors its checker counterpart, including the compile-time
-    errors and the short-circuits: a subformula's care mask holds exactly
-    the structures whose checker evaluates it there.
+    A subformula's care mask holds exactly the structures that evaluate it
+    there: each node short-circuits as evaluation one structure at a time
+    does, and a batch of one structure is that evaluation.
     """
     t = type(f)
     if t is Rel:
         name = f.name
         idx = tuple(slots[v] for v in f.args)
         if name in so_bound:
+            if len(idx) == 2:
+                i, j = idx
+                return lambda b, env, care: b.renv[name].get((env[i], env[j]), 0)
             return lambda b, env, care: b.renv[name].get(tuple(env[i] for i in idx), 0)
         if len(idx) == 2:
             i, j = idx
-            return lambda b, env, care: b.atoms[name].get((env[i], env[j]), 0)
+            return lambda b, env, care: b.tab[b.pos[name][env[i]][env[j]]]
         if len(idx) == 1:
             (i,) = idx
-            return lambda b, env, care: b.atoms[name].get((env[i],), 0)
-        return lambda b, env, care: b.atoms[name].get(tuple(env[i] for i in idx), 0)
+            return lambda b, env, care: b.tab[b.pos[name][env[i]]]
+
+        def run_rel(b, env, care):
+            p = b.pos[name]
+            for i in idx:
+                p = p[env[i]]
+            return b.tab[p]
+        return run_rel
     if t is Eq:
         i, j = slots[f.left], slots[f.right]
         return lambda b, env, care: b.full if env[i] == env[j] else 0
@@ -458,6 +247,7 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
         sub = _compile_batch(f.sub, slots, so_bound, state)
         return lambda b, env, care: b.full ^ sub(b, env, care)
     if t is Psi:
+        # Identically false; its expansion would cost n^|code| loops.
         return lambda b, env, care: 0
     if t is Exists or t is Forall:
         slot = len(slots)
@@ -492,7 +282,7 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
             renv = b.renv
             saved = renv.get(name)
             full = b.full
-            open_ = care  # the structures whose checker is still looping
+            open_ = care  # the structures still looping
             for mask in range(1 << len(tuples)):
                 # One relation for every structure: its atoms are constant.
                 renv[name] = {tup: full for i, tup in enumerate(tuples)
@@ -565,11 +355,14 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                     out.append(sub(b, env, active))
                 return out
 
-            # Iterate every structure's stages jointly.  A structure keeps its
-            # stage and leaves `active` once a stage repeats the one before,
-            # where its checker stops.  Brent's cycle detection on the joint
-            # state, or a cap of 2^|tuples| stages, shows when the
-            # structures still active cycle for ever.
+            # Iterate every structure's stages jointly, from the empty
+            # relation.  A structure keeps its stage and leaves `active` once
+            # a stage repeats the one before.  A stage that comes back after
+            # a different one starts a cycle: a partial fixpoint is then
+            # empty, a least one undefined.  Brent's cycle detection on the
+            # joint state, or a cap of 2^|tuples| stages, shows when the
+            # structures still active cycle for ever; every stage evaluated
+            # after the cycle starts repeats an earlier one.
             current, active = (0,) * len(tuples), care
             tortoise, power, lam = (current, active), 1, 0
             for _ in range(1 << len(tuples)):
@@ -584,12 +377,12 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                 lam += 1
                 if lam == power:
                     tortoise, power, lam = (current, active), 2 * power, 0
-                # A partial fixpoint's checker also stops at any earlier
-                # stage coming back, which `active` does not track.
+                # A structure of a partial fixpoint also stops at any
+                # earlier stage coming back, which `active` does not track.
                 b.exact = exact and least
             b.exact = exact
             if active and least:
-                raise NoLeastFixpoint(f"{name} has no least fixpoint on some structure")
+                raise NoLeastFixpoint(f"{name} has no least fixpoint: its stages cycle")
             if saved is None:
                 del renv[name]
             else:
@@ -599,35 +392,35 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
         return run_fp
     if t in CHAR_NODES:
         # A leaf sees a structure only through its vocabulary and size, so
-        # its verdict is one constant per size; a compiled program serves
-        # one vocabulary and configuration.
-        verdicts: dict[int, bool] = {}
-
-        def resolve(b):
+        # its verdict is one constant per batch.
+        def compute(b):
             from . import charsets
 
-            verdicts[b.n] = charsets.leaf_verdict(b.vocab, b.n, f, b.config,
-                                                  b.budget - 1)
+            b.leaves[f] = charsets.leaf_verdict(b.vocab, b.n, f, b.config,
+                                                b.config.char_budget - 1)
 
         def run_char(b, env, care):
-            verdict = verdicts.get(b.n)
+            verdict = b.leaves.get(f)
             if verdict is None:
                 if not care:
                     return 0
-                if b.budget <= 0:
+                if b.config.char_budget <= 0:
                     raise RecursionBudgetExhausted(
                         "nested characteristic leaves exceeded the recursion budget"
                     )
-                if not b.exact:
-                    raise _InexactCare("leaf first reached in a later PFP stage")
-                raise _LeafPending(care, lambda: resolve(b))
+                if not b.single:
+                    if not b.exact:
+                        raise _InexactCare("leaf first reached in a later PFP stage")
+                    raise _LeafPending(care, lambda: compute(b))
+                compute(b)
+                verdict = b.leaves[f]
             return b.full if verdict else 0
         return run_char
     raise TypeError(f"cannot evaluate {f!r}")
 
 
-def _batch_program(f: Formula):
-    """f compiled for batches: program(batch, care) is f's table, exact on care."""
+def _new_program(f: Formula):
+    """f compiled: program(batch, care) is f's table, exact on care."""
     state = {"slots": 0}
     run = _compile_batch(f, {}, frozenset(), state)
     width = state["slots"]
@@ -638,22 +431,116 @@ def _batch_program(f: Formula):
     return program
 
 
+# Single checks and truth tables share one program per sentence.  A sweep
+# compiles its own: it runs once per sentence, and hashing a new sentence
+# for the cache can cost more than compiling it, since an encoding sentence
+# hashes as its whole expansion.
+_program = lru_cache(maxsize=512)(_new_program)
+
+
+def _decide(program, a: Structure, config: EvalConfig, shape=None) -> bool:
+    """The program's verdict on one structure, from the batch of just it."""
+    return program(_One(a, config, shape or _shape(a.vocab, a.n)), 1) == 1
+
+
+class _Size:
+    """A checker's state for the structures of one vocabulary and size: how
+    many it checks one at a time before it builds the size's table (None
+    once it has tried, or when the size is more than one batch), and the
+    table as little-endian bytes once built."""
+
+    __slots__ = ("vocab", "n", "shape", "left", "flags")
+
+    def __init__(self, vocab: Vocabulary, n: int):
+        self.vocab, self.n = vocab, n
+        self.shape = _shape(vocab, n)
+        length = self.shape[1]
+        self.left = max((1 << length) >> 6, 1) if length <= CHUNK_BITS else None
+        self.flags = None
+
+
+@lru_cache(maxsize=512)
+def _checker(f: Formula, config: EvalConfig):
+    program = _program(f)
+    sizes: dict[tuple[Vocabulary, int], _Size] = {}
+    last = None  # the size of the previous check
+
+    def check(a: Structure) -> bool:
+        nonlocal last
+        size = last
+        if size is None or size.vocab is not a.vocab or size.n != a.n:
+            size = sizes.get((a.vocab, a.n))
+            if size is None:
+                size = sizes[a.vocab, a.n] = _Size(a.vocab, a.n)
+            last = size
+        if size.left:
+            size.left -= 1
+        elif size.left == 0:
+            # A table answers as checking each structure would: it is
+            # refused where any structure raises or reaches a leaf.
+            size.left = None
+            table = truth_table(f, a.vocab, a.n, config)
+            if table is not None:
+                size.flags = table.to_bytes(max((1 << size.shape[1]) >> 3, 1),
+                                            "little")
+        if size.flags is not None:
+            return size.flags[a.bits >> 3] >> (a.bits & 7) & 1 == 1
+        return _decide(program, a, config, size.shape)
+
+    return check
+
+
+def sentence_checker(f: Formula, config: EvalConfig | None = None):
+    """Compile a sentence once; the result maps structures to verdicts.
+
+    After about a 64th of a size's structures (when the size is one batch),
+    the checker builds that size's truth table and reads later verdicts
+    off it.  Its verdicts, exceptions and leaf computations stay those of
+    models() on each structure.
+    """
+    return _checker(f, config or _EMPTY_CONFIG)
+
+
+def models(a: Structure, f: Formula, config: EvalConfig | None = None) -> bool:
+    """Does the structure satisfy the sentence?"""
+    return _decide(_program(f), a, config or _EMPTY_CONFIG)
+
+
+def valid_upto(f: Formula, vocab: Vocabulary, n_max: int,
+               config: EvalConfig | None = None) -> Structure | None:
+    """First structure of size <= n_max falsifying f, or None if f holds on all."""
+    return sweep(vocab, n_max, f, None, config)
+
+
+def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
+                config: EvalConfig | None = None) -> Structure | None:
+    """First structure of size <= n_max where the two sentences disagree."""
+    # Both sentences compile before either is evaluated, so a compile error
+    # in g wins over an evaluation error of f on the first structure.
+    _new_program(f)
+    _new_program(g)
+    return sweep(vocab, n_max, f, g, config)
+
+
+# --- sweeps -------------------------------------------------------------
+
+
 def _scan(vocab: Vocabulary, n: int, start: int, stop: int, f: Formula,
           g: Formula | None, config: EvalConfig) -> int | None:
     """First index in [start, stop) falsifying f (or where f and g disagree),
-    checking one structure at a time; g compiles after f's first verdict."""
-    check_f = sentence_checker(f, config)
-    check_g = None
+    deciding one structure at a time; g compiles after f's first verdict."""
+    program_f, program_g = _new_program(f), None
+    shape = _shape(vocab, n)
     for index in range(start, stop):
         a = structure_from_index(vocab, n, index)
-        verdict = check_f(a)
+        verdict = _decide(program_f, a, config, shape)
         if g is None:
             if not verdict:
                 return index
             continue
-        if check_g is None:
-            check_g = sentence_checker(g, config)
-        if verdict != check_g(a):
+        if program_g is None:
+            program_g = _new_program(g)
+        if verdict != _decide(program_g, a, config, shape):
             return index
     return None
 
@@ -665,10 +552,12 @@ class _Sweep:
     def __init__(self, vocab: Vocabulary, f: Formula, g: Formula | None,
                  config: EvalConfig):
         self.vocab, self.f, self.g, self.config = vocab, f, g, config
-        # A sentence the batch compiler rejects goes to the checker, which
-        # raises its own compile error at the first structure.
+        # Size -> the leaf verdicts computed at that size.
+        self.leaves: dict[int, dict] = {}
+        # A sentence that does not compile goes to the scan, which raises
+        # its compile error where a scan would.
         try:
-            self.programs = [_batch_program(h) for h in (f, g) if h is not None]
+            self.programs = [_new_program(h) for h in (f, g) if h is not None]
         except Exception:
             self.programs = None
 
@@ -680,10 +569,11 @@ class _Sweep:
             # Apart from leaves, the batch evaluates a subformula for every
             # structure that reaches it, also behind the first counterexample,
             # so it can raise where a scan never looks; and it gives up on a
-            # leaf whose first structure it cannot tell.  Then the checker
-            # decides the chunk, which gives exactly its result or exception.
+            # leaf whose first structure it cannot tell.  Then the chunk is
+            # scanned, which gives exactly its result or exception.
             try:
-                batch = _Batch(self.vocab, n, chunk, low, self.config)
+                batch = _Batch(self.vocab, n, chunk, low, self.config,
+                               self.leaves.setdefault(n, {}))
                 hit = self._first_hit_in(batch, batch.full)
             except Exception:
                 pass
@@ -722,6 +612,8 @@ def _pool_first_hit(task) -> int | None:
 
 def _first_hit_in_pool(jobs: int, tasks: list) -> int | None:
     """The first hit in task order, with up to 4 * jobs tasks in flight."""
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         for lo in range(0, len(tasks), 4 * jobs):
@@ -770,14 +662,14 @@ def truth_table(f: Formula, vocab: Vocabulary, n: int,
     batch raises for any reason.
 
     A pending leaf raises too, so no leaf is computed here: a caller that
-    gets None decides the size with the checker, which gives exactly its
-    results, exceptions and leaves.
+    gets None decides the size one structure at a time, which gives exactly
+    its results, exceptions and leaves.
     """
     low = encoding_length(vocab, n)
     if low > CHUNK_BITS:
         return None
     try:
-        batch = _Batch(vocab, n, 0, low, config or _EMPTY_CONFIG)
-        return _batch_program(f)(batch, batch.full)
+        batch = _Batch(vocab, n, 0, low, config or _EMPTY_CONFIG, {})
+        return _program(f)(batch, batch.full)
     except Exception:
         return None

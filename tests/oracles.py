@@ -37,19 +37,29 @@ def psi_expansion(w):
     return matrix
 
 
-def naive_models(a, f, env=None, rels=None):
-    """Direct recursive Tarskian truth definition for first-order sentences
-    with transitive closure and fixpoints.
+def naive_models(a, f, env=None, rels=None, leaf=None):
+    """Direct recursive Tarskian truth definition for the whole sentence
+    language.
 
-    rels holds the relation variables that fixpoints bind.  A fixpoint's
-    stages go from the empty relation until one repeats the stage before it;
-    a stage that comes back after a different one is a cycle, which a least
-    fixpoint reports as NoLeastFixpoint and a partial one reads as empty.
+    rels holds the relation variables that second-order quantifiers and
+    fixpoints bind.  A second-order quantifier tries the relations in the
+    package's order, the one whose mask bit i holds the i-th tuple in
+    lexicographic order, and stops at the first witness (or
+    counterexample).  A fixpoint's stages go from the empty relation until
+    one repeats the stage before it; a stage that comes back after a
+    different one is a cycle, which a least fixpoint reports as
+    NoLeastFixpoint and a partial one reads as empty.  A characteristic
+    leaf's truth value is leaf(node), asked at every point the definition
+    reaches the leaf.
     """
     env = env or {}
     rels = rels or {}
+
+    def holds(g, env=env, rels=rels):
+        return naive_models(a, g, env, rels, leaf)
+
     if isinstance(f, Psi):
-        return naive_models(a, psi_expansion(f.bits), env, rels)
+        return holds(psi_expansion(f.bits))
     if isinstance(f, Rel):
         extension = rels[f.name] if f.name in rels else a.rel[f.name]
         return tuple(env[x] for x in f.args) in extension
@@ -62,25 +72,33 @@ def naive_models(a, f, env=None, rels=None):
     if isinstance(f, Bit):
         return (env[f.left] >> env[f.right]) % 2 == 1
     if isinstance(f, And):
-        return naive_models(a, f.left, env, rels) and naive_models(a, f.right, env, rels)
+        return holds(f.left) and holds(f.right)
     if isinstance(f, Or):
-        return naive_models(a, f.left, env, rels) or naive_models(a, f.right, env, rels)
+        return holds(f.left) or holds(f.right)
     if isinstance(f, Not):
-        return not naive_models(a, f.sub, env, rels)
+        return not holds(f.sub)
     if isinstance(f, Exists):
         for value in range(a.n):
-            if naive_models(a, f.sub, {**env, f.var: value}, rels):
+            if holds(f.sub, {**env, f.var: value}):
                 return True
         return False
     if isinstance(f, Forall):
         for value in range(a.n):
-            if not naive_models(a, f.sub, {**env, f.var: value}, rels):
+            if not holds(f.sub, {**env, f.var: value}):
                 return False
         return True
+    if isinstance(f, (SOExists, SOForall)):
+        tuples = list(itertools.product(range(a.n), repeat=f.arity))
+        want = isinstance(f, SOExists)
+        for mask in range(2 ** len(tuples)):
+            relation = frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
+            if holds(f.sub, env, {**rels, f.relvar: relation}) == want:
+                return want
+        return not want
     if isinstance(f, Tc):
         # Every edge first, then the elements reachable in zero or more steps.
         edges = {(u, v) for u in range(a.n) for v in range(a.n)
-                 if naive_models(a, f.sub, {**env, f.var1: u, f.var2: v}, rels)}
+                 if holds(f.sub, {**env, f.var1: u, f.var2: v})}
         reached, frontier = {env[f.arg1]}, [env[f.arg1]]
         while frontier:
             u = frontier.pop()
@@ -94,8 +112,8 @@ def naive_models(a, f, env=None, rels=None):
         stages = [frozenset()]
         while True:
             inner = {**rels, f.relvar: stages[-1]}
-            nxt = frozenset(t for t in tuples if naive_models(
-                a, f.sub, {**env, **dict(zip(f.vars, t))}, inner))
+            nxt = frozenset(t for t in tuples if holds(
+                f.sub, {**env, **dict(zip(f.vars, t))}, inner))
             if nxt == stages[-1]:
                 break
             if nxt in stages:
@@ -105,6 +123,10 @@ def naive_models(a, f, env=None, rels=None):
                 break
             stages.append(nxt)
         return tuple(env[x] for x in f.args) in stages[-1]
+    if isinstance(f, (CharOrd, CharUnord, CoCharUnord, CharNpconp, CharCfg)):
+        if leaf is None:
+            raise TypeError("a characteristic leaf needs the leaf callback")
+        return leaf(f)
     raise TypeError(f"naive oracle does not cover {f!r}")
 
 

@@ -2,15 +2,19 @@ import random
 
 import pytest
 
+from fmwb import charsets
+from fmwb.charsets import char_sentence
 from fmwb.core import Structure, Vocabulary, enumerate_structures, parse_vocab
 from fmwb.forms import fo_sentences
-from fmwb.logic import parse_formula, psi_encode
+from fmwb.logic import parse_formula, print_formula, psi_encode
+from fmwb.machines import identity_machine
 from fmwb.semantics import (
-    EvalConfig, MissingDistinguished, PositivityViolation,
+    EvalConfig, MissingDistinguished, NoLeastFixpoint, PositivityViolation,
     RecursionBudgetExhausted, mod_eq_upto, models, valid_upto,
 )
 from oracles import colorable, naive_models, reachable_pairs, table_models
 from randgen import random_structure
+from test_acceptance import ORD_UPSILONS, UNORD_UPSILONS
 
 V_E = Vocabulary((("E", 2),))
 
@@ -196,3 +200,127 @@ def test_char_budget_exhaustion():
     assert models(a, char, EvalConfig(upsilon_ord=ups))
     with pytest.raises(MissingDistinguished):
         models(a, char, EvalConfig())
+
+
+# --- models against the naive truth definition ------------------------------
+# models runs the compiled program on the batch of one structure.  It must
+# give naive_models' verdict or exception type, and compute each leaf that
+# naive_models reaches, once per check, in the order it first reaches them.
+
+V_ORD = parse_vocab("R1:1 <")
+V_R = parse_vocab("R:1 <")
+UPS_ORD = parse_formula("Ex R(x)")
+LEAF_CONFIG = EvalConfig(UPS_ORD, parse_formula("Ax Ey R(x,y)"))
+ORD_LEAF = print_formula(char_sentence("ord", gamma=parse_formula("Ex R1(x)"),
+                                       machine=identity_machine()))
+CYCLING_LFP = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.fixture
+def models_matches_naive(monkeypatch):
+    compute = charsets.leaf_verdict
+    calls = []
+
+    def record(vocab, n, node, config, budget):
+        calls.append((vocab, n, node, budget))
+        return compute(vocab, n, node, config, budget)
+    monkeypatch.setattr(charsets, "leaf_verdict", record)
+
+    def check(texts, structures, config=LEAF_CONFIG):
+        """The outcomes of models over every sentence and structure."""
+        outcomes = []
+        for f in map(parse_formula, texts):
+            for a in structures:
+                reached = []
+
+                def leaf(node):
+                    if config.char_budget <= 0:
+                        raise RecursionBudgetExhausted("leaf budget")
+                    reached.append((a.vocab, a.n, node, config.char_budget - 1))
+                    return compute(a.vocab, a.n, node, config, config.char_budget - 1)
+                want = _outcome(lambda: naive_models(a, f, leaf=leaf))
+                calls.clear()
+                got = _outcome(lambda: models(a, f, config))
+                assert got == want, (print_formula(f), a.n, a.bits)
+                assert calls == list(dict.fromkeys(reached)), (print_formula(f), a.n, a.bits)
+                outcomes.append(got)
+        return outcomes
+    return check
+
+
+def _upto(vocab, n_max, step=1):
+    return list(enumerate_structures(vocab, n_max))[::step]
+
+
+def test_models_matches_naive_on_second_order_sentences(models_matches_naive):
+    texts = [
+        print_formula(TWO_COLORABLE),
+        "AQ:1 (Ex Q(x) | Ax ~Q(x))",
+        "EQ:1 (Ex Q(x) & Ax (Q(x) -> E(x,x)))",
+        "AQ:1 EP:1 Ax (Q(x) -> (P(x) & Ey E(x,y)))",
+        "EQ:2 Ax Ay (Q(x,y) -> (E(y,x) & x != y))",
+        "EQ:2 (Ex Ey Q(x,y) & Ax Ay (Q(x,y) -> E(x,y)))",
+        "AQ:1 Ex (Q(x) | E(x,x))",
+    ]
+    outcomes = models_matches_naive(texts, _upto(V_E, 3, 5))
+    assert True in outcomes and False in outcomes
+
+
+def test_models_matches_naive_on_fixpoint_sentences(models_matches_naive):
+    graph = [
+        "Ax Ay TC[u,v: E(u,v)](x,y)",
+        "Ex Ey (x != y & ~TC[u,v: E(u,v)](x,y))",
+        "Ax Ay LFP[Q,u,v: (E(u,v) | Ew (Q(u,w) & E(w,v)))](x,y)",
+        "Ex Ey (x != y & PFP[Q,u,v: (E(u,v) | Ew (Q(u,w) & Q(w,v)))](x,y))",
+        "Ex PFP[Q,u: ((E(u,u) & ~Q(u)) | Ey (Q(y) & E(y,u)))](x)",
+        "Ax LFP[Q,u: Ay (E(u,y) -> Q(y))](x)",
+        "EQ:1 (Ex Q(x) & Ax Ay ((Q(x) & ~Q(y)) -> ~TC[u,v: E(u,v)](x,y)))",
+    ]
+    models_matches_naive(graph, _upto(V_E, 3, 3))
+    models_matches_naive(ORD_UPSILONS, _upto(V_R, 5))
+    models_matches_naive(UNORD_UPSILONS, _upto(parse_vocab("R:2"), 3, 3))
+
+
+def test_models_matches_naive_on_a_cycling_least_fixpoint(models_matches_naive):
+    outcomes = models_matches_naive(
+        [CYCLING_LFP, f"(Ex R(x) & {CYCLING_LFP})", f"(Ax ~R(x) | ~{CYCLING_LFP})"],
+        _upto(V_R, 4))
+    assert NoLeastFixpoint in outcomes and False in outcomes and True in outcomes
+
+
+def test_models_matches_naive_on_leaves(models_matches_naive):
+    texts = [
+        ORD_LEAF,
+        f"(Ax ~R1(x) | {ORD_LEAF})",
+        f"Ex (R1(x) & ~{ORD_LEAF})",
+        f"EQ:1 (Ex (Q(x) & R1(x)) & {ORD_LEAF})",
+        f"AQ:1 (Ex Q(x) | ~{ORD_LEAF})",
+        f"Ex Ey ((x < y & {ORD_LEAF}) | (R1(y) & ~{ORD_LEAF}))",
+        # first reached in a later stage of a partial fixpoint
+        f"Ax PFP[Q,u: (Q(u) | R1(u) | (Ey Q(y) & {ORD_LEAF}))](x)",
+        f"Ax PFP[Q,u: (Q(u) | R1(u) | (Ey Q(y) & ~{ORD_LEAF}))](x)",
+    ]
+    structures = _upto(V_ORD, 4)
+    assert True in models_matches_naive(texts, structures)
+    budget_spent = EvalConfig(UPS_ORD, None, 0)
+    assert RecursionBudgetExhausted in models_matches_naive(
+        texts, structures, budget_spent)
+    assert MissingDistinguished in models_matches_naive(
+        texts, structures, EvalConfig())
+
+
+def test_models_matches_the_table_oracle_on_a_sample_of_the_fo_corpus():
+    corpus = fo_sentences(V_E, 6)[::97]
+    assert len(corpus) == 528
+    sizes = [[a for a in enumerate_structures(V_E, 3) if a.n == n] for n in (2, 3)]
+    for f in corpus:
+        for structures in sizes:
+            table = table_models(V_E, structures, f)
+            assert [models(a, f) for a in structures] == table.tolist()

@@ -1,18 +1,27 @@
-"""The bit-parallel sweep against the per-structure checker.
+"""Batches of many structures against the batch of one structure.
 
-Every bit of a batch truth table must equal the checker's verdict on the
-structure with that index; sweeps must return what a structure-by-structure
-scan returns, exceptions included.
+The same compiled program decides a chunk of structures at once and, run
+on a batch of one, a single structure (models).  Every bit of a chunk's
+truth table must equal models' verdict on the structure with that index;
+sweeps must return what a scan with models returns, exceptions included.
+tests/test_semantics.py checks models itself against tests/oracles.py.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fmwb import charsets
+import fmwb
+from fmwb import charsets, semantics
 from fmwb.charsets import char_sentence
 from fmwb.cli import main
-from fmwb.core import encoding_length, parse_vocab, structure_from_index
+from fmwb.core import (
+    encoding_length, enumerate_structures, parse_vocab, structure_from_index,
+)
 from fmwb.forms import build_form, fo_sentences
 from fmwb.logic import (
     Psi, apply_T_ord, apply_T_unord, parse_formula, print_formula, psi_encode,
@@ -23,8 +32,8 @@ from fmwb.machines import (
 )
 from fmwb.semantics import (
     CHUNK_BITS, EvalConfig, MissingDistinguished, NoLeastFixpoint,
-    RecursionBudgetExhausted, _Batch, _batch_program, _InexactCare,
-    _LeafPending, sentence_checker, sweep,
+    RecursionBudgetExhausted, _Batch, _decide, _InexactCare, _LeafPending,
+    _program, models, sentence_checker, sweep,
 )
 from oracles import psi_expansion
 from test_acceptance import ORD_UPSILONS, UNORD_UPSILONS
@@ -39,12 +48,18 @@ CONFIG = EvalConfig(UPS_ORD, UPS_UNORD)
 def table(f, vocab, n, chunk=0, config=CONFIG):
     """f's batch table on every structure, computing each leaf it reaches."""
     low = min(encoding_length(vocab, n), CHUNK_BITS)
-    batch, program = _Batch(vocab, n, chunk, low, config), _batch_program(f)
+    batch, program = _Batch(vocab, n, chunk, low, config, {}), _program(f)
     while True:
         try:
             return program(batch, batch.full)
         except _LeafPending as pending:
             pending.resolve()
+
+
+def one_at_a_time(f, config=CONFIG):
+    """models(-, f, config), with f compiled once."""
+    program = _program(f)
+    return lambda a: _decide(program, a, config)
 
 
 def assert_tables_match(sentences, vocab, sizes, config=CONFIG):
@@ -53,7 +68,7 @@ def assert_tables_match(sentences, vocab, sizes, config=CONFIG):
                       for i in range(1 << encoding_length(vocab, n))]
         for f in sentences:
             bits = table(f, vocab, n, config=config)
-            check = sentence_checker(f, config)
+            check = one_at_a_time(f, config)
             assert bits >> len(structures) == 0
             for i, a in enumerate(structures):
                 assert (bits >> i & 1) == check(a), (print_formula(f), n, i)
@@ -126,7 +141,7 @@ def test_chunked_tables_match_checker_on_samples():
     for chunk in (0, 13, 31):
         for f in sentences:
             bits = table(f, V_E, 5, chunk)
-            check = sentence_checker(f, CONFIG)
+            check = one_at_a_time(f)
             for i in [0, (1 << CHUNK_BITS) - 1] + rng.sample(range(1 << CHUNK_BITS), 150):
                 a = structure_from_index(V_E, 5, (chunk << CHUNK_BITS) | i)
                 assert (bits >> i & 1) == check(a), (print_formula(f), chunk, i)
@@ -171,7 +186,7 @@ def test_cli_jobs_2_prints_what_jobs_1_prints(write, capsys):
 
 def scan(vocab, n_max, f, config=CONFIG):
     """The first falsifying structure, checked one structure at a time."""
-    check = sentence_checker(f, config)
+    check = one_at_a_time(f, config)
     for n in range(2, n_max + 1):
         for i in range(1 << encoding_length(vocab, n)):
             a = structure_from_index(vocab, n, i)
@@ -276,8 +291,8 @@ def test_sweep_raises_what_the_checker_raises(write, capsys):
 
 def test_cycling_least_fixpoint_goes_to_the_checker():
     # Q occurs positively, but the inner PFP makes the stages alternate
-    # between empty and full, so the checker would loop on any structure
-    # that reaches the LFP.  Structure 0 falsifies the guard first.
+    # between empty and full, so they cycle on any structure that reaches
+    # the LFP.  Structure 0 falsifies the guard first.
     lfp = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
     vocab = parse_vocab("R:1 <")
     with pytest.raises(NoLeastFixpoint):
@@ -307,3 +322,121 @@ def test_every_short_psi_is_false_on_every_structure():
     assert type(nested) is not Psi
     assert table(nested, V_E, 3) == 0
     assert not any(sentence_checker(nested)(a) for a in structures)
+
+
+# --- checkers that tabulate a size ---------------------------------------------
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Each table a checker tries to build, as (sentence, n, built), with the
+    checker cache emptied so that every checker starts without tables."""
+    tried = []
+    build = semantics.truth_table
+
+    def record(f, vocab, n, config):
+        table = build(f, vocab, n, config)
+        tried.append((f, n, table is not None))
+        return table
+    monkeypatch.setattr(semantics, "truth_table", record)
+    semantics._checker.cache_clear()
+    yield tried
+    semantics._checker.cache_clear()
+
+
+def test_a_checker_that_tabulates_a_size_answers_as_models(tables):
+    rng = random.Random(17)
+    unordered = (rng.sample(fo_sentences(V_E, 5), 12)
+                 + [parse_formula(t) for t in GRAPH_FIXPOINTS])
+    ordered = [parse_formula(t) for t in ORD_UPSILONS]
+    for sentences, vocab, n_max in ((unordered, V_E, 3),
+                                    (ordered, parse_vocab("R:1 <"), 8)):
+        structures = list(enumerate_structures(vocab, n_max))
+        for f in sentences:
+            tables.clear()
+            check = sentence_checker(f, CONFIG)
+            assert [check(a) for a in structures] == [models(a, f, CONFIG)
+                                                      for a in structures]
+            assert tables == [(f, n, True) for n in range(2, n_max + 1)]
+
+
+def test_refused_sizes_raise_and_compute_leaves_where_a_scan_does(
+        tables, monkeypatch):
+    calls = []
+    compute = charsets.leaf_verdict
+
+    def record(vocab, n, node, config, budget):
+        calls.append(n)
+        return compute(vocab, n, node, config, budget)
+    monkeypatch.setattr(charsets, "leaf_verdict", record)
+    # Only the structure with every element in R reaches the fixpoint or the
+    # leaf, so a table is tried and refused before it.
+    cycling = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
+    leaf = print_formula(char_sentence("ord", gamma=parse_formula("Ex R(x)"),
+                                       machine=identity_machine()))
+    vocab = parse_vocab("R:1 <")
+    cases = [(f"(Ex ~R(x) | {cycling})", CONFIG, NoLeastFixpoint),
+             (f"(Ex ~R(x) | {leaf})", EvalConfig(), MissingDistinguished),
+             (f"(Ex ~R(x) | {leaf})", CONFIG, None),
+             (f"(Ex ~R(x) | ~{leaf})", CONFIG, None)]
+    for text, config, error in cases:
+        f = parse_formula(text)
+        for n in (4, 7):
+            tables.clear()
+            calls.clear()
+            check = sentence_checker(f, config)
+            structures = [structure_from_index(vocab, n, i) for i in range(1 << n)]
+            for a in structures[:-1]:
+                assert check(a) is True
+            assert calls == []
+            if error is None:
+                assert check(structures[-1]) == models(structures[-1], f, config)
+                assert check(structures[-1]) == models(structures[-1], f, config)
+            else:
+                for _ in range(2):
+                    with pytest.raises(error):
+                        check(structures[-1])
+            assert calls == [n] * (4 if error is None else 2 * (error is MissingDistinguished))
+            # Computing the leaf tries tables of its own sentences.
+            assert [t for t in tables if t[0] == f] == [(f, n, False)]
+
+
+def test_models_and_single_checks_build_no_table(tables):
+    f = parse_formula("Ax Ey (E(x,y) & ~E(y,x))")
+    for a in enumerate_structures(V_E, 3):
+        models(a, f)
+        sentence_checker(f, EvalConfig(char_budget=a.bits))(a)
+    assert tables == []
+
+
+def _fmwb_process(argv):
+    """`fmwb <argv>` as its own process: (exit code, stdout)."""
+    src = str(Path(fmwb.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "fmwb.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout
+
+
+def test_leaf_verdicts_are_kept_apart_by_vocabulary_and_size(write):
+    # The distinguished sentence transports to Ax Ey E(x,y) over E:2, which
+    # is gamma, and to Ax Ey F(x,y) over F:2 E:2, which is not; so the leaf
+    # holds at both sizes over E:2 and at neither over F:2 E:2.
+    leaf = char_sentence("unord", gamma=parse_formula("Ax Ey E(x,y)"),
+                         machine=identity_machine())
+    f = parse_formula(f"(Ex E(x,x) | {print_formula(leaf)})")
+    check = sentence_checker(f, CONFIG)
+    vocabs = [parse_vocab("E:2"), parse_vocab("F:2 E:2")]
+    structures = [structure_from_index(vocab, n, 0)
+                  for n in (2, 3) for vocab in vocabs]
+    got = [check(a) for a in structures]
+    sentence = write("leaf.sent", print_formula(f))
+    upsilon = write("ups.sent", print_formula(UPS_UNORD))
+    fresh = []
+    for a in structures:
+        code, out = _fmwb_process(["mc", write("a.struct", str(a)), sentence,
+                                   "--upsilon", upsilon])
+        assert out == ("true\n" if code == 0 else "false\n")
+        fresh.append(code == 0)
+    assert got == fresh == [True, False, True, False]
