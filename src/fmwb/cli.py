@@ -17,7 +17,7 @@ from .core import (
     Structure, Vocabulary, decode_bin, encode_bin, is_isomorphic, parse_vocab,
 )
 from .logic import parse_formula, print_formula, validate_sentence
-from .semantics import EvalConfig, models, sweep
+from .semantics import EvalConfig, RecursionBudgetExhausted, models, sweep
 
 
 class CliError(Exception):
@@ -529,6 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _USER_ERRORS = (
     CliError, ValueError, aristotelian.MalformedCode, logic.FormulaError,
+    RecursionBudgetExhausted,
 )
 
 

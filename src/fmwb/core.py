@@ -236,11 +236,6 @@ def decode_bin(vocab: Vocabulary, bits: str) -> Structure:
     return Structure(vocab, _universe_size_for(vocab, len(bits)), int(bits, 2))
 
 
-def structure_from_index(vocab: Vocabulary, n: int, index: int) -> Structure:
-    """The structure whose encoding is `index` written with total-length bits."""
-    return Structure(vocab, n, index)
-
-
 def enumerate_structures(vocab: Vocabulary, n_max: int):
     """All structures with 2 <= n <= n_max, by size then encoding order."""
     if n_max < 1:

@@ -254,7 +254,6 @@ Formula = (
     | CharOrd | CharUnord | CoCharUnord | CharNpconp | CharCfg | Psi
 )
 
-ATOMS = (Rel, Eq, Neq, Lt, Bit)
 CHAR_NODES = (CharOrd, CharUnord, CoCharUnord, CharNpconp, CharCfg)
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _REL_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")

@@ -13,7 +13,9 @@ A reduction-agreement sweep runs the machine on all 2^L encodings of one
 size in a single walk.  The inputs share one run until its input head reads
 a position whose bit decides the next step, and the run forks there, so a
 machine that never reads its input runs once per size.  A single run is
-the same walk with every input bit known, which never forks.
+the same walk with every input bit known, which never forks.  The target's
+verdicts and the oracle's answers come from the two sentences' checkers
+(semantics.sentence_checker), which own the per-size truth tables.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
-from .core import Structure, Vocabulary, NoIntegerUniverse, decode_bin, encoding_length
+from .core import (
+    Structure, Vocabulary, NoIntegerUniverse, _universe_size_for, encoding_length,
+)
 from .logic import Formula
-from .semantics import EvalConfig, sentence_checker, truth_table
+from .semantics import EvalConfig, sentence_checker
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -217,52 +221,31 @@ def run(m: OracleMachine, input_bits: str, oracle_sentence: Formula,
 
 
 def _oracle_answers(sentence: Formula, vocab: Vocabulary,
-                    config: EvalConfig | None,
-                    n_max: int | None = None) -> Callable[[str], bool]:
-    """Answers to oracle queries.  The sentence is compiled at the first
-    query that decodes, so a machine that never asks never compiles it.
-
-    Given n_max, a query that decodes to a size m <= n_max is read off the
-    sentence's truth table for size m, built at the first such query.  A
-    size without a table (see truth_table), and every other size, goes to
-    the checker, which then gives exactly the verdicts, exceptions and leaf
-    computations of checking each query.
+                    config: EvalConfig | None) -> Callable[[str], bool]:
+    """Answers to oracle queries, from the sentence's checker, which gives
+    exactly the verdicts, exceptions and leaf computations of checking each
+    query.  The sentence is compiled at the first query that decodes, so a
+    machine that never asks never compiles it.
     """
     checker = None
-    # Encoding length -> size for the sizes that may get a table.  Without
-    # relation symbols every length is 0 and no query decodes.
-    sizes = ({encoding_length(vocab, m): m for m in range(2, n_max + 1)}
-             if n_max is not None and vocab.symbols else {})
-    tables: dict[int, str | None] = {}
+    sizes: dict[int, int | None] = {}  # query length -> size, None for none
 
     def ask(query: str) -> bool:
         nonlocal checker
-        m = sizes.get(len(query))
-        if m is None:
+        length = len(query)
+        if length not in sizes:
             try:
-                b = decode_bin(vocab, query)
+                sizes[length] = _universe_size_for(vocab, length)
             except NoIntegerUniverse:
-                return False
+                sizes[length] = None
+        n = sizes[length]
+        if n is None:
+            return False
         if checker is None:
             checker = sentence_checker(sentence, config)
-        if m is not None:
-            if m not in tables:
-                tables[m] = _flags(truth_table(sentence, vocab, m, config),
-                                   len(query))
-            flags = tables[m]
-            if flags is not None:
-                return flags[int(query, 2)] == "1"
-            b = Structure(vocab, m, int(query, 2))
-        return checker(b)
+        index = int(query, 2)
+        return checker.first_miss(vocab, n, index, index + 1, True) is None
     return ask
-
-
-def _flags(table: int | None, length: int) -> str | None:
-    """A truth table over the 2^length structures of one size as a string
-    whose character i is '1' exactly when bit i is set."""
-    if table is None:
-        return None
-    return format(table, f"0{1 << length}b")[::-1]
 
 
 def _walk(m: OracleMachine, length: int, word: str, limit: int,
@@ -371,28 +354,23 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
     Structures are visited by size, then index.  At each size one walk runs
     the machine on all encodings at once (see _walk) and gives a verdict
     for each range of encodings that share the bits their run read.  The
-    target's verdicts and the oracle's answers are read off per-size truth
-    tables where those exist; elsewhere the checker decides, one structure
-    at a time.  So the result, any exception, the first asking of each
-    query and the leaves computed are those of running the machine and
+    target's checker finds the first disagreement in each range, and the
+    oracle's checker answers the queries; each reads its size's truth table
+    once it has one (see sentence_checker) and decides one structure at a
+    time before that.  So the result, any exception, the first asking of
+    each query and the leaves computed are those of running the machine and
     checking the target on every structure in turn.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    check = sentence_checker(target, config)
-    ask = _oracle_answers(gamma, vocab, config, n_max)
+    first_miss = sentence_checker(target, config).first_miss
+    ask = _oracle_answers(gamma, vocab, config)
     for n in range(2, n_max + 1):
         length = encoding_length(vocab, n)
-        holds = _flags(truth_table(target, vocab, n, config), length)
         for lo, hi, accepted in _walk(m, length, "", m.step_limit(length), ask):
-            if holds is None:
-                for index in range(lo, hi):
-                    if check(Structure(vocab, n, index)) != accepted:
-                        return Structure(vocab, n, index)
-            else:
-                index = holds.find("0" if accepted else "1", lo, hi)
-                if index >= 0:
-                    return Structure(vocab, n, index)
+            miss = first_miss(vocab, n, lo, hi, accepted)
+            if miss is not None:
+                return Structure(vocab, n, miss)
     return None
 
 

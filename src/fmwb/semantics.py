@@ -9,10 +9,10 @@ program over batches of structures of one size: its values are truth
 tables, one bit per structure of the batch.  A batch is either one
 structure, which is how models() and sentence_checker() decide single
 structures, or a chunk of up to 2^CHUNK_BITS structures, which is how
-sweep() decides every structure up to a size.  truth_table() hands out one
-size's table; the reduction-agreement sweeps in machines read their
-verdicts from it, and a checker that is asked about many structures of one
-size builds it once and reads the rest off it.
+sweep() decides every structure up to a size.  A checker from
+sentence_checker() owns the per-size tables: asked about many structures of
+one size, it builds the size's table once with truth_table() and reads the
+rest off it, also for the reduction-agreement sweeps in machines.
 
 Characteristic leaves delegate to the decision procedures in charsets under
 a recursion budget, since decoded payloads are untrusted and may nest
@@ -27,9 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (
-    Structure, Vocabulary, bit_positions, encoding_length, structure_from_index,
-)
+from .core import Structure, Vocabulary, bit_positions, encoding_length
 from .logic import (
     And, Bit, CHAR_NODES, Eq, Exists, Forall, Formula, Lfp, Lt, Neq, Not,
     Or, Pfp, Psi, Rel, SOExists, SOForall, Tc, children,
@@ -119,6 +117,11 @@ def _bit_table(p: int, width: int) -> int:
 _BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _bytes_of(bits: int, width: int) -> bytes:
+    """The low `width` bits of `bits` as bytes, byte i holding bit i as 0 or 1."""
+    return bin(bits | 1 << width)[:2:-1].encode().translate(_BYTE_BITS)
+
+
 @lru_cache(maxsize=64)
 def _shape(vocab: Vocabulary, n: int) -> tuple[dict[str, list], int]:
     """The bit positions and the encoding length of size n over vocab."""
@@ -161,15 +164,15 @@ class _One(_Batch):
     __slots__ = ()
     single = True
 
-    def __init__(self, a: Structure, config: EvalConfig,
+    def __init__(self, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
                  shape: tuple[dict[str, list], int]):
-        self.vocab = a.vocab
-        self.n = a.n
-        self.universe = range(a.n)
+        self.vocab = vocab
+        self.n = n
+        self.universe = range(n)
         self.full = 1
         self.pos, length = shape
-        # Byte p of the encoding, reversed, is the bit at position p.
-        self.tab = bin(a.bits | 1 << length)[:2:-1].encode().translate(_BYTE_BITS)
+        # Byte p is the encoding's bit at position p.
+        self.tab = _bytes_of(bits, length)
         self.config = config
         self.leaves = {}
 
@@ -438,21 +441,21 @@ def _new_program(f: Formula):
 _program = lru_cache(maxsize=512)(_new_program)
 
 
-def _decide(program, a: Structure, config: EvalConfig, shape=None) -> bool:
+def _decide(program, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
+            shape=None) -> bool:
     """The program's verdict on one structure, from the batch of just it."""
-    return program(_One(a, config, shape or _shape(a.vocab, a.n)), 1) == 1
+    return program(_One(vocab, n, bits, config, shape or _shape(vocab, n)), 1) == 1
 
 
 class _Size:
     """A checker's state for the structures of one vocabulary and size: how
     many it checks one at a time before it builds the size's table (None
     once it has tried, or when the size is more than one batch), and the
-    table as little-endian bytes once built."""
+    table, one byte per structure, once built."""
 
-    __slots__ = ("vocab", "n", "shape", "left", "flags")
+    __slots__ = ("shape", "left", "flags")
 
     def __init__(self, vocab: Vocabulary, n: int):
-        self.vocab, self.n = vocab, n
         self.shape = _shape(vocab, n)
         length = self.shape[1]
         self.left = max((1 << length) >> 6, 1) if length <= CHUNK_BITS else None
@@ -463,47 +466,69 @@ class _Size:
 def _checker(f: Formula, config: EvalConfig):
     program = _program(f)
     sizes: dict[tuple[Vocabulary, int], _Size] = {}
-    last = None  # the size of the previous check
+    # The previous call's arguments and size, which callers test first.
+    # Equal vocabularies may be distinct objects, so it keeps the caller's.
+    last_vocab = last_n = last = None
+
+    def size_of(vocab: Vocabulary, n: int) -> _Size:
+        nonlocal last_vocab, last_n, last
+        last = sizes.get((vocab, n))
+        if last is None:
+            last = sizes[vocab, n] = _Size(vocab, n)
+        last_vocab, last_n = vocab, n
+        return last
+
+    def first_miss(vocab: Vocabulary, n: int, lo: int, hi: int,
+                   want: bool) -> int | None:
+        size = last if vocab is last_vocab and n == last_n else size_of(vocab, n)
+        while size.flags is None:
+            if lo == hi:
+                return None
+            if size.left == 0:
+                # A table answers as checking each structure would: it is
+                # refused where any structure raises or reaches a leaf.
+                size.left = None
+                table = truth_table(f, vocab, n, config)
+                if table is not None:
+                    size.flags = _bytes_of(table, 1 << size.shape[1])
+                continue
+            if size.left:
+                size.left -= 1
+            if _decide(program, vocab, n, lo, config, size.shape) != want:
+                return lo
+            lo += 1
+        miss = size.flags.find(0 if want else 1, lo, hi)
+        return None if miss < 0 else miss
 
     def check(a: Structure) -> bool:
-        nonlocal last
-        size = last
-        if size is None or size.vocab is not a.vocab or size.n != a.n:
-            size = sizes.get((a.vocab, a.n))
-            if size is None:
-                size = sizes[a.vocab, a.n] = _Size(a.vocab, a.n)
-            last = size
-        if size.left:
-            size.left -= 1
-        elif size.left == 0:
-            # A table answers as checking each structure would: it is
-            # refused where any structure raises or reaches a leaf.
-            size.left = None
-            table = truth_table(f, a.vocab, a.n, config)
-            if table is not None:
-                size.flags = table.to_bytes(max((1 << size.shape[1]) >> 3, 1),
-                                            "little")
-        if size.flags is not None:
-            return size.flags[a.bits >> 3] >> (a.bits & 7) & 1 == 1
-        return _decide(program, a, config, size.shape)
+        vocab, n = a.vocab, a.n
+        size = last if vocab is last_vocab and n == last_n else size_of(vocab, n)
+        flags = size.flags
+        if flags is not None:
+            return flags[a.bits] == 1
+        return first_miss(vocab, n, a.bits, a.bits + 1, True) is None
 
+    check.first_miss = first_miss
     return check
 
 
 def sentence_checker(f: Formula, config: EvalConfig | None = None):
-    """Compile a sentence once; the result maps structures to verdicts.
+    """Compile a sentence once; the result maps structures to verdicts, and
+    its first_miss(vocab, n, lo, hi, want) is the first index in [lo, hi)
+    whose size-n structure's verdict is not `want`, or None.
 
     After about a 64th of a size's structures (when the size is one batch),
     the checker builds that size's truth table and reads later verdicts
-    off it.  Its verdicts, exceptions and leaf computations stay those of
-    models() on each structure.
+    off it; until then, or when the table is refused, it decides one index
+    at a time.  Its verdicts, exceptions and leaf computations stay those
+    of models() on each structure in turn.
     """
     return _checker(f, config or _EMPTY_CONFIG)
 
 
 def models(a: Structure, f: Formula, config: EvalConfig | None = None) -> bool:
     """Does the structure satisfy the sentence?"""
-    return _decide(_program(f), a, config or _EMPTY_CONFIG)
+    return _decide(_program(f), a.vocab, a.n, a.bits, config or _EMPTY_CONFIG)
 
 
 def valid_upto(f: Formula, vocab: Vocabulary, n_max: int,
@@ -532,15 +557,14 @@ def _scan(vocab: Vocabulary, n: int, start: int, stop: int, f: Formula,
     program_f, program_g = _new_program(f), None
     shape = _shape(vocab, n)
     for index in range(start, stop):
-        a = structure_from_index(vocab, n, index)
-        verdict = _decide(program_f, a, config, shape)
+        verdict = _decide(program_f, vocab, n, index, config, shape)
         if g is None:
             if not verdict:
                 return index
             continue
         if program_g is None:
             program_g = _new_program(g)
-        if verdict != _decide(program_g, a, config, shape):
+        if verdict != _decide(program_g, vocab, n, index, config, shape):
             return index
     return None
 
@@ -651,7 +675,7 @@ def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,
             hits = (local.first_hit(n, chunk) for chunk in chunks)
             hit = next((h for h in hits if h is not None), None)
         if hit is not None:
-            return structure_from_index(vocab, n, hit)
+            return Structure(vocab, n, hit)
     return None
 
 

@@ -59,10 +59,8 @@ def test_ell3_bound_never_below_two():
 def test_member_unord_identity_and_literal():
     upsilon_tau = apply_T_unord(UPS_UNORD, V_E)
     tid = identity_machine()
-    from fmwb.core import structure_from_index
-
     structures = list(enumerate_structures(V_E, 3))
-    structures += [structure_from_index(V_E, 4, i) for i in (0, 1, 77, 65535)]
+    structures += [Structure(V_E, 4, i) for i in (0, 1, 77, 65535)]
     for a in structures:
         assert member_S_unord(a, upsilon_tau, tid, upsilon_tau)
     for machine in (always_reject_machine(), always_accept_machine()):

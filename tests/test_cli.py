@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import fmwb
+from fmwb.cfg import parse_grammar
 from fmwb.charsets import char_sentence
 from fmwb.cli import main, read_structure
 from fmwb.core import Structure, Vocabulary, encode_bin
@@ -278,6 +279,24 @@ def test_cycling_least_fixpoint_is_an_error(files):
         assert rc == 2
         assert out == ""
         assert err.startswith("fmwb: ") and "least fixpoint" in err
+
+
+def test_an_exhausted_leaf_budget_is_an_error(files, capsys):
+    write, _ = files
+    grammar = parse_grammar("S -> a S b | eps")
+    leaf = write("leaf.sent", print_formula(char_sentence("cfg", grammar=grammar)))
+    edge = write("edge.sent", "Ex Ey E(x,y)")
+    machine = write("id.tm", format_machine(identity_machine()))
+    struct = write("a.struct", "vocab E:2\nn = 2\nE = (0,1)")
+    sweep = ["--tau", "E:2", "--nmax", "2", "--budget", "0"]
+    for argv in (["mc", struct, leaf, "--budget", "0"],
+                 ["valid-upto", leaf] + sweep,
+                 ["modeq-upto", leaf, edge] + sweep,
+                 ["tm", "check-reduction", machine, "--gamma", edge,
+                  "--target", leaf] + sweep):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "fmwb: nested characteristic leaves exceeded the recursion budget\n")
 
 
 def test_mc_decides_a_spinning_leaf_with_huge_clocks(files):

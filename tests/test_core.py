@@ -8,7 +8,6 @@ from fmwb.core import (
     NoIntegerUniverse, Structure, StructureError, VocabError, VocabMismatch,
     Vocabulary, decode_bin, ell, encode_bin, encoding_length,
     enumerate_structures, is_isomorphic, apply_permutation, parse_vocab,
-    structure_from_index,
 )
 from fmwb.logic import parse_formula
 from fmwb.semantics import models
@@ -107,7 +106,7 @@ def test_bit_order_follows_the_definition(vocab_text):
             )
             a = Structure.make(vocab, n, relations)
             assert a == decode_bin(vocab, code)
-            assert a == structure_from_index(vocab, n, int(code, 2))
+            assert a == Structure(vocab, n, int(code, 2))
             assert a.bits == int(code, 2) and encode_bin(a) == code
             assert a.rel == {name: frozenset(t) for name, t in relations.items()}
 

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from fmwb import charsets, machines
+from fmwb import charsets, machines, semantics
 from fmwb.core import (
     Structure, Vocabulary, encode_bin, enumerate_structures, parse_vocab,
 )
@@ -347,6 +347,25 @@ def test_cycling_fixpoints_raise_where_the_reference_raises():
         assert _assert_reduction_matches(m, gamma, target, V_R, 3) == want
 
 
+def test_a_refused_target_table_is_built_once(monkeypatch):
+    # Only the size-2 structure with R full reaches the cycling fixpoint, so
+    # the size's table is refused.  The sweep and the target's checker share
+    # one try at it.
+    built = []
+
+    class Batch(semantics._Batch):
+        def __init__(self, vocab, n, *args):
+            built.append(n)
+            super().__init__(vocab, n, *args)
+    monkeypatch.setattr(semantics, "_Batch", Batch)
+    semantics._checker.cache_clear()
+    target = parse_formula(f"(Ex ~R(x) | {CYCLING_LFP})")
+    with pytest.raises(NoLeastFixpoint):
+        is_reduction_upto(always_accept_machine(), parse_formula("Ex R(x)"),
+                          target, V_R, 3)
+    assert built == [2]
+
+
 def _query_machine(word):
     """Writes `word` on the oracle tape whatever its input, queries, and
     accepts exactly on YES."""
@@ -437,12 +456,28 @@ def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(monkeypatch)
     assert seen[4] == 2 and len(scan_calls) == 16 + 512
 
 
-def test_single_runs_build_no_truth_table(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("truth table built")
-    monkeypatch.setattr(machines, "truth_table", refuse)
-    assert run(identity_machine(), encode_bin(two_cycle()), EDGE, V_E)
-    assert not run(identity_machine(), "0000", EDGE, V_E)
+def test_single_runs_build_no_table_before_a_checker_would(monkeypatch):
+    # Oracle queries share the sentence's checker, so a size's table is
+    # built once max(2^L/64, 1) queries of that size have been checked.
+    built = []
+    build = semantics.truth_table
+
+    def record(f, vocab, n, config):
+        built.append(n)
+        return build(f, vocab, n, config)
+    monkeypatch.setattr(semantics, "truth_table", record)
+    semantics._checker.cache_clear()
+    try:
+        for n, length in ((2, 4), (3, 9)):
+            before = max((1 << length) >> 6, 1)
+            for index in range(before + 1):
+                assert built == []
+                b = Structure(V_E, n, index)
+                assert run(identity_machine(), encode_bin(b), EDGE, V_E) == models(b, EDGE)
+            assert built == [n]
+            built.clear()
+    finally:
+        semantics._checker.cache_clear()
 
 
 # --- the walk over all inputs of one size ----------------------------------
@@ -499,11 +534,11 @@ def test_walk_verdicts_match_the_reference_on_every_input():
 
 
 def _recorded_events(monkeypatch, m, gamma, target, vocab, n_max):
-    """The queries and target checks of a per-input scan and of a sweep, in
-    the order of their first occurrences, with truth tables refused so that
-    the sweep checks every structure."""
+    """The queries and single-structure checks of a per-input scan and of a
+    sweep, in the order of their first occurrences, with truth tables
+    refused so that the sweep checks every structure."""
     events = []
-    answers, checker = machines._oracle_answers, machines.sentence_checker
+    answers, decide = machines._oracle_answers, semantics._decide
 
     def recording_answers(*args):
         ask = answers(*args)
@@ -513,18 +548,15 @@ def _recorded_events(monkeypatch, m, gamma, target, vocab, n_max):
             return ask(query)
         return recorded
 
-    def recording_checker(*args):
-        check = checker(*args)
-
-        def recorded(b):
-            events.append(("target", b.n, b.bits))
-            return check(b)
-        return recorded
+    def recording_decide(program, vocab, n, bits, *args):
+        events.append(("check", n, bits))
+        return decide(program, vocab, n, bits, *args)
 
     monkeypatch.setattr(machines, "_oracle_answers", recording_answers)
-    monkeypatch.setattr(machines, "sentence_checker", recording_checker)
-    monkeypatch.setattr(machines, "truth_table", lambda *args: None)
-    check = machines.sentence_checker(target, None)
+    monkeypatch.setattr(semantics, "_decide", recording_decide)
+    monkeypatch.setattr(semantics, "truth_table", lambda *args: None)
+    semantics._checker.cache_clear()
+    check = sentence_checker(target, None)
     scan = None
     for b in enumerate_structures(vocab, n_max):
         if run(m, encode_bin(b), gamma, vocab) != check(b):
@@ -534,6 +566,7 @@ def _recorded_events(monkeypatch, m, gamma, target, vocab, n_max):
     events.clear()
     assert is_reduction_upto(m, gamma, target, vocab, n_max) == scan
     monkeypatch.undo()
+    semantics._checker.cache_clear()
     return scan_events, list(dict.fromkeys(events))
 
 
@@ -559,9 +592,9 @@ def test_walk_asks_and_checks_in_the_order_of_a_scan(monkeypatch):
         scan, walk = _recorded_events(monkeypatch, m, gamma, target, v_pq, 3)
         assert walk == scan, (format_machine(m), print_formula(gamma),
                               print_formula(target))
-        # a query asked first after some target check
+        # a query asked first after some check
         kinds = [kind for kind, *_ in scan]
-        interleaved += "query" in kinds[kinds.index("target"):] if "target" in kinds else 0
+        interleaved += "query" in kinds[kinds.index("check"):] if "check" in kinds else 0
     assert interleaved >= 30
 
 

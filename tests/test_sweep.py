@@ -19,9 +19,7 @@ import fmwb
 from fmwb import charsets, semantics
 from fmwb.charsets import char_sentence
 from fmwb.cli import main
-from fmwb.core import (
-    encoding_length, enumerate_structures, parse_vocab, structure_from_index,
-)
+from fmwb.core import Structure, encoding_length, enumerate_structures, parse_vocab
 from fmwb.forms import build_form, fo_sentences
 from fmwb.logic import (
     Psi, apply_T_ord, apply_T_unord, parse_formula, print_formula, psi_encode,
@@ -59,12 +57,12 @@ def table(f, vocab, n, chunk=0, config=CONFIG):
 def one_at_a_time(f, config=CONFIG):
     """models(-, f, config), with f compiled once."""
     program = _program(f)
-    return lambda a: _decide(program, a, config)
+    return lambda a: _decide(program, a.vocab, a.n, a.bits, config)
 
 
 def assert_tables_match(sentences, vocab, sizes, config=CONFIG):
     for n in sizes:
-        structures = [structure_from_index(vocab, n, i)
+        structures = [Structure(vocab, n, i)
                       for i in range(1 << encoding_length(vocab, n))]
         for f in sentences:
             bits = table(f, vocab, n, config=config)
@@ -143,7 +141,7 @@ def test_chunked_tables_match_checker_on_samples():
             bits = table(f, V_E, 5, chunk)
             check = one_at_a_time(f)
             for i in [0, (1 << CHUNK_BITS) - 1] + rng.sample(range(1 << CHUNK_BITS), 150):
-                a = structure_from_index(V_E, 5, (chunk << CHUNK_BITS) | i)
+                a = Structure(V_E, 5, (chunk << CHUNK_BITS) | i)
                 assert (bits >> i & 1) == check(a), (print_formula(f), chunk, i)
 
 
@@ -189,7 +187,7 @@ def scan(vocab, n_max, f, config=CONFIG):
     check = one_at_a_time(f, config)
     for n in range(2, n_max + 1):
         for i in range(1 << encoding_length(vocab, n)):
-            a = structure_from_index(vocab, n, i)
+            a = Structure(vocab, n, i)
             if not check(a):
                 return a
     return None
@@ -221,7 +219,7 @@ def spinning_leaf():
 def test_leaf_no_structure_reaches_is_never_computed(leaf_calls):
     leaf = print_formula(spinning_leaf())
     f = parse_formula(f"(Ax ~E(x,x) & ~(Ex E(x,x) & {leaf}))")
-    assert sweep(V_E, 3, f, None, CONFIG) == structure_from_index(V_E, 2, 1)
+    assert sweep(V_E, 3, f, None, CONFIG) == Structure(V_E, 2, 1)
     assert sweep(V_E, 3, f, parse_formula("Ax ~E(x,x)"), CONFIG) is None
     assert leaf_calls == []
 
@@ -232,7 +230,7 @@ def test_leaf_reached_only_after_the_first_counterexample_is_never_computed(
     # the first whose checker reaches the leaf.
     leaf = print_formula(spinning_leaf())
     f = parse_formula(f"Ax (E(x,x) -> (Ay E(x,y) & {leaf}))")
-    assert sweep(V_E, 3, f, None, CONFIG) == structure_from_index(V_E, 2, 1)
+    assert sweep(V_E, 3, f, None, CONFIG) == Structure(V_E, 2, 1)
     assert leaf_calls == []
 
 
@@ -298,7 +296,7 @@ def test_cycling_least_fixpoint_goes_to_the_checker():
     with pytest.raises(NoLeastFixpoint):
         table(parse_formula(lfp), vocab, 2)
     guarded = parse_formula(f"(Ex R(x) & {lfp})")
-    assert sweep(vocab, 3, guarded) == structure_from_index(vocab, 2, 0)
+    assert sweep(vocab, 3, guarded) == Structure(vocab, 2, 0)
 
 
 def test_encoding_sentences_are_false_in_batch():
@@ -308,7 +306,7 @@ def test_encoding_sentences_are_false_in_batch():
 
 
 def test_every_short_psi_is_false_on_every_structure():
-    structures = [structure_from_index(V_E, n, i)
+    structures = [Structure(V_E, n, i)
                   for n in (2, 3) for i in range(1 << encoding_length(V_E, n))]
     assert len(structures) == 528
     for k in range(1, 11):
@@ -385,7 +383,7 @@ def test_refused_sizes_raise_and_compute_leaves_where_a_scan_does(
             tables.clear()
             calls.clear()
             check = sentence_checker(f, config)
-            structures = [structure_from_index(vocab, n, i) for i in range(1 << n)]
+            structures = [Structure(vocab, n, i) for i in range(1 << n)]
             for a in structures[:-1]:
                 assert check(a) is True
             assert calls == []
@@ -399,6 +397,64 @@ def test_refused_sizes_raise_and_compute_leaves_where_a_scan_does(
             assert calls == [n] * (4 if error is None else 2 * (error is MissingDistinguished))
             # Computing the leaf tries tables of its own sentences.
             assert [t for t in tables if t[0] == f] == [(f, n, False)]
+
+
+def test_first_miss_answers_as_a_loop_over_models(tables, monkeypatch):
+    calls = []
+    compute = charsets.leaf_verdict
+
+    def record(vocab, n, node, config, budget):
+        calls.append(n)
+        return compute(vocab, n, node, config, budget)
+    monkeypatch.setattr(charsets, "leaf_verdict", record)
+
+    def outcome(run):
+        """run()'s result, or the type of what it raises; and the leaves it
+        computed."""
+        calls.clear()
+        try:
+            return run(), list(calls)
+        except Exception as exc:
+            return type(exc), list(calls)
+
+    def by_models(f, vocab, n, lo, hi, want):
+        for i in range(lo, hi):
+            if models(Structure(vocab, n, i), f, CONFIG) != want:
+                return i
+        return None
+
+    rng = random.Random(29)
+    cycling = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
+    leaf = print_formula(char_sentence("ord", gamma=parse_formula("Ex R(x)"),
+                                       machine=identity_machine()))
+    fo = rng.sample(fo_sentences(V_E, 5), 6)
+    cases = [(f, V_E, 3) for f in fo]
+    cases += [(parse_formula(text), parse_vocab("R:1 <"), 7) for text in (
+        # The structures with 0 and 6 in R reach the fixpoint: from index 64
+        # on, the odd indices raise and the even ones are false.
+        f"(Ex (Ay ~(y < x) & ~R(x)) | (Ex (Ay ~(x < y) & R(x)) & {cycling}))",
+        # Only the last index reaches the leaf.
+        f"(Ex ~R(x) | {leaf})",
+    )]
+    tried = []
+    for f, vocab, n in cases:
+        size = 1 << encoding_length(vocab, n)
+        for want in (True, False):
+            cuts = sorted({0, size, 64, 65, 66, *rng.sample(range(1, size), 12)})
+            # One range over the size, then a fresh checker over pieces of it.
+            for ranges in ([(0, size)], list(zip(cuts, cuts[1:]))):
+                semantics._checker.cache_clear()
+                tables.clear()
+                check = sentence_checker(f, CONFIG)
+                for lo, hi in ranges:
+                    got = outcome(lambda: check.first_miss(vocab, n, lo, hi, want))
+                    assert got == outcome(lambda: by_models(f, vocab, n, lo, hi, want)), (
+                        print_formula(f), want, lo, hi)
+                mine = [built for g, _, built in tables if g == f]
+                assert mine in ([], [f in fo])
+                tried += mine
+    # Tables were built and refused after single checks inside one range.
+    assert True in tried and False in tried
 
 
 def test_models_and_single_checks_build_no_table(tables):
@@ -428,7 +484,7 @@ def test_leaf_verdicts_are_kept_apart_by_vocabulary_and_size(write):
     f = parse_formula(f"(Ex E(x,x) | {print_formula(leaf)})")
     check = sentence_checker(f, CONFIG)
     vocabs = [parse_vocab("E:2"), parse_vocab("F:2 E:2")]
-    structures = [structure_from_index(vocab, n, 0)
+    structures = [Structure(vocab, n, 0)
                   for n in (2, 3) for vocab in vocabs]
     got = [check(a) for a in structures]
     sentence = write("leaf.sent", print_formula(f))
