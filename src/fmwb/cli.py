@@ -55,7 +55,10 @@ def read_structure(path: str) -> Structure:
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise CliError(f"{path}: bad tuple {tok!r}")
             tuples.add(tuple(int(t) for t in tok[1:-1].split(",") if t))
-        relations[name.strip()] = tuples
+        name = name.strip()
+        if name in relations:
+            raise CliError(f"{path}: symbol {name} given twice")
+        relations[name] = tuples
     return Structure.make(vocab, n, relations)
 
 
@@ -125,8 +128,7 @@ def _eval_config(args) -> EvalConfig:
     return EvalConfig(ups_ord, ups_unord, budget if budget is not None else 8)
 
 
-def _base_upsilon(args, ordered: bool) -> logic.Formula:
-    config = _eval_config(args)
+def _base_upsilon(config: EvalConfig, ordered: bool) -> logic.Formula:
     upsilon = config.upsilon_ord if ordered else config.upsilon_unord
     if upsilon is None:
         which = "ordered" if ordered else "unordered"
@@ -284,13 +286,13 @@ def cmd_charset(args) -> int:
         _need(args, "gamma", "machine")
         gamma = read_sentence(args.gamma)
         machine = machines.parse_machine(_read(args.machine))
-        upsilon_tau = logic.apply_T_ord(_base_upsilon(args, True), a.vocab)
+        upsilon_tau = logic.apply_T_ord(_base_upsilon(config, True), a.vocab)
         verdict = charsets.member_S_ord(a, gamma, machine, upsilon_tau, config)
     elif args.kind == "unord":
         _need(args, "gamma", "machine")
         gamma = read_sentence(args.gamma)
         machine = machines.parse_machine(_read(args.machine))
-        upsilon_tau = logic.apply_T_unord(_base_upsilon(args, False), a.vocab)
+        upsilon_tau = logic.apply_T_unord(_base_upsilon(config, False), a.vocab)
         verdict = charsets.member_S_unord(a, gamma, machine, upsilon_tau, config)
     elif args.kind == "npconp":
         _need(args, "lam", "gamma")
@@ -308,10 +310,8 @@ def _form_args(args, kind: str):
     tau = _tau(args)
     cls = getattr(args, "cls", None)
     upsilon = None
-    if kind in ("ord2", "ord5"):
-        upsilon = _base_upsilon(args, True)
-    elif kind in ("unord4", "unord6"):
-        upsilon = _base_upsilon(args, False)
+    if kind in ("ord2", "ord5", "unord4", "unord6"):
+        upsilon = _base_upsilon(_eval_config(args), kind.startswith("ord"))
     return tau, cls, upsilon
 
 

@@ -105,6 +105,9 @@ class Structure:
     def make(cls, vocab: Vocabulary, n: int, relations=None) -> "Structure":
         """The structure with the given tuple sets; missing symbols are empty."""
         relations = relations or {}
+        unknown = set(relations) - {name for name, _ in vocab.symbols}
+        if unknown:
+            raise StructureError(f"no symbol {min(unknown)} in vocabulary {vocab}")
         bits = 0
         for name, arity in vocab.symbols:
             for tup in map(tuple, relations.get(name, ())):

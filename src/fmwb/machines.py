@@ -423,6 +423,8 @@ def parse_machine(text: str) -> OracleMachine:
         if not line:
             continue
         parts = line.split()
+        if parts[0] in ("kind", "clock", "step", "start") and len(parts) != 2:
+            raise MachineError(f"{parts[0]} takes one value")
         if parts[0] == "kind":
             kind = parts[1]
         elif parts[0] == "clock":
@@ -436,9 +438,12 @@ def parse_machine(text: str) -> OracleMachine:
         else:
             if len(parts) != 9 or parts[3] != "->":
                 raise MachineError(f"bad transition line {raw!r}")
-            state, in_sym, sto_sym = parts[0], parts[1], parts[2]
+            key = tuple(parts[:3])
+            if key in transitions:
+                raise MachineError(f"two transitions for {' '.join(key)}:"
+                                   " the table must be deterministic")
             nxt, write, in_mv, sto_mv, app = parts[4:9]
-            transitions[(state, in_sym, sto_sym)] = (
+            transitions[key] = (
                 nxt, write, in_mv, sto_mv, "" if app == "-" else app
             )
     if None in (kind, clock_c, step_c, start) or not states:

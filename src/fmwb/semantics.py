@@ -9,7 +9,10 @@ program over batches of structures of one size: its values are truth
 tables, one bit per structure of the batch.  A batch is either one
 structure, which is how models() and sentence_checker() decide single
 structures, or a chunk of up to 2^CHUNK_BITS structures, which is how
-sweep() decides every structure up to a size.  A checker from
+sweep() decides every structure up to a size.  A sweep compiles its
+sentences once, before it evaluates any, so a compile error raises first;
+a chunk that its batch cannot decide is decided one structure at a time
+with the same programs.  A checker from
 sentence_checker() owns the per-size tables: asked about many structures of
 one size, it builds the size's table once with truth_table() and reads the
 rest off it, also for the reduction-agreement sweeps in machines.
@@ -540,72 +543,50 @@ def valid_upto(f: Formula, vocab: Vocabulary, n_max: int,
 def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
                 config: EvalConfig | None = None) -> Structure | None:
     """First structure of size <= n_max where the two sentences disagree."""
-    # Both sentences compile before either is evaluated, so a compile error
-    # in g wins over an evaluation error of f on the first structure.
-    _new_program(f)
-    _new_program(g)
     return sweep(vocab, n_max, f, g, config)
 
 
 # --- sweeps -------------------------------------------------------------
 
 
-def _scan(vocab: Vocabulary, n: int, start: int, stop: int, f: Formula,
-          g: Formula | None, config: EvalConfig) -> int | None:
-    """First index in [start, stop) falsifying f (or where f and g disagree),
-    deciding one structure at a time; g compiles after f's first verdict."""
-    program_f, program_g = _new_program(f), None
-    shape = _shape(vocab, n)
-    for index in range(start, stop):
-        verdict = _decide(program_f, vocab, n, index, config, shape)
-        if g is None:
-            if not verdict:
-                return index
-            continue
-        if program_g is None:
-            program_g = _new_program(g)
-        if verdict != _decide(program_g, vocab, n, index, config, shape):
-            return index
-    return None
-
-
 class _Sweep:
-    """A sentence, or a pair to compare, compiled once for batch evaluation
-    over one vocabulary and configuration."""
+    """A sentence, or a pair to compare, compiled once for evaluation over
+    one vocabulary and configuration.  They compile here, f then g, so a
+    compile error raises before anything is evaluated."""
 
     def __init__(self, vocab: Vocabulary, f: Formula, g: Formula | None,
                  config: EvalConfig):
-        self.vocab, self.f, self.g, self.config = vocab, f, g, config
+        self.vocab, self.config = vocab, config
         # Size -> the leaf verdicts computed at that size.
         self.leaves: dict[int, dict] = {}
-        # A sentence that does not compile goes to the scan, which raises
-        # its compile error where a scan would.
-        try:
-            self.programs = [_new_program(h) for h in (f, g) if h is not None]
-        except Exception:
-            self.programs = None
+        self.programs = [_new_program(h) for h in (f, g) if h is not None]
 
     def first_hit(self, n: int, chunk: int) -> int | None:
         """Index of the chunk's first structure falsifying f (or where f and g
         disagree), or None."""
-        low = min(encoding_length(self.vocab, n), CHUNK_BITS)
-        if self.programs is not None:
-            # Apart from leaves, the batch evaluates a subformula for every
-            # structure that reaches it, also behind the first counterexample,
-            # so it can raise where a scan never looks; and it gives up on a
-            # leaf whose first structure it cannot tell.  Then the chunk is
-            # scanned, which gives exactly its result or exception.
-            try:
-                batch = _Batch(self.vocab, n, chunk, low, self.config,
-                               self.leaves.setdefault(n, {}))
-                hit = self._first_hit_in(batch, batch.full)
-            except Exception:
-                pass
-            else:
-                return None if hit is None else (chunk << low) | hit
-        start = chunk << low
-        return _scan(self.vocab, n, start, start + (1 << low), self.f, self.g,
-                     self.config)
+        vocab, config = self.vocab, self.config
+        low = min(encoding_length(vocab, n), CHUNK_BITS)
+        # Apart from leaves, the batch evaluates a subformula for every
+        # structure that reaches it, also behind the first counterexample,
+        # so it can raise where a scan never looks; and it gives up on a
+        # leaf whose first structure it cannot tell.  Then the chunk is
+        # decided one structure at a time, which gives exactly its result
+        # or exception.
+        try:
+            batch = _Batch(vocab, n, chunk, low, config,
+                           self.leaves.setdefault(n, {}))
+            hit = self._first_hit_in(batch, batch.full)
+        except Exception:
+            pass
+        else:
+            return None if hit is None else (chunk << low) | hit
+        shape = _shape(vocab, n)
+        for index in range(chunk << low, (chunk + 1) << low):
+            verdicts = [_decide(program, vocab, n, index, config, shape)
+                        for program in self.programs]
+            if verdicts[0] != (verdicts[1] if len(verdicts) == 2 else True):
+                return index
+        return None
 
     def _first_hit_in(self, batch: _Batch, limit: int) -> int | None:
         """The lowest bit of `limit` whose structure falsifies f (or where f
@@ -664,14 +645,13 @@ def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     config = config or _EMPTY_CONFIG
-    local = None
+    local = _Sweep(vocab, f, g, config)
     for n in range(2, n_max + 1):
         chunks = range(1 << max(encoding_length(vocab, n) - CHUNK_BITS, 0))
         if jobs > 1 and len(chunks) > 1:
             hit = _first_hit_in_pool(
                 jobs, [(vocab, f, g, config, n, chunk) for chunk in chunks])
         else:
-            local = local or _Sweep(vocab, f, g, config)
             hits = (local.first_hit(n, chunk) for chunk in chunks)
             hit = next((h for h in hits if h is not None), None)
         if hit is not None:

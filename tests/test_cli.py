@@ -379,6 +379,33 @@ def test_missing_option_combinations_exit_2(files, capsys):
     capsys.readouterr()
 
 
+def test_structure_files_lose_no_line(files, capsys):
+    write, _ = files
+    unknown = write("f.struct", "vocab E:2\nn = 2\nF = (0,1)")
+    twice = write("twice.struct", "vocab E:2\nn = 2\nE = (0,1)\nE = (1,1)")
+    assert main(["enc", unknown]) == 2
+    assert capsys.readouterr() == ("", "fmwb: no symbol F in vocabulary E:2\n")
+    assert main(["enc", twice]) == 2
+    assert capsys.readouterr() == ("", f"fmwb: {twice}: symbol E given twice\n")
+
+
+def test_machine_files_with_a_bad_keyword_line_or_two_transitions_exit_2(
+        files, capsys):
+    write, _ = files
+    text = format_machine(identity_machine())
+    for keyword in ("kind", "clock", "step", "start"):
+        for bad in (keyword, f"{keyword} 2 3"):
+            lines = [bad if line.split()[0] == keyword else line
+                     for line in text.splitlines()]
+            assert main(["tm", "encode", write("bad.tm", "\n".join(lines))]) == 2
+            assert capsys.readouterr() == ("", f"fmwb: {keyword} takes one value\n")
+    first = next(line for line in text.splitlines() if "->" in line)
+    twice = write("twice.tm", text + first.split("->")[0] + "-> NO _ S S -")
+    assert main(["tm", "encode", twice]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("fmwb: two transitions for ")
+
+
 def test_structure_text_roundtrip(tmp_path):
     import random
 

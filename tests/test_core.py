@@ -35,6 +35,8 @@ def test_structure_invariants(v_graph):
         Structure.make(v_graph, 2, {"E": [(0, 2)]})
     with pytest.raises(ValueError):
         Structure.make(v_graph, 2, {"E": [(0,)]})
+    with pytest.raises(StructureError, match="no symbol F"):
+        Structure.make(v_graph, 2, {"F": [(0, 1)]})
     assert Structure(v_graph, 2, 15) == Structure.make(
         v_graph, 2, {"E": [(0, 0), (0, 1), (1, 0), (1, 1)]})
     for bits in (-1, 16, 1 << 40):

@@ -6,7 +6,10 @@ from fmwb import charsets
 from fmwb.charsets import char_sentence
 from fmwb.core import Structure, Vocabulary, enumerate_structures, parse_vocab
 from fmwb.forms import fo_sentences
-from fmwb.logic import parse_formula, print_formula, psi_encode
+from fmwb.logic import (
+    SIGMA_UNORD, SO_A, SO_E, fragment_of, parse_formula, print_formula,
+    psi_encode, validate_sentence,
+)
 from fmwb.machines import identity_machine
 from fmwb.semantics import (
     EvalConfig, MissingDistinguished, NoLeastFixpoint, PositivityViolation,
@@ -21,6 +24,15 @@ V_E = Vocabulary((("E", 2),))
 TWO_COLORABLE = parse_formula(
     "EQ:1 Ax Ay (E(x,y) -> ((Q(x) & ~Q(y)) | (~Q(x) & Q(y))))"
 )
+
+# Graph 3-colorability over {R:2} and its universal complement.
+_COLORING_MATRIX = (
+    "(Ax (Q1(x) | (Q2(x) | Q3(x)))"
+    " & Ax Ay (R(x,y) ->"
+    " ~((Q1(x) & Q1(y)) | ((Q2(x) & Q2(y)) | (Q3(x) & Q3(y))))))"
+)
+THREE_COLORABLE = parse_formula(f"EQ1:1 EQ2:1 EQ3:1 {_COLORING_MATRIX}")
+NOT_THREE_COLORABLE = parse_formula(f"AQ1:1 AQ2:1 AQ3:1 ~{_COLORING_MATRIX}")
 
 REACH_ALL_TC = parse_formula("Ax Ay TC[u,v: E(u,v)](x,y)")
 REACH_ALL_LFP = parse_formula(
@@ -61,6 +73,28 @@ def test_so_exists_matches_coloring_bruteforce():
     for _ in range(15):
         a = random_structure(rng, V_E, rng.randint(2, 4), density=0.3)
         assert models(a, TWO_COLORABLE) == colorable(a, 2)
+
+
+def complete_graph(n):
+    edges = {(u, v) for u in range(n) for v in range(n) if u != v}
+    return Structure.make(SIGMA_UNORD, n, {"R": edges})
+
+
+def test_three_colorability_sentences_are_well_formed():
+    validate_sentence(THREE_COLORABLE, SIGMA_UNORD)
+    validate_sentence(NOT_THREE_COLORABLE, SIGMA_UNORD)
+    assert fragment_of(THREE_COLORABLE) == SO_E
+    assert fragment_of(NOT_THREE_COLORABLE) == SO_A
+
+
+def test_three_colorability_verdicts():
+    for n in (2, 3):
+        g = complete_graph(n)
+        assert models(g, THREE_COLORABLE) == colorable(g, 3, "R") is True
+        assert not models(g, NOT_THREE_COLORABLE)
+    k4 = complete_graph(4)
+    assert models(k4, THREE_COLORABLE) == colorable(k4, 3, "R") is False
+    assert models(k4, NOT_THREE_COLORABLE)
 
 
 def test_tc_examples():

@@ -30,7 +30,7 @@ from fmwb.machines import (
 )
 from fmwb.semantics import (
     CHUNK_BITS, EvalConfig, MissingDistinguished, NoLeastFixpoint,
-    RecursionBudgetExhausted, _Batch, _decide, _InexactCare, _LeafPending,
+    PositivityViolation, RecursionBudgetExhausted, _Batch, _decide, _InexactCare, _LeafPending,
     _program, models, sentence_checker, sweep,
 )
 from oracles import psi_expansion
@@ -297,6 +297,51 @@ def test_cycling_least_fixpoint_goes_to_the_checker():
         table(parse_formula(lfp), vocab, 2)
     guarded = parse_formula(f"(Ex R(x) & {lfp})")
     assert sweep(vocab, 3, guarded) == Structure(vocab, 2, 0)
+
+
+CYCLING_LFP = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
+NEGATIVE_LFP = "Ex LFP[Q,u: ~Q(u)](x)"
+
+
+def test_a_compile_error_wins_over_an_evaluation_error(write, capsys):
+    # CYCLING_LFP compiles and raises NoLeastFixpoint on the first structure;
+    # NEGATIVE_LFP does not compile.  Size 21 of R:1 is two chunks.
+    vocab = parse_vocab("R:1")
+    pairs = [(CYCLING_LFP, NEGATIVE_LFP), (NEGATIVE_LFP, CYCLING_LFP)]
+    for left, right in pairs:
+        with pytest.raises(PositivityViolation):
+            semantics.mod_eq_upto(parse_formula(left), parse_formula(right), vocab, 3)
+        paths = [write("left.sent", left), write("right.sent", right)]
+        for jobs in ("1", "2"):
+            assert main(["modeq-upto", *paths, "--tau", "R:1", "--nmax", "21",
+                         "--jobs", jobs]) == 2
+            assert capsys.readouterr() == (
+                "", "fmwb: Q occurs negatively under its least fixpoint\n")
+
+
+def test_a_sweep_compiles_each_sentence_once(monkeypatch):
+    # f and g first disagree on a size-4 structure: a path of three edges
+    # through four elements, one of which has no outgoing edge.
+    f = parse_formula("Ax Ey E(x,y)")
+    g = parse_formula("(Ax Ey E(x,y) | Ex Ey Ez Ew (x != y & x != z & x != w"
+                      " & y != z & y != w & z != w & E(x,y) & E(y,z) & E(z,w)))")
+    want = sweep(V_E, 4, f, g)
+    assert want is not None and want.n == 4
+
+    class Batch(semantics._Batch):
+        def __init__(self, *args):
+            raise RuntimeError("every chunk falls back")
+
+    compiled = []
+
+    def new_program(h, new_program=semantics._new_program):
+        compiled.append(h)
+        return new_program(h)
+
+    monkeypatch.setattr(semantics, "_Batch", Batch)
+    monkeypatch.setattr(semantics, "_new_program", new_program)
+    assert sweep(V_E, 4, f, g) == want
+    assert compiled == [f, g]
 
 
 def test_encoding_sentences_are_false_in_batch():
