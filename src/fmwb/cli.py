@@ -41,7 +41,8 @@ def _emit(args, text: str) -> None:
 def read_structure(path: str) -> Structure:
     lines = [ln.split("#", 1)[0].strip() for ln in _read(path).splitlines()]
     lines = [ln for ln in lines if ln]
-    if len(lines) < 2 or not lines[0].startswith("vocab ") or "=" not in lines[1]:
+    if (len(lines) < 2 or not lines[0].startswith("vocab ") or "=" not in lines[1]
+            or lines[1].split("=", 1)[0].strip() != "n"):
         raise CliError(f"{path}: expected 'vocab ...' then 'n = ...'")
     vocab = parse_vocab(lines[0][len("vocab "):])
     n = int(lines[1].split("=", 1)[1])

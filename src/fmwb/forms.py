@@ -4,9 +4,9 @@ Five shapes are supported.  The plain pairs 'ord2'/'unord4' exist for
 experimenting with the underlying equivalences; the extended shapes 'ord5',
 'unord6' and 'npconp8' additionally embed the machine code (or the second
 sentence) as an identically false quantifier-pattern disjunct, which is what
-makes membership in the resulting logics decidable: a recognizer can read
-the code back out of the pattern, rebuild the characteristic leaf, and
-compare leaves by strict structural equality.
+makes membership in the resulting logics decidable: a recognizer reads the
+code back out of the pattern, rebuilds the form from it, and compares the
+whole sentence by strict structural equality.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from .charsets import PayloadNotCharFree, char_sentence
 from .core import Vocabulary
 from .logic import (
-    LOGIC_OF_CLASS, SO_E, And, Bit, CharNpconp, CharOrd, CharUnord,
-    CoCharUnord, Eq, Exists, Forall, Formula, Lt, MalformedGodelCode, Neq,
-    Not, Or, Rel, apply_T_ord, apply_T_unord, char_free, godel_decode,
-    godel_encode, in_fragment, is_sentence_over, psi_encode, psi_recognize,
-    validate_sentence,
+    LOGIC_OF_CLASS, SO_E, And, Bit, CoCharUnord, Eq, Exists, Forall, Formula,
+    FormulaError, Lt, Neq, Not, Or, Rel, apply_T_ord, apply_T_unord,
+    char_free, godel_decode, godel_encode, in_fragment, psi_encode,
+    psi_recognize, validate_sentence,
 )
 from .machines import (
     LOGSPACE, POLYTIME, RESERVED, MalformedMachine, OracleMachine, decode_tm,
@@ -62,14 +61,29 @@ class CanonicalForm:
     formula: Formula
 
 
-def _check_gamma(gamma: Formula, tau: Vocabulary, fragment: str) -> None:
+def _check_gamma(name: str, gamma: Formula, tau: Vocabulary,
+                 fragment: str) -> None:
     if not char_free(gamma):
-        raise PayloadNotCharFree("gamma must not contain characteristic leaves")
+        raise PayloadNotCharFree(f"{name} must not contain characteristic leaves")
     validate_sentence(gamma, tau)
     if not in_fragment(gamma, fragment):
-        raise FragmentMismatch(
-            f"gamma is not in the {fragment} fragment"
-        )
+        raise FragmentMismatch(f"{name} is not in the {fragment} fragment")
+
+
+def _upsilon_tau(kind: str, tau: Vocabulary, cls: str, upsilon: Formula,
+                 machine: OracleMachine | None = None) -> Formula:
+    """Check the class (and the machine's kind, given one) for a machine
+    shape, and return upsilon transported to tau."""
+    wanted = machine_kind_for(cls)
+    if machine is not None and machine.kind != wanted:
+        raise FormError(f"{cls}-specific machines must be {wanted}")
+    if kind in ("ord2", "ord5"):
+        if cls not in ORD_CLASSES:
+            raise FormError(f"ordered forms take classes {ORD_CLASSES}")
+        return apply_T_ord(upsilon, tau)
+    if cls not in UNORD_CLASSES:
+        raise FormError(f"unordered forms take classes {UNORD_CLASSES}")
+    return apply_T_unord(upsilon, tau)
 
 
 def build_form(kind: str, gamma: Formula, *, tau: Vocabulary,
@@ -90,35 +104,24 @@ def build_form(kind: str, gamma: Formula, *, tau: Vocabulary,
         if lam is None:
             raise FormError("npconp8 needs the complement-candidate sentence")
         for name, f in (("lambda", lam), ("gamma", gamma)):
-            _check_gamma(f, tau, SO_E)
+            _check_gamma(name, f, tau, SO_E)
         theta = char_sentence("npconp", lam=lam, gamma=gamma)
-        formula = Or(And(theta, gamma), psi_encode(godel_encode(lam)))
+        formula = Or(And(theta, gamma), psi_encode(theta.lambda_code))
         return CanonicalForm(kind, None, tau, gamma, None, lam, None, formula)
 
     if machine is None or cls is None or upsilon is None:
         raise FormError(f"kind {kind!r} needs a machine, class, and upsilon")
-    if machine.kind != machine_kind_for(cls):
-        raise FormError(
-            f"{cls}-specific machines must be {machine_kind_for(cls)}"
-        )
+    upsilon_tau = _upsilon_tau(kind, tau, cls, upsilon, machine)
     ordered = kind in ("ord2", "ord5")
-    if ordered:
-        if cls not in ORD_CLASSES:
-            raise FormError(f"ordered forms take classes {ORD_CLASSES}")
-        upsilon_tau = apply_T_ord(upsilon, tau)
-        char = char_sentence("ord", gamma=gamma, machine=machine)
-        co_char: Formula = Not(char)
-    else:
-        if cls not in UNORD_CLASSES:
-            raise FormError(f"unordered forms take classes {UNORD_CLASSES}")
-        upsilon_tau = apply_T_unord(upsilon, tau)
-        char = char_sentence("unord", gamma=gamma, machine=machine)
-        co_char = char_sentence("counord", gamma=gamma, machine=machine)
-    _check_gamma(gamma, tau, LOGIC_OF_CLASS[cls])
+    char = char_sentence("ord" if ordered else "unord", gamma=gamma,
+                         machine=machine)
+    co_char = (Not(char) if ordered
+               else CoCharUnord(char.gamma_code, char.machine_code))
+    _check_gamma("gamma", gamma, tau, LOGIC_OF_CLASS[cls])
     validate_sentence(upsilon_tau, tau)
     formula = Or(And(char, gamma), And(co_char, upsilon_tau))
     if kind in ("ord5", "unord6"):
-        formula = Or(formula, psi_encode(encode_tm(machine)))
+        formula = Or(formula, psi_encode(char.machine_code))
     return CanonicalForm(kind, cls, tau, gamma, machine, None, upsilon_tau, formula)
 
 
@@ -127,70 +130,38 @@ def recognize(kind: str, phi: Formula, *, tau: Vocabulary,
               upsilon: Formula | None = None) -> CanonicalForm | None:
     """Decide membership in the decidable logic of the given shape.
 
-    Returns the extracted components on success and None otherwise; every
-    malformed payload or mismatched component is simply a non-member.
+    Reads gamma and the encoding sentence's code off phi, decodes the
+    machine (or lambda) from the code, and rebuilds the form from them: phi
+    is a member exactly when it is that form, so only canonical codes pass.
+    Returns the components on success and None otherwise.  The caller's
+    kind, class and upsilon are checked first, as build_form checks them;
+    an error about the components read off phi means a non-member.
     """
     if kind not in RECOGNIZABLE_KINDS:
         raise FormError(f"only {RECOGNIZABLE_KINDS} have recognizers")
+    if kind != "npconp8":
+        if cls is None or upsilon is None:
+            raise FormError(f"kind {kind!r} recognition needs a class and upsilon")
+        _upsilon_tau(kind, tau, cls, upsilon)
 
-    if kind == "npconp8":
-        if not (isinstance(phi, Or) and isinstance(phi.left, And)):
-            return None
-        theta, gamma = phi.left.left, phi.left.right
-        w = psi_recognize(phi.right)
-        if w is None:
-            return None
-        try:
-            lam = godel_decode(w)
-        except MalformedGodelCode:
-            return None
-        for f in (lam, gamma):
-            if not (char_free(f) and is_sentence_over(f, tau)
-                    and in_fragment(f, SO_E)):
-                return None
-        if theta != CharNpconp(godel_encode(lam), godel_encode(gamma)):
-            return None
-        return CanonicalForm(kind, None, tau, gamma, None, lam, None, phi)
-
-    if cls is None or upsilon is None:
-        raise FormError(f"kind {kind!r} recognition needs a class and upsilon")
-    ordered = kind == "ord5"
-    upsilon_tau = (apply_T_ord if ordered else apply_T_unord)(upsilon, tau)
-    if not (isinstance(phi, Or) and isinstance(phi.left, Or)):
+    if not isinstance(phi, Or):
         return None
-    pair, psi = phi.left, phi.right
-    if not (isinstance(pair.left, And) and isinstance(pair.right, And)):
-        return None
-    char, gamma = pair.left.left, pair.left.right
-    co_char, upsilon_part = pair.right.left, pair.right.right
-    if upsilon_part != upsilon_tau:
-        return None
-    w = psi_recognize(psi)
-    if w is None:
+    first = phi.left
+    if kind != "npconp8":
+        first = first.left if isinstance(first, Or) else None
+    w = psi_recognize(phi.right)
+    if not isinstance(first, And) or w is None:
         return None
     try:
-        machine = decode_tm(w)
-    except MalformedMachine:
+        if kind == "npconp8":
+            built = build_form(kind, first.right, tau=tau, lam=godel_decode(w))
+        else:
+            built = build_form(kind, first.right, tau=tau, cls=cls,
+                               machine=decode_tm(w), upsilon=upsilon)
+    except (FormError, FragmentMismatch, PayloadNotCharFree, FormulaError,
+            MalformedMachine):
         return None
-    if machine.kind != machine_kind_for(cls):
-        return None
-    if not char_free(gamma) or not is_sentence_over(gamma, tau):
-        return None
-    if not in_fragment(gamma, LOGIC_OF_CLASS[cls]):
-        return None
-    code = encode_tm(machine)
-    gamma_code = godel_encode(gamma)
-    if ordered:
-        if char != CharOrd(gamma_code, code):
-            return None
-        if not (isinstance(co_char, Not) and co_char.sub == char):
-            return None
-    else:
-        if char != CharUnord(gamma_code, code):
-            return None
-        if co_char != CoCharUnord(gamma_code, code):
-            return None
-    return CanonicalForm(kind, cls, tau, gamma, machine, None, upsilon_tau, phi)
+    return built if built.formula == phi else None
 
 
 # --- canonical generator families ---------------------------------------

@@ -610,20 +610,33 @@ class _Sweep:
             return (bad & -bad).bit_length() - 1 if bad else None
 
 
-def _pool_first_hit(task) -> int | None:
-    vocab, f, g, config, n, chunk = task
-    return _Sweep(vocab, f, g, config).first_hit(n, chunk)
+# The _Sweep of a pool worker, built once by the pool's initializer, so each
+# worker compiles the sentences once and shares leaf verdicts across chunks.
+_worker_sweep: _Sweep | None = None
 
 
-def _first_hit_in_pool(jobs: int, tasks: list) -> int | None:
-    """The first hit in task order, with up to 4 * jobs tasks in flight."""
+def _start_worker(vocab: Vocabulary, f: Formula, g: Formula | None,
+                  config: EvalConfig) -> None:
+    global _worker_sweep
+    _worker_sweep = _Sweep(vocab, f, g, config)
+
+
+def _pool_first_hit(n: int, chunk: int) -> int | None:
+    return _worker_sweep.first_hit(n, chunk)
+
+
+def _first_hit_in_pool(jobs: int, sweep_args: tuple, n: int,
+                       chunks: range) -> int | None:
+    """The first hit in chunk order, with up to 4 * jobs chunks in flight.
+    sweep_args are _Sweep's, for each worker's own."""
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                               initargs=sweep_args)
     try:
-        for lo in range(0, len(tasks), 4 * jobs):
-            futures = [pool.submit(_pool_first_hit, task)
-                       for task in tasks[lo:lo + 4 * jobs]]
+        for lo in range(0, len(chunks), 4 * jobs):
+            futures = [pool.submit(_pool_first_hit, n, chunk)
+                       for chunk in chunks[lo:lo + 4 * jobs]]
             for future in futures:
                 hit = future.result()
                 if hit is not None:
@@ -649,8 +662,7 @@ def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,
     for n in range(2, n_max + 1):
         chunks = range(1 << max(encoding_length(vocab, n) - CHUNK_BITS, 0))
         if jobs > 1 and len(chunks) > 1:
-            hit = _first_hit_in_pool(
-                jobs, [(vocab, f, g, config, n, chunk) for chunk in chunks])
+            hit = _first_hit_in_pool(jobs, (vocab, f, g, config), n, chunks)
         else:
             hits = (local.first_hit(n, chunk) for chunk in chunks)
             hit = next((h for h in hits if h is not None), None)

@@ -389,6 +389,34 @@ def test_structure_files_lose_no_line(files, capsys):
     assert capsys.readouterr() == ("", f"fmwb: {twice}: symbol E given twice\n")
 
 
+def test_structure_files_need_n_on_their_second_line(files, capsys):
+    write, _ = files
+    for second in ("E = 2", "m = 2", "n2 = 2"):
+        path = write("bad.struct", f"vocab E:2\n{second}")
+        assert main(["enc", path]) == 2
+        assert capsys.readouterr() == (
+            "", f"fmwb: {path}: expected 'vocab ...' then 'n = ...'\n")
+    assert main(["enc", write("good.struct", "vocab E:2\n  n=2  ")]) == 0
+    assert capsys.readouterr().out == "0000\n"
+
+
+def test_form_recognize_refuses_a_class_form_build_refuses(files, capsys):
+    write, _ = files
+    ups = write("ups.sent", "Ex Ey R(x,y)")
+    gamma = write("gamma.sent", "Ex Ey E(x,y)")
+    machine = write("log.tm", format_machine(identity_machine("logspace")))
+    sentence = write("phi.sent", "Ex Ey E(x,y)")
+    common = ["--kind", "unord6", "--tau", "E:2", "--upsilon", ups]
+    for cls in ("P", "NL"):
+        assert main(["form", "build", "--gamma", gamma, "--machine", machine,
+                     "--class", cls] + common) == 2
+        refused = capsys.readouterr()
+        assert refused.out == "" and refused.err == (
+            "fmwb: unordered forms take classes ('coNP', 'NP', 'PSPACE')\n")
+        assert main(["form", "recognize", sentence, "--class", cls] + common) == 2
+        assert capsys.readouterr() == refused
+
+
 def test_machine_files_with_a_bad_keyword_line_or_two_transitions_exit_2(
         files, capsys):
     write, _ = files

@@ -3,17 +3,19 @@ import sys
 
 import pytest
 
+from fmwb.aristotelian import decode_nat
 from fmwb.core import parse_vocab
 from fmwb.forms import (
     FormError, FragmentMismatch, build_form, enumerate_logic, fo_sentences,
     machine_pool, recognize,
 )
 from fmwb.logic import (
-    And, AristotelianTarget, CharNpconp, CharOrd, Exists, Not, Or, Rel,
-    Psi, SOExists, apply_T_ord, apply_T_unord, godel_encode, parse_formula,
-    print_formula, psi_encode, psi_recognize,
+    And, AristotelianTarget, CharNpconp, CharOrd, CharUnord, CoCharUnord,
+    Exists, Not, Or, Rel, Psi, SOExists, apply_T_ord, apply_T_unord,
+    godel_decode, godel_encode, parse_formula, print_formula, psi_encode,
+    psi_recognize,
 )
-from fmwb.machines import encode_tm, identity_machine
+from fmwb.machines import decode_tm, encode_tm, identity_machine
 from fmwb.semantics import EvalConfig, mod_eq_upto
 from randgen import (
     padded_identity_machine, random_machine, single_node_mutations,
@@ -216,3 +218,79 @@ def test_build_rejects_leafful_gamma():
     with pytest.raises(PayloadNotCharFree):
         build_form("ord5", leafful, tau=V_ORD, cls="NP",
                    machine=identity_machine(), upsilon=UPS_ORD)
+
+
+def _padded_first_nat(code):
+    """code with its first number field spelled with a leading zero: a
+    non-canonical code that decodes as code does."""
+    value, used = decode_nat(code)
+    b = "0" + format(value, "b")
+    c = format(len(b), "b")
+    return "1" * len(c) + "0" + c + b + code[used:]
+
+
+def test_recognize_rejects_non_canonical_codes():
+    machine = identity_machine()
+    w = _padded_first_nat(encode_tm(machine))
+    assert w != encode_tm(machine) and decode_tm(w) == machine
+    for kind, tau, ups, transport in (("ord5", V_ORD, UPS_ORD, apply_T_ord),
+                                      ("unord6", V_E, UPS_UNORD, apply_T_unord)):
+        f = build_form(kind, transport(ups, tau), tau=tau, cls="NP",
+                       machine=machine, upsilon=ups).formula
+        assert recognize(kind, f, tau=tau, cls="NP", upsilon=ups) is not None
+        assert recognize(kind, Or(f.left, psi_encode(w)), tau=tau, cls="NP",
+                         upsilon=ups) is None
+    lam = parse_formula("Ax ~P(x)")
+    w = _padded_first_nat(godel_encode(lam))
+    assert w != godel_encode(lam) and godel_decode(w) == lam
+    f = build_form("npconp8", parse_formula("Ex P(x)"), tau=V_P, lam=lam).formula
+    assert recognize("npconp8", f, tau=V_P) is not None
+    assert recognize("npconp8", Or(f.left, psi_encode(w)), tau=V_P) is None
+
+
+def test_recognize_raises_on_a_class_build_form_refuses():
+    # An unord6 form over a logspace machine, as no build_form call makes it.
+    machine = identity_machine("logspace")
+    gamma = apply_T_unord(UPS_UNORD, V_E)
+    built = build_form("unord6", gamma, tau=V_E, cls="NP",
+                       machine=identity_machine(), upsilon=UPS_UNORD).formula
+    code = encode_tm(machine)
+    phi = Or(Or(And(CharUnord(godel_encode(gamma), code), gamma),
+                And(CoCharUnord(godel_encode(gamma), code), gamma)),
+             psi_encode(code))
+    for cls in ("P", "NL"):
+        with pytest.raises(FormError) as refused:
+            build_form("unord6", gamma, tau=V_E, cls=cls, machine=machine,
+                       upsilon=UPS_UNORD)
+        for candidate in (phi, built):
+            with pytest.raises(FormError) as raised:
+                recognize("unord6", candidate, tau=V_E, cls=cls,
+                          upsilon=UPS_UNORD)
+            assert str(raised.value) == str(refused.value)
+
+
+def test_recognize_raises_on_an_unknown_class_whatever_phi():
+    built = build_form("ord5", apply_T_ord(UPS_ORD, V_ORD), tau=V_ORD,
+                       cls="NP", machine=identity_machine(), upsilon=UPS_ORD)
+    f = built.formula
+    for phi in (f, f.left, Or(f.left.left, f.right), parse_formula("Ex R1(x)")):
+        with pytest.raises(FormError, match="unknown complexity class 'EXP'"):
+            recognize("ord5", phi, tau=V_ORD, cls="EXP", upsilon=UPS_ORD)
+
+
+def test_build_npconp8_names_the_sentence_at_fault():
+    from fmwb.charsets import PayloadNotCharFree
+
+    good = parse_formula("Ex P(x)")
+    not_so_e = parse_formula("AQ1:1 Ex Q1(x)")
+    leafful = And(good, CharOrd("1", "1"))
+    for lam, gamma, name in ((not_so_e, good, "lambda"),
+                             (good, not_so_e, "gamma")):
+        with pytest.raises(FragmentMismatch) as raised:
+            build_form("npconp8", gamma, tau=V_P, lam=lam)
+        assert str(raised.value) == f"{name} is not in the SO-E fragment"
+    for lam, gamma, name in ((leafful, good, "lambda"),
+                             (good, leafful, "gamma")):
+        with pytest.raises(PayloadNotCharFree) as raised:
+            build_form("npconp8", gamma, tau=V_P, lam=lam)
+        assert str(raised.value) == f"{name} must not contain characteristic leaves"

@@ -344,6 +344,27 @@ def test_a_sweep_compiles_each_sentence_once(monkeypatch):
     assert compiled == [f, g]
 
 
+def test_a_pool_worker_compiles_each_sentence_once(monkeypatch, tmp_path):
+    # Size 22 of R:1 is four chunks, so one of two workers decides two or
+    # more; a worker compiles f and g once, whatever it decides.
+    vocab = parse_vocab("R:1")
+    f = parse_formula("Ax (R(x) | ~R(x))")
+    g = parse_formula("Ex x = x")
+    log = tmp_path / "compiled"
+
+    def new_program(h, new_program=semantics._new_program):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return new_program(h)
+
+    monkeypatch.setattr(semantics, "_new_program", new_program)
+    assert sweep(vocab, 22, f, g, jobs=2) is None
+    pids = log.read_text().split()
+    workers = set(pids) - {str(os.getpid())}
+    assert pids.count(str(os.getpid())) == 2
+    assert workers and all(pids.count(pid) <= 2 for pid in workers)
+
+
 def test_encoding_sentences_are_false_in_batch():
     psi = psi_encode("1011")
     assert table(psi, V_E, 2) == 0
