@@ -400,71 +400,72 @@ def _add_upsilon_opts(p) -> None:
                    help="characteristic-leaf recursion budget")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built at the first call and shared after it;
-    parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="fmwb", description="finite model theory workbench"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mc", help="model-check a sentence on a structure")
+def _wire_mc(p) -> None:
     p.add_argument("structure")
     p.add_argument("sentence")
     _add_upsilon_opts(p)
     p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("enc", help="binary encoding of a structure")
+
+def _wire_enc(p) -> None:
     p.add_argument("structure")
     p.add_argument("--emit")
     p.set_defaults(func=cmd_enc)
 
-    p = sub.add_parser("dec", help="decode a binary encoding")
+
+def _wire_dec(p) -> None:
     p.add_argument("bits")
     p.add_argument("--tau", required=True)
     p.add_argument("--emit")
     p.set_defaults(func=cmd_dec)
 
-    p = sub.add_parser("benc", help="condensed encoding of a monadic structure")
+
+def _wire_benc(p) -> None:
     p.add_argument("structure")
     p.add_argument("--emit")
     p.set_defaults(func=cmd_benc)
 
-    p = sub.add_parser("uenc-len", help="length of the unary encoding")
+
+def _wire_uenc_len(p) -> None:
     p.add_argument("structure")
     p.set_defaults(func=cmd_uenc_len)
 
-    p = sub.add_parser("reconstruct", help="rebuild a structure from benc bits")
+
+def _wire_reconstruct(p) -> None:
     p.add_argument("bits")
     p.add_argument("--tau", required=True)
     p.add_argument("--emit")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("iso", help="brute-force isomorphism test")
+
+def _wire_iso(p) -> None:
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("canon", help="canonical relabeling of a monadic structure")
+
+def _wire_canon(p) -> None:
     p.add_argument("structure")
     p.add_argument("--emit")
     p.set_defaults(func=cmd_canon)
 
-    p = sub.add_parser("op-apply", help="transport a distinguished sentence")
+
+def _wire_op_apply(p) -> None:
     p.add_argument("sentence")
     p.add_argument("--which", choices=("ord", "unord"), required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--emit")
     p.set_defaults(func=cmd_op_apply)
 
-    p = sub.add_parser("psi", help="encoding sentences")
+
+def _wire_psi(p) -> None:
     p.add_argument("action", choices=("encode", "recognize"))
     p.add_argument("value", help="bit string (encode) or sentence file (recognize)")
     p.add_argument("--emit")
     p.set_defaults(func=cmd_psi)
 
-    p = sub.add_parser("tm", help="oracle Turing machines")
+
+def _wire_tm(p) -> None:
     p.add_argument("action", choices=("run", "encode", "decode", "check-reduction"))
     p.add_argument("machine", help="machine file (or bits file for decode)")
     p.add_argument("--input", help="input bits file (run)")
@@ -477,14 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_upsilon_opts(p)
     p.set_defaults(func=cmd_tm)
 
-    p = sub.add_parser("cfg", help="context-free grammars")
+
+def _wire_cfg(p) -> None:
     p.add_argument("action", choices=("member", "missing"))
     p.add_argument("grammar")
     p.add_argument("string", nargs="?", help="query string ('eps' for empty)")
     p.add_argument("--lenmax", type=int, default=4)
     p.set_defaults(func=cmd_cfg)
 
-    p = sub.add_parser("charset", help="characteristic-set membership")
+
+def _wire_charset(p) -> None:
     p.add_argument("action", choices=("member",))
     p.add_argument("--kind", choices=("ord", "unord", "npconp", "cfg"),
                    required=True)
@@ -496,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_upsilon_opts(p)
     p.set_defaults(func=cmd_charset)
 
-    p = sub.add_parser("form", help="canonical forms")
+
+def _wire_form(p) -> None:
     p.add_argument("action", choices=("build", "recognize", "enumerate"))
     p.add_argument("--kind", choices=forms.FORM_KINDS, required=True)
     p.add_argument("--tau", required=True)
@@ -508,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_upsilon_opts(p)
     p.set_defaults(func=cmd_form)
 
-    p = sub.add_parser("valid-upto", help="bounded validity search")
+
+def _wire_valid_upto(p) -> None:
     p.add_argument("sentence")
     p.add_argument("--tau", required=True)
     p.add_argument("--nmax", type=int, required=True)
@@ -516,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_upsilon_opts(p)
     p.set_defaults(func=cmd_valid_upto)
 
-    p = sub.add_parser("modeq-upto", help="bounded model-class comparison")
+
+def _wire_modeq_upto(p) -> None:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--tau", required=True)
@@ -525,6 +531,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_upsilon_opts(p)
     p.set_defaults(func=cmd_modeq_upto)
 
+
+_COMMANDS = {
+    "mc": ("model-check a sentence on a structure", _wire_mc),
+    "enc": ("binary encoding of a structure", _wire_enc),
+    "dec": ("decode a binary encoding", _wire_dec),
+    "benc": ("condensed encoding of a monadic structure", _wire_benc),
+    "uenc-len": ("length of the unary encoding", _wire_uenc_len),
+    "reconstruct": ("rebuild a structure from benc bits", _wire_reconstruct),
+    "iso": ("brute-force isomorphism test", _wire_iso),
+    "canon": ("canonical relabeling of a monadic structure", _wire_canon),
+    "op-apply": ("transport a distinguished sentence", _wire_op_apply),
+    "psi": ("encoding sentences", _wire_psi),
+    "tm": ("oracle Turing machines", _wire_tm),
+    "cfg": ("context-free grammars", _wire_cfg),
+    "charset": ("characteristic-set membership", _wire_charset),
+    "form": ("canonical forms", _wire_form),
+    "valid-upto": ("bounded validity search", _wire_valid_upto),
+    "modeq-upto": ("bounded model-class comparison", _wire_modeq_upto),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with only the named one,
+    built at the first call for that name and shared after it; parsing
+    leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="fmwb", description="finite model theory workbench"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, wire = _COMMANDS[name]
+        wire(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -535,8 +574,14 @@ _USER_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A command parses with its own subparser alone; help and usage errors
+    # about the command line as a whole come from the full parser.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = rest = None
+    if argv and argv[0] in _COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

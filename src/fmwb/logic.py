@@ -1122,7 +1122,8 @@ def _substitute_atoms(f: Formula, subst) -> Formula:
     return with_children(f, tuple(_substitute_atoms(k, subst) for k in kids))
 
 
-def _check_source(upsilon: Formula, source: Vocabulary, what: str) -> None:
+def _check_source(upsilon: Formula, source: Vocabulary, what: str,
+                  target: str) -> None:
     try:
         validate_sentence(upsilon, source)
     except FormulaError as exc:
@@ -1133,11 +1134,16 @@ def _check_source(upsilon: Formula, source: Vocabulary, what: str) -> None:
         raise WrongSourceVocabulary(
             "distinguished sentence must not contain characteristic leaves"
         )
-    for node in walk(upsilon):
-        if isinstance(node, (SOExists, SOForall, Lfp, Pfp)) and node.relvar == "R":
-            raise WrongSourceVocabulary(
-                "bound relation variables must not shadow the source symbol R"
-            )
+    bound = {node.relvar for node in walk(upsilon)
+             if isinstance(node, (SOExists, SOForall, Lfp, Pfp))}
+    if "R" in bound:
+        raise WrongSourceVocabulary(
+            "bound relation variables must not shadow the source symbol R"
+        )
+    if target in bound:
+        raise WrongSourceVocabulary(
+            f"bound relation variables must not shadow the target symbol {target}"
+        )
 
 
 def apply_T_ord(upsilon: Formula, tau: Vocabulary) -> Formula:
@@ -1150,8 +1156,8 @@ def apply_T_ord(upsilon: Formula, tau: Vocabulary) -> Formula:
         raise NoOrderInTarget(f"target vocabulary {tau} has no order")
     if not tau.symbols:
         raise NoOrderInTarget("target vocabulary has no relation symbols")
-    _check_source(upsilon, SIGMA_ORD, "ordered operator")
     name, arity = tau.symbols[0]
+    _check_source(upsilon, SIGMA_ORD, "ordered operator", name)
     if arity == 1:
         return _substitute_atoms(upsilon, lambda args: Rel(name, args))
     fresh = _fresh_variable(upsilon, "y")
@@ -1173,8 +1179,8 @@ def apply_T_unord(upsilon: Formula, tau: Vocabulary) -> Formula:
     candidates = [(name, a) for name, a in tau.symbols if a > 1]
     if not candidates:
         raise AristotelianTarget(f"all symbols of {tau} are unary")
-    _check_source(upsilon, SIGMA_UNORD, "unordered operator")
     name, arity = candidates[0]
+    _check_source(upsilon, SIGMA_UNORD, "unordered operator", name)
     if arity == 2:
         return _substitute_atoms(upsilon, lambda args: Rel(name, args))
     fresh = _fresh_variable(upsilon, "z")

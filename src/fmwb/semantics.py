@@ -657,6 +657,8 @@ def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or _EMPTY_CONFIG
     local = _Sweep(vocab, f, g, config)
     for n in range(2, n_max + 1):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 import fmwb
 from fmwb.cfg import parse_grammar
 from fmwb.charsets import char_sentence
-from fmwb.cli import main, read_structure
+from fmwb import cli
+from fmwb.cli import build_parser, main, read_structure
 from fmwb.core import Structure, Vocabulary, encode_bin
 from fmwb.forms import build_form
 from fmwb.logic import parse_formula, print_formula
@@ -105,6 +107,13 @@ def test_op_apply(files, capsys):
     assert main(["op-apply", ups2, "--which", "unord", "--tau", "H:3"]) == 0
     assert capsys.readouterr().out.strip() == "Ex Ey Ez1 H(x,y,z1)"
     assert main(["op-apply", ups2, "--which", "unord", "--tau", "P:1"]) == 2
+    capsys.readouterr()
+    # a bound Q would capture the transported atom, or leave one of arity 1
+    for text in ("EQ:1 (Ex Q(x) & Ax R(x))", "EQ:2 Ex R(x)"):
+        bound = write("bound.sent", text)
+        assert main(["op-apply", bound, "--which", "ord", "--tau", "Q:1 <"]) == 2
+        assert capsys.readouterr() == (
+            "", "fmwb: bound relation variables must not shadow the target symbol Q\n")
 
 
 def test_psi_roundtrip(files, capsys):
@@ -268,6 +277,19 @@ def test_sweeps_need_nmax_of_at_least_two(files, capsys, command):
         assert captured.out == "" and captured.err.startswith("fmwb: ")
 
 
+@pytest.mark.parametrize("command", ["valid-upto", "modeq-upto"])
+def test_sweeps_need_jobs_of_at_least_one(files, capsys, command):
+    write, _ = files
+    good = write("good.sent", "Ex E(x,x)")
+    argv = {
+        "valid-upto": ["valid-upto", good],
+        "modeq-upto": ["modeq-upto", good, good],
+    }[command] + ["--tau", "E:2", "--nmax", "2"]
+    for jobs in ("0", "-1"):
+        assert main(argv + ["--jobs", jobs]) == 2
+        assert capsys.readouterr() == ("", f"fmwb: jobs must be >= 1, got {jobs}\n")
+
+
 def test_cycling_least_fixpoint_is_an_error(files):
     # Q occurs positively, but the inner PFP makes the stages alternate.
     write, _ = files
@@ -351,6 +373,10 @@ def test_one_process_answers_as_separate_processes(files, capsys, monkeypatch):
          "--tau", "E:2"],
         ["enc", struct],
         ["valid-upto", edge, "--tau", "E:2", "--nmax", "3", "--bogus"],
+        ["form", "--help"],
+        ["bogus"],
+        [],
+        ["enc", struct, "extra"],
     ]
     for argv in calls:
         try:
@@ -359,6 +385,85 @@ def test_one_process_answers_as_separate_processes(files, capsys, monkeypatch):
             rc = exc.code
         captured = capsys.readouterr()
         assert (rc, captured.out, captured.err) == _fmwb_process(argv, 30), argv
+
+
+# Per command, an argv the full parser accepts: with --bogus appended, the
+# one unrecognized argument is what goes wrong.
+_ACCEPTED = {
+    "mc": ["mc", "a.struct", "phi.sent"],
+    "enc": ["enc", "a.struct"],
+    "dec": ["dec", "w.bits", "--tau", "E:2"],
+    "benc": ["benc", "a.struct"],
+    "uenc-len": ["uenc-len", "a.struct"],
+    "reconstruct": ["reconstruct", "w.bits", "--tau", "R:1"],
+    "iso": ["iso", "a.struct", "b.struct"],
+    "canon": ["canon", "a.struct"],
+    "op-apply": ["op-apply", "u.sent", "--which", "ord", "--tau", "E:2 <"],
+    "psi": ["psi", "encode", "101"],
+    "tm": ["tm", "encode", "m.tm"],
+    "cfg": ["cfg", "member", "g.cfg", "ab"],
+    "charset": ["charset", "member", "--kind", "cfg", "--struct", "a.struct"],
+    "form": ["form", "enumerate", "--kind", "npconp8", "--tau", "P:1"],
+    "valid-upto": ["valid-upto", "phi.sent", "--tau", "E:2", "--nmax", "2"],
+    "modeq-upto": ["modeq-upto", "f.sent", "g.sent", "--tau", "E:2", "--nmax", "2"],
+}
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv), which must exit."""
+    with pytest.raises(SystemExit) as exited:
+        call(argv)
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
+def test_every_command_has_an_accepted_argv():
+    assert list(_ACCEPTED) == list(cli._COMMANDS)
+    for argv in _ACCEPTED.values():
+        assert build_parser().parse_known_args(argv)[1] == []
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_command_prints_the_help_and_errors_of_the_full_parser(
+        command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in ([command, "--help"], [command], _ACCEPTED[command] + ["--bogus"]):
+        expected = _outcome(capsys, build_parser().parse_args, argv)
+        assert _outcome(capsys, main, argv) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], [], ["bogus"], ["-h", "mc"]])
+def test_top_level_help_and_errors_come_from_the_full_parser(argv, capsys,
+                                                             monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _outcome(capsys, build_parser().parse_args, argv)
+    assert _outcome(capsys, main, argv) == expected
+    assert "{" + ",".join(cli._COMMANDS) + "}" in expected[1] + expected[2]
+
+
+def test_a_command_builds_only_its_own_subparser(files, capsys, monkeypatch):
+    write, _ = files
+    struct = write("c2.struct", "vocab E:2\nn = 2\nE = (0,1) (1,0)")
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    build_parser.cache_clear()
+    try:
+        assert main(["enc", struct]) == 0
+        assert main(["enc", struct]) == 0
+        assert built == ["enc"]
+        # an unrecognized argument is reported by the full parser
+        with pytest.raises(SystemExit):
+            main(["enc", struct, "--bogus"])
+        assert built == ["enc"] + list(cli._COMMANDS)
+    finally:
+        build_parser.cache_clear()
+    capsys.readouterr()
 
 
 def test_valid_upto_parallel_path(files, capsys):

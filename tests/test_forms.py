@@ -11,7 +11,8 @@ from fmwb.forms import (
 )
 from fmwb.logic import (
     And, AristotelianTarget, CharNpconp, CharOrd, CharUnord, CoCharUnord,
-    Exists, Not, Or, Rel, Psi, SOExists, apply_T_ord, apply_T_unord,
+    Exists, Not, Or, Rel, Psi, SOExists, WrongSourceVocabulary, apply_T_ord,
+    apply_T_unord,
     godel_decode, godel_encode, parse_formula, print_formula, psi_encode,
     psi_recognize,
 )
@@ -294,3 +295,22 @@ def test_build_npconp8_names_the_sentence_at_fault():
         with pytest.raises(PayloadNotCharFree) as raised:
             build_form("npconp8", gamma, tau=V_P, lam=lam)
         assert str(raised.value) == f"{name} must not contain characteristic leaves"
+
+
+def test_an_upsilon_binding_the_target_symbol_is_a_caller_error():
+    # The check runs where the class checks run: before gamma and before phi.
+    tau = parse_vocab("Q:1 <")
+    gamma = parse_formula("Ex Q(x)")
+    built = build_form("ord5", gamma, tau=tau, cls="NP",
+                       machine=identity_machine(), upsilon=UPS_ORD).formula
+    for upsilon in ("EQ:1 (Ex Q(x) & Ax R(x))", "EQ:2 Ex R(x)"):
+        upsilon = parse_formula(upsilon)
+        for bad_gamma in (gamma, parse_formula("Ex Q(x,x)")):
+            with pytest.raises(WrongSourceVocabulary, match="target symbol Q"):
+                build_form("ord5", bad_gamma, tau=tau, cls="NP",
+                           machine=identity_machine(), upsilon=upsilon)
+        for phi in (built, gamma):
+            with pytest.raises(WrongSourceVocabulary, match="target symbol Q"):
+                recognize("ord5", phi, tau=tau, cls="NP", upsilon=upsilon)
+        with pytest.raises(FormError, match="unknown complexity class"):
+            recognize("ord5", built, tau=tau, cls="EXP", upsilon=upsilon)

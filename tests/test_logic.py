@@ -449,6 +449,30 @@ def test_apply_T_unord_examples():
         apply_T_unord(parse_formula("Ex R(x)"), parse_vocab("E:2"))
 
 
+def test_operators_reject_bound_variables_named_like_the_target_symbol():
+    # Unchecked, the transport captured R under a bound Q, or left a sentence
+    # that is not over tau.
+    for transport, tau, texts in (
+            (apply_T_ord, "Q:1 <", ("EQ:1 (Ex Q(x) & Ax R(x))", "EQ:2 Ex R(x)")),
+            (apply_T_unord, "Q:2",
+             ("EQ:2 (Ex Ey Q(x,y) & Ax Ay R(x,y))", "EQ:1 Ex Ey R(x,y)"))):
+        for text in texts:
+            with pytest.raises(WrongSourceVocabulary) as raised:
+                transport(parse_formula(text), parse_vocab(tau))
+            assert str(raised.value) == (
+                "bound relation variables must not shadow the target symbol Q")
+    for text in ("Ex LFP[E,u: (R(u) | E(u))](x)", "Ex PFP[E,u: R(u)](x)",
+                 "AE:1 Ex R(x)"):
+        with pytest.raises(WrongSourceVocabulary, match="target symbol E"):
+            apply_T_ord(parse_formula(text), parse_vocab("E:2 <"))
+    # the source check comes first, and other names stay allowed
+    with pytest.raises(WrongSourceVocabulary, match="source symbol R"):
+        apply_T_ord(parse_formula("EQ:1 ER:1 Ex R(x)"), parse_vocab("Q:1 <"))
+    assert (print_formula(apply_T_ord(parse_formula("EP:1 Ax (P(x) -> R(x))"),
+                                      parse_vocab("Q:1 <")))
+            == "EP:1 Ax (~P(x) | Q(x))")
+
+
 def test_operators_reject_char_nodes():
     bad = Or(Exists("x", Rel("R", ("x",))), CharOrd("1", "1"))
     with pytest.raises(WrongSourceVocabulary):
