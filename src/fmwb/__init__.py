@@ -4,8 +4,8 @@ and canonical sentence forms."""
 
 import sys
 
-# The Goedel decoder and the sentence compiler recurse once per nesting
-# level, and parsing and decoding accept sentences up to
+# The sentence compiler and the programs it builds recurse once per
+# nesting level, and parsing and decoding accept sentences up to
 # logic.MAX_DEPTH levels deep: past the default interpreter limit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 

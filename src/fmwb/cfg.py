@@ -85,21 +85,6 @@ def parse_grammar(text: str, terminals: tuple[str, ...] | None = None) -> Gramma
     return Grammar.make(heads, alphabet, rules, heads[0])
 
 
-def format_grammar(g: Grammar) -> str:
-    by_head: dict[str, list[tuple[str, ...]]] = {}
-    for head, body in g.productions:
-        by_head.setdefault(head, []).append(body)
-    heads = [g.start] + [nt for nt in g.nonterminals if nt != g.start]
-    lines = []
-    for head in heads:
-        bodies = by_head.get(head)
-        if not bodies:
-            continue
-        rendered = " | ".join(" ".join(b) if b else "eps" for b in bodies)
-        lines.append(f"{head} -> {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def _fresh(base: str, used: set[str]) -> str:
     if base not in used:
         used.add(base)

@@ -270,12 +270,3 @@ def is_isomorphic(a: Structure, b: Structure) -> bool:
         ):
             return True
     return False
-
-
-def apply_permutation(a: Structure, perm) -> Structure:
-    """Relabel a structure along element i -> perm[i]."""
-    relations = {
-        name: {tuple(perm[t] for t in tup) for tup in tuples}
-        for name, tuples in a.relations
-    }
-    return Structure.make(a.vocab, a.n, relations)

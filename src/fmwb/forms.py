@@ -215,6 +215,9 @@ def fo_sentences(vocab: Vocabulary, max_nodes: int) -> list[Formula]:
     sentences: list[Formula] = []
     for nodes in range(1, max_nodes + 1):
         sentences.extend(pool(nodes, 0))
+    # pool refers to itself, so without this the pools would outlive the
+    # call until the cyclic collector runs.
+    pools.clear()
     return sentences
 
 

@@ -18,7 +18,6 @@ normalized form: '->' is expanded and binary connectives are parenthesized).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from operator import attrgetter
 from string import Formatter
@@ -65,230 +64,113 @@ class EmptyString(FormulaError):
 # --- AST ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Rel:
-    name: str
-    args: tuple[str, ...]
+class _Node:
+    """A sentence node: immutable, with its fields in slots.
 
-
-@dataclass(frozen=True, slots=True)
-class Eq:
-    left: str
-    right: str
-
-
-@dataclass(frozen=True, slots=True)
-class Neq:
-    left: str
-    right: str
-
-
-@dataclass(frozen=True, slots=True)
-class Lt:
-    left: str
-    right: str
-
-
-@dataclass(frozen=True, slots=True)
-class Bit:
-    left: str
-    right: str
-
-
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class Not:
-    sub: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class Exists:
-    var: str
-    sub: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class Forall:
-    var: str
-    sub: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class SOExists:
-    relvar: str
-    arity: int
-    sub: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class SOForall:
-    relvar: str
-    arity: int
-    sub: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class Tc:
-    var1: str
-    var2: str
-    sub: "Formula"
-    arg1: str
-    arg2: str
-
-
-@dataclass(frozen=True, slots=True)
-class Lfp:
-    relvar: str
-    vars: tuple[str, ...]
-    sub: "Formula"
-    args: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Pfp:
-    relvar: str
-    vars: tuple[str, ...]
-    sub: "Formula"
-    args: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CharOrd:
-    gamma_code: str
-    machine_code: str
-
-
-@dataclass(frozen=True, slots=True)
-class CharUnord:
-    gamma_code: str
-    machine_code: str
-
-
-@dataclass(frozen=True, slots=True)
-class CoCharUnord:
-    gamma_code: str
-    machine_code: str
-
-
-@dataclass(frozen=True, slots=True)
-class CharNpconp:
-    lambda_code: str
-    gamma_code: str
-
-
-@dataclass(frozen=True, slots=True)
-class CharCfg:
-    grammar_code: str
-
-
-class _Hash:
-    """Stands for a node inside a tuple being hashed: hashing a tuple reads
-    only the hashes of its items."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Psi:
-    """The encoding sentence psi_w as one leaf.
-
-    It stands for its expansion Q1 x1 ... Qk xk (((x1 != x1 & x2 != x2) &
-    ...) & xk != xk), where Qi is E when w[i-1] is '1' and A otherwise.  It
-    prints, Goedel-codes, compares and hashes as that expansion.
+    Its hash is hash((tag, *fields)), where a subformula stands for its own
+    hash.  It is stored on first request by a walk that hashes the nodes
+    below that have none, children first; == walks an explicit stack of
+    pairs.  So neither recurses, however deep the sentence.
     """
 
-    bits: str
-    _hash: int | None = field(default=None, init=False, repr=False)
+    __slots__ = ("_hash",)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(f"x{i}" for i in range(1, len(self.bits) + 1))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __eq__(self, other) -> bool:
-        if type(other) is Psi:
-            return self.bits == other.bits
-        if type(other) is Exists or type(other) is Forall:
-            return psi_recognize(other) == self.bits
-        return NotImplemented
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        # String hashes differ between processes, so the stored hash stays
+        # behind.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # The expansion's hash, built bottom-up as the hashes of its
-            # nodes build it from their tags and the hashes of their fields.
-            neq, conj = _SYNTAX[Neq][0], _SYNTAX[And][0]
-            quantifier = {"1": _SYNTAX[Exists][0], "0": _SYNTAX[Forall][0]}
-            h = hash((neq, "x1", "x1"))
-            for i in range(2, len(self.bits) + 1):
-                x = f"x{i}"
-                h = hash((conj, _Hash(h), _Hash(hash((neq, x, x)))))
-            for i in range(len(self.bits), 0, -1):
-                h = hash((quantifier[self.bits[i - 1]], f"x{i}", _Hash(h)))
-            object.__setattr__(self, "_hash", h)
+            # The nodes below with no hash, parents before children; then
+            # hashed in reverse, children before parents.
+            todo, stack = [], [self]
+            while stack:
+                node = stack.pop()
+                if node._hash is None:
+                    todo.append(node)
+                    stack += _LAYOUTS[type(node)].children(node)
+            for node in reversed(todo):
+                _set_hash(node, _LAYOUTS[type(node)].hash(node))
         return self._hash
 
-    def __reduce__(self):
-        # String hashes differ between processes, so the cache stays behind.
-        return Psi, (self.bits,)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or type(a) is Psi:
+                # A Psi equals the quantifier chain it stands for.
+                if type(b) is Psi:
+                    a, b = b, a
+                if type(a) is not Psi or psi_recognize(b) != a.bits:
+                    return False
+                continue
+            if a._hash is not None and b._hash is not None and a._hash != b._hash:
+                return False
+            values = _LAYOUTS[type(a)].values
+            for x, y in zip(values(a), values(b)):
+                if isinstance(x, _Node) and isinstance(y, _Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
 
-Formula = (
-    Rel | Eq | Neq | Lt | Bit | And | Or | Not | Exists | Forall
-    | SOExists | SOForall | Tc | Lfp | Pfp
-    | CharOrd | CharUnord | CoCharUnord | CharNpconp | CharCfg | Psi
-)
+_set_hash = _Node._hash.__set__
 
-CHAR_NODES = (CharOrd, CharUnord, CoCharUnord, CharNpconp, CharCfg)
-_VAR_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_REL_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
+
+def _initializer(cls):
+    """cls's __init__.  It stores the fields through their slot descriptors,
+    which pass by the __setattr__ that keeps nodes immutable, and marks
+    the hash as not yet computed."""
+    setters = [getattr(cls, name).__set__ for name in cls.__match_args__]
+    if len(setters) == 1:
+        (set_a,) = setters
+
+        def __init__(self, a):
+            set_a(self, a)
+            _set_hash(self, None)
+    elif len(setters) == 2:
+        set_a, set_b = setters
+
+        def __init__(self, a, b):
+            set_a(self, a)
+            set_b(self, b)
+            _set_hash(self, None)
+    else:
+        def __init__(self, *values):
+            if len(values) != len(setters):
+                raise TypeError(f"{cls.__name__} takes {len(setters)} fields,"
+                                f" got {len(values)}")
+            for set_field, value in zip(setters, values):
+                set_field(self, value)
+            _set_hash(self, None)
+    __init__.__qualname__ = f"{cls.__name__}.__init__"
+    return __init__
 
 
 # --- syntax table --------------------------------------------------------
 #
-# One row per node class: its Goedel tag, the kind of each field in
-# declaration order (which is also the order of the Goedel code), and its
-# concrete syntax.  Field kinds: R relation name, V variable, V+ variables
-# behind their count, V= as many variables as the V+ before it, N arity,
-# F subformula, B payload bits (printed as hex).
-
-_SYNTAX = {
-    Rel: (1, "R V+", "{name}({args})"),
-    Eq: (2, "V V", "{left} = {right}"),
-    Neq: (3, "V V", "{left} != {right}"),
-    Lt: (4, "V V", "{left} < {right}"),
-    Bit: (5, "V V", "BIT({left},{right})"),
-    And: (6, "F F", "({left} & {right})"),
-    Or: (7, "F F", "({left} | {right})"),
-    Not: (8, "F", "~{sub}"),
-    Exists: (9, "V F", "E{var} {sub}"),
-    Forall: (10, "V F", "A{var} {sub}"),
-    SOExists: (11, "R N F", "E{relvar}:{arity} {sub}"),
-    SOForall: (12, "R N F", "A{relvar}:{arity} {sub}"),
-    Tc: (13, "V V F V V", "TC[{var1},{var2}: {sub}]({arg1},{arg2})"),
-    Lfp: (14, "R V+ F V=", "LFP[{relvar},{vars}: {sub}]({args})"),
-    Pfp: (15, "R V+ F V=", "PFP[{relvar},{vars}: {sub}]({args})"),
-    CharOrd: (16, "B B", "CHAR_ORD{{{gamma_code},{machine_code}}}"),
-    CharUnord: (17, "B B", "CHAR_UNORD{{{gamma_code},{machine_code}}}"),
-    CoCharUnord: (18, "B B", "COCHAR_UNORD{{{gamma_code},{machine_code}}}"),
-    CharNpconp: (19, "B B", "CHAR_NPCONP{{{lambda_code},{gamma_code}}}"),
-    CharCfg: (20, "B", "CHAR_CFG{{{grammar_code}}}"),
-}
+# One row per node class, and the row is the class: its name, its Goedel
+# tag, the kind of each field in declaration order (which is also the order
+# of the Goedel code), and its concrete syntax, whose template names the
+# fields in that order.  Field kinds: R relation name, V variable, V+
+# variables behind their count, V= as many variables as the V+ before it,
+# N arity, F subformula, B payload bits (printed as hex).
 
 _VARIABLE_KINDS = ("V", "V+", "V=")
 
@@ -334,11 +216,16 @@ def _getter(names: tuple[str, ...]):
 class _Layout:
     """A syntax-table row, unpacked once for the traversals."""
 
-    def __init__(self, cls, tag: int, kinds: str, template: str):
-        names = [f.name for f in fields(cls)]
-        self.cls, self.tag = cls, tag
+    def __init__(self, cls, kinds: str, template: str):
+        names = cls.__match_args__
+        self.cls, self.tag = cls, cls._tag
         self.fields = tuple(zip(names, kinds.split(), strict=True))
         kind_of = dict(self.fields)
+        self.values = _getter(names)
+        # hash((tag, *fields)), where a subformula gives its stored hash.
+        key = attrgetter("_tag", *(name + "._hash" if kind == "F" else name
+                                   for name, kind in self.fields))
+        self.hash = lambda f: hash(key(f))
         self.subs = tuple(name for name, kind in self.fields if kind == "F")
         self.children = _getter(self.subs)
         # Variables in the fields before a subformula bind in it; any other
@@ -351,26 +238,86 @@ class _Layout:
         self.text = tuple((literal, name, name and _SHOW[kind_of[name]])
                           for literal, name, _, _ in Formatter().parse(template))
         self.code = tuple((name, _CODE[kind]) for name, kind in self.fields)
-        self.tag_code = encode_nat(tag)
+        self.tag_code = encode_nat(self.tag)
 
 
-_LAYOUTS = {cls: _Layout(cls, *row) for cls, row in _SYNTAX.items()}
+_LAYOUTS: dict = {}
+
+
+def _node(name: str, tag: int, kinds: str, template: str) -> type:
+    """The node class of one syntax-table row."""
+    fields = tuple(field for _, field, _, _ in Formatter().parse(template) if field)
+    cls = type(name, (_Node,), {"__slots__": fields, "__match_args__": fields, "_tag": tag})
+    cls.__init__ = _initializer(cls)
+    _LAYOUTS[cls] = _Layout(cls, kinds, template)
+    return cls
+
+
+Rel = _node("Rel", 1, "R V+", "{name}({args})")
+Eq = _node("Eq", 2, "V V", "{left} = {right}")
+Neq = _node("Neq", 3, "V V", "{left} != {right}")
+Lt = _node("Lt", 4, "V V", "{left} < {right}")
+Bit = _node("Bit", 5, "V V", "BIT({left},{right})")
+And = _node("And", 6, "F F", "({left} & {right})")
+Or = _node("Or", 7, "F F", "({left} | {right})")
+Not = _node("Not", 8, "F", "~{sub}")
+Exists = _node("Exists", 9, "V F", "E{var} {sub}")
+Forall = _node("Forall", 10, "V F", "A{var} {sub}")
+SOExists = _node("SOExists", 11, "R N F", "E{relvar}:{arity} {sub}")
+SOForall = _node("SOForall", 12, "R N F", "A{relvar}:{arity} {sub}")
+Tc = _node("Tc", 13, "V V F V V", "TC[{var1},{var2}: {sub}]({arg1},{arg2})")
+Lfp = _node("Lfp", 14, "R V+ F V=", "LFP[{relvar},{vars}: {sub}]({args})")
+Pfp = _node("Pfp", 15, "R V+ F V=", "PFP[{relvar},{vars}: {sub}]({args})")
+CharOrd = _node("CharOrd", 16, "B B", "CHAR_ORD{{{gamma_code},{machine_code}}}")
+CharUnord = _node("CharUnord", 17, "B B", "CHAR_UNORD{{{gamma_code},{machine_code}}}")
+CoCharUnord = _node("CoCharUnord", 18, "B B",
+                    "COCHAR_UNORD{{{gamma_code},{machine_code}}}")
+CharNpconp = _node("CharNpconp", 19, "B B", "CHAR_NPCONP{{{lambda_code},{gamma_code}}}")
+CharCfg = _node("CharCfg", 20, "B", "CHAR_CFG{{{grammar_code}}}")
+
 _BY_TAG = {layout.tag: layout for layout in _LAYOUTS.values()}
 
 
-def _tagged_hash(layout: _Layout):
-    """A node's hash: its tag and the hashes of its fields, so that nodes of
-    two classes with equal fields, such as Exists and Forall, hash apart.
+class Psi(_Node):
+    """The encoding sentence psi_w as one leaf.
 
-    Compiled from source, as dataclasses compile theirs: a generic field
-    getter doubles the cost, and the checker cache hashes whole sentences.
+    It stands for its expansion Q1 x1 ... Qk xk (((x1 != x1 & x2 != x2) &
+    ...) & xk != xk), where Qi is E when w[i-1] is '1' and A otherwise.  It
+    prints, Goedel-codes, compares and hashes as that expansion.
     """
-    fields = "".join(f", f.{name}" for name, _ in layout.fields)
-    return eval(f"lambda f: hash(({layout.tag}{fields}))")
+
+    __slots__ = ("bits",)
+    __match_args__ = ("bits",)
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(f"x{i}" for i in range(1, len(self.bits) + 1))
+
+    def _expansion_hash(self) -> int:
+        # Folded bottom-up, as each node of the expansion hashes its tag
+        # and fields.
+        quantifier = {"1": Exists._tag, "0": Forall._tag}
+        h = hash((Neq._tag, "x1", "x1"))
+        for i in range(2, len(self.bits) + 1):
+            x = f"x{i}"
+            h = hash((And._tag, h, hash((Neq._tag, x, x))))
+        for i in range(len(self.bits), 0, -1):
+            h = hash((quantifier[self.bits[i - 1]], f"x{i}", h))
+        return h
 
 
-for _node in _LAYOUTS.values():
-    _node.cls.__hash__ = _tagged_hash(_node)
+Psi.__init__ = _initializer(Psi)
+
+
+Formula = (
+    Rel | Eq | Neq | Lt | Bit | And | Or | Not | Exists | Forall
+    | SOExists | SOForall | Tc | Lfp | Pfp
+    | CharOrd | CharUnord | CoCharUnord | CharNpconp | CharCfg | Psi
+)
+
+CHAR_NODES = (CharOrd, CharUnord, CoCharUnord, CharNpconp, CharCfg)
+_VAR_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+_REL_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
 _QUANTIFIER_TEXT = {"1": "Ex", "0": "Ax"}
@@ -404,7 +351,8 @@ def _psi_code(w: str) -> str:
 # Psi has no row of its own: it is a leaf that binds its variables, and it
 # prints and codes as its expansion.
 _LAYOUTS[Psi] = SimpleNamespace(
-    cls=Psi, subs=(), children=_getter(()), binders=("variables",),
+    cls=Psi, subs=(), children=_getter(()), hash=Psi._expansion_hash,
+    binders=("variables",),
     occurrences=(), text=(("", "bits", _psi_text),), tag_code="",
     code=(("bits", _psi_code),),
 )
@@ -422,12 +370,16 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def with_children(f: Formula, subs: tuple[Formula, ...]) -> Formula:
-    names = _layout(f).subs
-    if len(subs) != len(names):
+    layout = _layout(f)
+    if len(subs) != len(layout.subs):
         raise FormulaError(
-            f"{type(f).__name__} node takes {len(names)} children, got {len(subs)}"
+            f"{type(f).__name__} node takes {len(layout.subs)} children, got {len(subs)}"
         )
-    return replace(f, **dict(zip(names, subs))) if names else f
+    if not subs:
+        return f
+    fields = dict(zip(layout.cls.__match_args__, layout.values(f)))
+    fields.update(zip(layout.subs, subs))
+    return layout.cls(*fields.values())
 
 
 def walk(f: Formula):
@@ -436,10 +388,6 @@ def walk(f: Formula):
         node = stack.pop()
         yield node
         stack.extend(children(node))
-
-
-def n_nodes(f: Formula) -> int:
-    return sum(1 for _ in walk(f))
 
 
 def char_free(f: Formula) -> bool:
@@ -590,8 +538,8 @@ def print_formula(f: Formula) -> str:
 # --- parsing -----------------------------------------------------------
 
 # The deepest sentence tree that parsing and decoding accept; a Psi is one
-# level.  Hashing and comparing nodes recurse in C through their fields,
-# and near 13,000 levels that overflows the interpreter's stack.
+# level.  The sentence compiler in semantics, and the programs it builds,
+# still recurse once per level, within the limit fmwb/__init__.py raises.
 MAX_DEPTH = 10_000
 
 _TOKEN_RE = re.compile(
@@ -996,23 +944,15 @@ def _read_psi(r: BitReader) -> Psi | None:
     return Psi("".join(w))
 
 
-def _read_formula(r: BitReader, depth: int = 1) -> Formula:
-    if depth > MAX_DEPTH:
-        raise MalformedGodelCode(f"sentence nests deeper than {MAX_DEPTH} levels")
-    psi = _read_psi(r)
-    if psi is not None:
-        return psi
-    tag = r.nat()
-    layout = _BY_TAG.get(tag)
-    if layout is None:
-        raise MalformedGodelCode(f"unknown node tag {tag}")
-    values: list = []
-    count = 0
-    for _, kind in layout.fields:
+def _read_fields(r: BitReader, node: list) -> bool:
+    """Read the fields of an open node, [layout, values, count], up to its
+    next subformula (then True) or its end."""
+    layout, values = node[0], node[1]
+    for _, kind in layout.fields[len(values):]:
+        if kind == "F":
+            return True
         if kind == "V":
             values.append(_read_ident(r, _VAR_RE))
-        elif kind == "F":
-            values.append(_read_formula(r, depth + 1))
         elif kind == "R":
             values.append(_read_ident(r, _REL_RE))
         elif kind == "N":
@@ -1023,7 +963,7 @@ def _read_formula(r: BitReader, depth: int = 1) -> Formula:
         elif kind == "B":
             values.append(r.payload())
         elif kind == "V+":
-            count = r.nat()
+            count = node[2] = r.nat()
             if count < 1:
                 raise MalformedGodelCode(
                     f"{layout.cls.__name__} needs at least one variable")
@@ -1032,8 +972,36 @@ def _read_formula(r: BitReader, depth: int = 1) -> Formula:
                 raise MalformedGodelCode("fixpoint variables must be distinct")
             values.append(names)
         else:
-            values.append(tuple(_read_ident(r, _VAR_RE) for _ in range(count)))
-    return layout.cls(*values)
+            values.append(tuple(_read_ident(r, _VAR_RE) for _ in range(node[2])))
+    return False
+
+
+def _read_formula(r: BitReader) -> Formula:
+    """Read one sentence, its fields in code order.  An explicit stack holds
+    the nodes still open, each waiting for a subformula."""
+    stack: list[list] = []
+    while True:
+        if len(stack) >= MAX_DEPTH:
+            raise MalformedGodelCode(f"sentence nests deeper than {MAX_DEPTH} levels")
+        node = _read_psi(r)
+        if node is None:
+            tag = r.nat()
+            layout = _BY_TAG.get(tag)
+            if layout is None:
+                raise MalformedGodelCode(f"unknown node tag {tag}")
+            stack.append([layout, [], 0])
+            if _read_fields(r, stack[-1]):
+                continue
+            node = layout.cls(*stack.pop()[1])
+        # Hand the node to its parent, closing each node it completes.
+        while stack:
+            stack[-1][1].append(node)
+            if _read_fields(r, stack[-1]):
+                break
+            layout, values, _ = stack.pop()
+            node = layout.cls(*values)
+        else:
+            return node
 
 
 def godel_decode(bits: str) -> Formula:

@@ -388,14 +388,6 @@ def identity_machine(kind: str = POLYTIME, clock_c: int = 2,
     )
 
 
-def always_accept_machine(kind: str = POLYTIME) -> OracleMachine:
-    return OracleMachine.make(RESERVED, "ACC", kind, 1, 1, {})
-
-
-def always_reject_machine(kind: str = POLYTIME) -> OracleMachine:
-    return OracleMachine.make(RESERVED, "NO", kind, 1, 1, {})
-
-
 # --- text format ---------------------------------------------------------
 
 

@@ -187,8 +187,6 @@ def padded_identity_machine(min_bits: int) -> OracleMachine:
 
 # --- single-node mutation machinery for recognizer robustness tests ------
 
-from dataclasses import replace as _dc_replace
-
 from fmwb.logic import (
     Psi, children as _children, with_children as _with_children,
 )
@@ -244,7 +242,7 @@ def _mutate_node(node, rng):
     if t is CharNpconp:
         return CharNpconp(node.gamma_code, node.lambda_code)
     if t is SOExists:
-        return _dc_replace(node, arity=node.arity + 1)
+        return SOExists(node.relvar, node.arity + 1, node.sub)
     return None
 
 

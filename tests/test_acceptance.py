@@ -20,18 +20,19 @@ from fmwb.charsets import (
     char_sentence, member_S_cfg, member_S_npconp, member_S_ord, member_S_unord,
 )
 from fmwb.core import (
-    Structure, Vocabulary, apply_permutation, encode_bin, ell,
-    enumerate_structures, is_isomorphic, parse_vocab,
+    Structure, Vocabulary, encode_bin, ell, enumerate_structures,
+    is_isomorphic, parse_vocab,
 )
 from fmwb.forms import build_form, enumerate_logic, fo_sentences, recognize
 from fmwb.logic import (
     SOExists, apply_T_ord, apply_T_unord, pad_structure_ord,
     pad_structure_unord, parse_formula, psi_encode, psi_recognize,
 )
-from fmwb.machines import (
-    always_accept_machine, always_reject_machine, identity_machine,
-)
+from fmwb.machines import identity_machine
 from fmwb.semantics import EvalConfig, models, sentence_checker
+from helpers import (
+    always_accept_machine, always_reject_machine, apply_permutation,
+)
 from oracles import (
     colorable, literal_member_cfg, literal_member_npconp, literal_member_ord,
     literal_member_unord, naive_models, reachable_pairs, table_models,

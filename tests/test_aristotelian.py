@@ -9,8 +9,9 @@ from fmwb.aristotelian import (
     canonize, decide_M, decode_nat, encode_nat, pattern_counts, reconstruct,
     uenc_length,
 )
-from fmwb.core import Structure, Vocabulary, apply_permutation, ell, is_isomorphic
+from fmwb.core import Structure, Vocabulary, ell, is_isomorphic
 from fmwb.logic import parse_formula
+from helpers import apply_permutation
 
 V2 = Vocabulary((("P", 1), ("Q", 1)))
 

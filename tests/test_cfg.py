@@ -4,9 +4,9 @@ import pytest
 
 from fmwb.cfg import (
     AlphabetMismatch, Grammar, GrammarError, MalformedGrammar, cyk_member,
-    decode_grammar, encode_grammar, find_missing, format_grammar,
-    parse_grammar, to_cnf,
+    decode_grammar, encode_grammar, find_missing, parse_grammar, to_cnf,
 )
+from helpers import format_grammar
 from oracles import derivable_strings
 
 AN_BN = parse_grammar("S -> a S b | eps")

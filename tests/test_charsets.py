@@ -11,11 +11,10 @@ from fmwb.core import (
 from fmwb.logic import (
     And, CharOrd, Not, apply_T_ord, apply_T_unord, parse_formula,
 )
-from fmwb.machines import (
-    always_accept_machine, always_reject_machine, identity_machine,
-)
+from fmwb.machines import identity_machine
 from fmwb.semantics import EvalConfig, models, valid_upto
 from fmwb.cfg import cyk_member
+from helpers import always_accept_machine, always_reject_machine
 from oracles import (
     literal_member_cfg, literal_member_npconp, literal_member_ord,
     literal_member_unord,

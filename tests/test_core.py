@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from fmwb.core import (
     NoIntegerUniverse, Structure, StructureError, VocabError, VocabMismatch,
     Vocabulary, decode_bin, ell, encode_bin, encoding_length,
-    enumerate_structures, is_isomorphic, apply_permutation, parse_vocab,
+    enumerate_structures, is_isomorphic, parse_vocab,
 )
 from fmwb.logic import parse_formula
 from fmwb.semantics import models
+from helpers import apply_permutation
 from oracles import naive_models
 from randgen import random_structure
 

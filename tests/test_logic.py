@@ -1,7 +1,11 @@
+import os
+import pickle
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +21,13 @@ from fmwb.logic import (
     NoOrderInTarget, Not, Or, OrderedTarget, Pfp, Psi, Rel, SOExists,
     SOForall, Tc, WrongSourceVocabulary, all_variables, apply_T_ord,
     apply_T_unord, char_free, children, fragment_of, free_vars, godel_decode,
-    godel_encode, in_fragment, n_nodes, pad_structure_ord,
+    godel_encode, in_fragment, pad_structure_ord,
     pad_structure_unord, parse_formula, print_formula, psi_encode,
     psi_recognize, validate_sentence, walk, with_children,
 )
+from helpers import n_nodes
 from oracles import naive_parse, psi_expansion
-from randgen import random_formula
+from randgen import random_formula, single_node_mutations
 
 
 def test_parse_examples():
@@ -229,6 +234,98 @@ def test_psi_is_its_expansion():
                  "Ex1 Ax2 x1 != x1 & x2 != x2", "x1 != x1 & x2 != x2"):
         assert parse_formula(text) == naive_parse(text)
         assert not any(type(node) is Psi for node in walk(parse_formula(text)))
+
+
+def _agrees_with_text(f, g):
+    """f == g exactly when their printed texts are equal, in both orders,
+    and equal nodes hash equal."""
+    same = print_formula(f) == print_formula(g)
+    assert (f == g) is same and (g == f) is same and (f != g) is not same
+    if same:
+        assert hash(f) == hash(g)
+
+
+def test_equality_and_hash_follow_the_printed_text():
+    # Printed text is canonical, and a Psi prints as its expansion.
+    rng = random.Random(16)
+    sample = rng.sample(fo_sentences(parse_vocab("E:2 <"), 5), 150)
+    copies = [parse_formula(print_formula(f)) for f in sample]
+    for _ in range(2):  # first with no hash stored, then with every one
+        for f in sample:
+            for g in copies:
+                _agrees_with_text(f, g)
+    for f in sample:
+        for mutant in single_node_mutations(f, rng, 8):
+            _agrees_with_text(f, mutant)
+    g = parse_formula("Ex Ay (E(x,y) | x < y)")
+    for w in ("1", "0", "10", "0110", "1" * 12, "01" * 40):
+        packed, nested = And(g, Psi(w)), And(g, psi_expansion(w))
+        for f in (packed, nested):
+            for mutant in single_node_mutations(f, rng, 12):
+                _agrees_with_text(packed, mutant)
+                _agrees_with_text(nested, mutant)
+        _agrees_with_text(packed, nested)
+        _agrees_with_text(And(psi_expansion(w), g), And(Psi(w), g))
+
+
+def test_unpickled_sentences_equal_and_hash_as_parsed_there():
+    text = ("((Ex1 Ax2 (x1 != x1 & x2 != x2) | EQ:2 Ex Ey Q(x,y))"
+            " & (TC[u,v: E(u,v)](s,t) & (LFP[S,u: ~S(u)](x) & CHAR_ORD{d,13})))")
+    f = parse_formula(text)
+    hash(f)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(logic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "import pickle, sys\n"
+        "from fmwb.logic import parse_formula\n"
+        "f = pickle.loads(sys.stdin.buffer.read())\n"
+        "g = parse_formula(sys.argv[1])\n"
+        "print(f == g, g == f, hash(f) == hash(g), hash('x1'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, text], env=env,
+                          input=pickle.dumps(f), capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *verdicts, string_hash = done.stdout.split()
+    assert verdicts == [b"True"] * 3
+    assert int(string_hash) != hash("x1")  # the child hashes strings differently
+
+
+def test_hash_and_equality_do_not_recurse():
+    # The deepest sentence the parser takes, and chains twice as deep built
+    # by hand; the last of each three differs at the bottom.
+    deepest = "~" * (MAX_DEPTH - 1) + "x = "
+    parsed = [parse_formula(deepest + v) for v in "xxy"]
+    chains = []
+    for v in "xxy":
+        f = Eq("x", v)
+        for _ in range(20_000):
+            f = Not(f)
+        chains.append(f)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for f, g, h in (parsed, chains):
+            for _ in range(2):  # first with no hash stored, then with them
+                assert f == g and g == f
+                assert f != h and h != f
+                assert Not(f) != g and f != Not(g)
+                assert hash(f) == hash(g) != hash(h)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_godel_decode_does_not_recurse():
+    deepest = "~" * (MAX_DEPTH - 1) + "x = x"
+    code = godel_encode(parse_formula(deepest))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        f = godel_decode(code)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert print_formula(f) == deepest
 
 
 def plain_parse(text):

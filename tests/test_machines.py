@@ -13,11 +13,11 @@ from fmwb.forms import fo_sentences
 from fmwb.logic import And, Or, parse_formula, print_formula
 from fmwb.machines import (
     APPENDS, BLANK, LOGSPACE, MOVES, POLYTIME, RESERVED, SYMBOLS, MachineError,
-    MalformedMachine, OracleMachine, always_accept_machine,
-    always_reject_machine, decode_tm, encode_tm, format_machine,
+    MalformedMachine, OracleMachine, decode_tm, encode_tm, format_machine,
     identity_machine, is_reduction_upto, parse_machine, run,
 )
 from fmwb.semantics import EvalConfig, NoLeastFixpoint, models, sentence_checker
+from helpers import always_accept_machine, always_reject_machine
 from oracles import naive_reduction_upto, naive_run
 from randgen import random_formula, random_machine
 from test_sweep import spinning_leaf

@@ -188,7 +188,7 @@ def test_psi_is_false_everywhere_short_and_long():
 
 
 def test_isomorphism_closure_of_mod():
-    from fmwb.core import apply_permutation
+    from helpers import apply_permutation
 
     rng = random.Random(55)
     corpus = fo_sentences(V_E, 5)

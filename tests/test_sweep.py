@@ -25,14 +25,14 @@ from fmwb.logic import (
     Psi, apply_T_ord, apply_T_unord, parse_formula, print_formula, psi_encode,
 )
 from fmwb.machines import (
-    BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, always_reject_machine,
-    identity_machine,
+    BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, identity_machine,
 )
 from fmwb.semantics import (
     CHUNK_BITS, EvalConfig, MissingDistinguished, NoLeastFixpoint,
     PositivityViolation, RecursionBudgetExhausted, _Batch, _decide, _InexactCare, _LeafPending,
     _program, models, sentence_checker, sweep,
 )
+from helpers import always_reject_machine
 from oracles import psi_expansion
 from test_acceptance import ORD_UPSILONS, UNORD_UPSILONS
 
