@@ -15,7 +15,8 @@ a position whose bit decides the next step, and the run forks there, so a
 machine that never reads its input runs once per size.  A single run is
 the same walk with every input bit known, which never forks.  The target's
 verdicts and the oracle's answers come from the two sentences' checkers
-(semantics.sentence_checker), which own the per-size truth tables.
+(semantics.sentence_checker), whose one range search gives exactly the
+verdicts, exceptions and leaves of checking each structure in turn.
 """
 
 from __future__ import annotations
@@ -222,10 +223,11 @@ def run(m: OracleMachine, input_bits: str, oracle_sentence: Formula,
 
 def _oracle_answers(sentence: Formula, vocab: Vocabulary,
                     config: EvalConfig | None) -> Callable[[str], bool]:
-    """Answers to oracle queries, from the sentence's checker, which gives
-    exactly the verdicts, exceptions and leaf computations of checking each
-    query.  The sentence is compiled at the first query that decodes, so a
-    machine that never asks never compiles it.
+    """Answers to oracle queries: a query that decodes is a width-1 range
+    search of the sentence's checker, which gives exactly the verdicts,
+    exceptions and leaf computations of checking each query alone, and
+    reads the size's table once it has one.  The sentence is compiled at the
+    first query that decodes, so a machine that never asks never compiles it.
     """
     checker = None
     sizes: dict[int, int | None] = {}  # query length -> size, None for none
@@ -355,11 +357,11 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
     the machine on all encodings at once (see _walk) and gives a verdict
     for each range of encodings that share the bits their run read.  The
     target's checker finds the first disagreement in each range, and the
-    oracle's checker answers the queries; each reads its size's truth table
-    once it has one (see sentence_checker) and decides one structure at a
-    time before that.  So the result, any exception, the first asking of
-    each query and the leaves computed are those of running the machine and
-    checking the target on every structure in turn.
+    oracle's checker answers the queries (see _oracle_answers); both are
+    the one range search of semantics._Search.  So the result, any
+    exception, the first asking of each query and the order of the distinct
+    leaves computed are those of running the machine and checking the
+    target on every structure in turn.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")

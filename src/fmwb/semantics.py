@@ -6,16 +6,10 @@ fixpoint operators iterate stage by stage.
 
 A sentence is compiled, by one pass of structural recursion, into a
 program over batches of structures of one size: its values are truth
-tables, one bit per structure of the batch.  A batch is either one
-structure, which is how models() and sentence_checker() decide single
-structures, or a chunk of up to 2^CHUNK_BITS structures, which is how
-sweep() decides every structure up to a size.  A sweep compiles its
-sentences once, before it evaluates any, so a compile error raises first;
-a chunk that its batch cannot decide is decided one structure at a time
-with the same programs.  A checker from
-sentence_checker() owns the per-size tables: asked about many structures of
-one size, it builds the size's table once with truth_table() and reads the
-rest off it, also for the reduction-agreement sweeps in machines.
+tables, one bit per structure of the batch: one structure in models(), or
+a chunk of up to 2^CHUNK_BITS.  sweep(), sentence_checker() and, through
+it, the reduction sweeps and oracle queries in machines all go through one
+range search, _Search, which answers as models() on each index would.
 
 Characteristic leaves delegate to the decision procedures in charsets under
 a recursion budget, since decoded payloads are untrusted and may nest
@@ -168,7 +162,7 @@ class _One(_Batch):
     single = True
 
     def __init__(self, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
-                 shape: tuple[dict[str, list], int]):
+                 shape: tuple[dict[str, list], int], leaves: dict):
         self.vocab = vocab
         self.n = n
         self.universe = range(n)
@@ -177,7 +171,7 @@ class _One(_Batch):
         # Byte p is the encoding's bit at position p.
         self.tab = _bytes_of(bits, length)
         self.config = config
-        self.leaves = {}
+        self.leaves = leaves
 
 
 def _positive_in(f: Formula, name: str, polarity: bool = True) -> bool:
@@ -437,79 +431,170 @@ def _new_program(f: Formula):
     return program
 
 
-# Single checks and truth tables share one program per sentence.  A sweep
-# compiles its own: it runs once per sentence, and hashing a new sentence
-# for the cache can cost more than compiling it, since an encoding sentence
-# hashes as its whole expansion.
+# models() shares one program per sentence; a search compiles its own, since
+# hashing a new sentence for the cache can cost more than compiling it.
 _program = lru_cache(maxsize=512)(_new_program)
 
 
 def _decide(program, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
-            shape=None) -> bool:
+            shape=None, leaves=None) -> bool:
     """The program's verdict on one structure, from the batch of just it."""
-    return program(_One(vocab, n, bits, config, shape or _shape(vocab, n)), 1) == 1
+    return program(_One(vocab, n, bits, config, shape or _shape(vocab, n),
+                        {} if leaves is None else leaves), 1) == 1
 
 
-class _Size:
-    """A checker's state for the structures of one vocabulary and size: how
-    many it checks one at a time before it builds the size's table (None
-    once it has tried, or when the size is more than one batch), and the
-    table, one byte per structure, once built."""
+# --- the range search ---------------------------------------------------
 
-    __slots__ = ("shape", "left", "flags")
+
+class _Record:
+    """A search's state at one vocabulary and size: its leaf verdicts; the
+    width-1 searches left before the next whole-size try (None: no more
+    tries); the leaves known at the last try a pending leaf refused; and
+    the table, as an int until its first read (a sweep never reads it),
+    then as one byte per structure."""
+
+    __slots__ = ("vocab", "n", "shape", "length", "leaves", "left", "known",
+                 "table", "flags")
 
     def __init__(self, vocab: Vocabulary, n: int):
-        self.shape = _shape(vocab, n)
-        length = self.shape[1]
+        self.vocab, self.n, self.shape = vocab, n, _shape(vocab, n)
+        self.length = length = self.shape[1]
         self.left = max((1 << length) >> 6, 1) if length <= CHUNK_BITS else None
-        self.flags = None
+        self.leaves, self.known, self.table, self.flags = {}, -1, None, None
+
+
+class _Search:
+    """A sentence f, or a pair f, g, compiled once, and what is known per size.
+
+    first_miss(vocab, n, lo, hi, want) is the first index in [lo, hi) whose
+    size-n structure's verdict on f is not `want` (given g, where f and g
+    disagree; want is then true), or None.  Its answers, exceptions and the
+    order of the distinct leaves it computes are those of models() on each
+    index in turn.
+
+    - A leaf's verdict depends on the vocabulary and size alone: each size
+      keeps one dict of them.  It keeps a table once a batch over the whole
+      size runs through; then no structure raises, and every leaf is known.
+    - A width-1 range is decided on the batch of its one structure, whose
+      care masks are exact, so it computes a leaf where it first reaches it.
+      After max(2^L/64, 1) of these at a size, the whole-size batch is tried
+      without computing any leaf; a pending leaf refuses it until one more
+      leaf of the size is known.
+    - A wider range runs the batch over its chunks, with the care mask set
+      to its structures, and computes a pending leaf only when no structure
+      before the first that reaches it is a miss.  The batch evaluates a
+      subformula for every structure that reaches it, so it can raise where
+      a scan never looks; and it gives up on a leaf first reached in a later
+      partial fixpoint stage, whose first structure it cannot tell.  Then
+      the chunk is decided one structure at a time, with the same programs.
+    """
+
+    __slots__ = ("config", "programs", "sizes", "last_vocab", "last_n", "last")
+
+    def __init__(self, f: Formula, g: Formula | None, config: EvalConfig):
+        self.config = config
+        # f, then g: a compile error raises before anything is evaluated.
+        self.programs = [_new_program(h) for h in (f, g) if h is not None]
+        self.sizes: dict[tuple[Vocabulary, int], _Record] = {}
+        # The last size searched, under the caller's (equal) vocabulary object.
+        self.last_vocab = self.last_n = self.last = None
+
+    def first_miss(self, vocab: Vocabulary, n: int, lo: int, hi: int,
+                   want: bool = True) -> int | None:
+        if vocab is self.last_vocab and n == self.last_n:
+            size = self.last
+        else:
+            size = (self.sizes.get((vocab, n))
+                    or self.sizes.setdefault((vocab, n), _Record(vocab, n)))
+            self.last_vocab, self.last_n, self.last = vocab, n, size
+        flags = size.flags
+        if flags is not None:
+            miss = flags.find(0 if want else 1, lo, hi)
+            return None if miss < 0 else miss
+        if hi - lo == 1 and size.left is not None:
+            if size.left:
+                size.left -= 1
+            elif len(size.leaves) > size.known:
+                self._tabulate(size)
+        if size.table is not None:
+            size.flags, size.table = _bytes_of(size.table, 1 << size.length), None
+            return self.first_miss(vocab, n, lo, hi, want)
+        return self._search(size, lo, hi, want)
+
+    def _search(self, size: _Record, lo: int, hi: int, want: bool) -> int | None:
+        if hi - lo == 1:
+            return lo if self._holds(size, lo) != want else None
+        low = min(size.length, CHUNK_BITS)
+        for chunk in range(lo >> low, ((hi - 1) >> low) + 1):
+            base = chunk << low
+            start, end = max(lo, base), min(hi, base + (1 << low))
+            try:
+                batch = _Batch(size.vocab, size.n, chunk, low, self.config, size.leaves)
+                hit = self._first_hit_in(batch, size, (1 << (end - base))
+                                         - (1 << (start - base)), want)
+                hit = None if hit is None else base | hit
+            except Exception:
+                hit = next((i for i in range(start, end)
+                            if self._holds(size, i) != want), None)
+            if hit is not None:
+                return hit
+        return None
+
+    def _holds(self, size: _Record, index: int) -> bool:
+        verdicts = [_decide(program, size.vocab, size.n, index, self.config,
+                            size.shape, size.leaves) for program in self.programs]
+        return verdicts[0] == (verdicts[1] if len(verdicts) == 2 else True)
+
+    def _run(self, batch: _Batch, care: int) -> int:
+        """The batch's table of where f holds (or agrees with g), exact on care."""
+        tables = [program(batch, care) for program in self.programs]
+        return tables[0] ^ tables[1] ^ batch.full if len(tables) == 2 else tables[0]
+
+    def _tabulate(self, size: _Record) -> None:
+        """Try the whole-size batch without computing a leaf."""
+        try:
+            batch = _Batch(size.vocab, size.n, 0, size.length, self.config, size.leaves)
+            size.table = self._run(batch, batch.full)
+        except (_LeafPending, _InexactCare):
+            size.known = len(size.leaves)
+        except Exception:
+            size.left = None
+
+    def _first_hit_in(self, batch: _Batch, size: _Record, limit: int,
+                      want: bool) -> int | None:
+        """The lowest bit of `limit` whose verdict is not `want`, or None."""
+        while True:
+            try:
+                table = self._run(batch, limit)
+            except _LeafPending as pending:
+                below = limit & ((1 << pending.first) - 1)
+                hit = self._first_hit_in(batch, size, below, want) if below else None
+                if hit is not None:
+                    return hit
+                pending.resolve()
+                continue
+            if limit == batch.full and size.length <= CHUNK_BITS:
+                size.table = table  # a run over the whole size
+            bad = limit & (~table if want else table)
+            return (bad & -bad).bit_length() - 1 if bad else None
 
 
 @lru_cache(maxsize=512)
 def _checker(f: Formula, config: EvalConfig):
-    program = _program(f)
-    sizes: dict[tuple[Vocabulary, int], _Size] = {}
-    # The previous call's arguments and size, which callers test first.
-    # Equal vocabularies may be distinct objects, so it keeps the caller's.
-    last_vocab = last_n = last = None
-
-    def size_of(vocab: Vocabulary, n: int) -> _Size:
-        nonlocal last_vocab, last_n, last
-        last = sizes.get((vocab, n))
-        if last is None:
-            last = sizes[vocab, n] = _Size(vocab, n)
-        last_vocab, last_n = vocab, n
-        return last
-
-    def first_miss(vocab: Vocabulary, n: int, lo: int, hi: int,
-                   want: bool) -> int | None:
-        size = last if vocab is last_vocab and n == last_n else size_of(vocab, n)
-        while size.flags is None:
-            if lo == hi:
-                return None
-            if size.left == 0:
-                # A table answers as checking each structure would: it is
-                # refused where any structure raises or reaches a leaf.
-                size.left = None
-                table = truth_table(f, vocab, n, config)
-                if table is not None:
-                    size.flags = _bytes_of(table, 1 << size.shape[1])
-                continue
-            if size.left:
-                size.left -= 1
-            if _decide(program, vocab, n, lo, config, size.shape) != want:
-                return lo
-            lo += 1
-        miss = size.flags.find(0 if want else 1, lo, hi)
-        return None if miss < 0 else miss
+    search = _Search(f, None, config)
+    first_miss = search.first_miss
+    # The last size checked that has a table, and that table.
+    last_vocab = last_n = flags = None
 
     def check(a: Structure) -> bool:
+        nonlocal last_vocab, last_n, flags
         vocab, n = a.vocab, a.n
-        size = last if vocab is last_vocab and n == last_n else size_of(vocab, n)
-        flags = size.flags
-        if flags is not None:
+        if vocab is last_vocab and n == last_n:
             return flags[a.bits] == 1
-        return first_miss(vocab, n, a.bits, a.bits + 1, True) is None
+        holds = first_miss(vocab, n, a.bits, a.bits + 1, True) is None
+        if search.last.flags is not None:
+            last_vocab, last_n, flags = vocab, n, search.last.flags
+        return holds
 
     check.first_miss = first_miss
     return check
@@ -518,13 +603,9 @@ def _checker(f: Formula, config: EvalConfig):
 def sentence_checker(f: Formula, config: EvalConfig | None = None):
     """Compile a sentence once; the result maps structures to verdicts, and
     its first_miss(vocab, n, lo, hi, want) is the first index in [lo, hi)
-    whose size-n structure's verdict is not `want`, or None.
-
-    After about a 64th of a size's structures (when the size is one batch),
-    the checker builds that size's truth table and reads later verdicts
-    off it; until then, or when the table is refused, it decides one index
-    at a time.  Its verdicts, exceptions and leaf computations stay those
-    of models() on each structure in turn.
+    whose size-n structure's verdict is not `want`, or None.  Both are the
+    range search of a _Search cached per sentence and configuration, which
+    keeps each size's leaf verdicts and table across calls.
     """
     return _checker(f, config or _EMPTY_CONFIG)
 
@@ -548,95 +629,32 @@ def mod_eq_upto(f: Formula, g: Formula, vocab: Vocabulary, n_max: int,
 
 # --- sweeps -------------------------------------------------------------
 
-
-class _Sweep:
-    """A sentence, or a pair to compare, compiled once for evaluation over
-    one vocabulary and configuration.  They compile here, f then g, so a
-    compile error raises before anything is evaluated."""
-
-    def __init__(self, vocab: Vocabulary, f: Formula, g: Formula | None,
-                 config: EvalConfig):
-        self.vocab, self.config = vocab, config
-        # Size -> the leaf verdicts computed at that size.
-        self.leaves: dict[int, dict] = {}
-        self.programs = [_new_program(h) for h in (f, g) if h is not None]
-
-    def first_hit(self, n: int, chunk: int) -> int | None:
-        """Index of the chunk's first structure falsifying f (or where f and g
-        disagree), or None."""
-        vocab, config = self.vocab, self.config
-        low = min(encoding_length(vocab, n), CHUNK_BITS)
-        # Apart from leaves, the batch evaluates a subformula for every
-        # structure that reaches it, also behind the first counterexample,
-        # so it can raise where a scan never looks; and it gives up on a
-        # leaf whose first structure it cannot tell.  Then the chunk is
-        # decided one structure at a time, which gives exactly its result
-        # or exception.
-        try:
-            batch = _Batch(vocab, n, chunk, low, config,
-                           self.leaves.setdefault(n, {}))
-            hit = self._first_hit_in(batch, batch.full)
-        except Exception:
-            pass
-        else:
-            return None if hit is None else (chunk << low) | hit
-        shape = _shape(vocab, n)
-        for index in range(chunk << low, (chunk + 1) << low):
-            verdicts = [_decide(program, vocab, n, index, config, shape)
-                        for program in self.programs]
-            if verdicts[0] != (verdicts[1] if len(verdicts) == 2 else True):
-                return index
-        return None
-
-    def _first_hit_in(self, batch: _Batch, limit: int) -> int | None:
-        """The lowest bit of `limit` whose structure falsifies f (or where f
-        and g disagree), or None.
-
-        A scan computes a pending leaf at the first structure that reaches
-        it, and only if no structure before that one is a hit; so does this.
-        """
-        while True:
-            try:
-                tables = [run(batch, limit) for run in self.programs]
-            except _LeafPending as pending:
-                below = limit & ((1 << pending.first) - 1)
-                hit = self._first_hit_in(batch, below) if below else None
-                if hit is not None:
-                    return hit
-                pending.resolve()
-                continue
-            other = tables[1] if len(tables) == 2 else batch.full
-            bad = limit & (tables[0] ^ other)
-            return (bad & -bad).bit_length() - 1 if bad else None
+# A pool worker's _Search, built once by the pool's initializer.
+_worker_search: _Search | None = None
 
 
-# The _Sweep of a pool worker, built once by the pool's initializer, so each
-# worker compiles the sentences once and shares leaf verdicts across chunks.
-_worker_sweep: _Sweep | None = None
+def _start_worker(f: Formula, g: Formula | None, config: EvalConfig) -> None:
+    global _worker_search
+    _worker_search = _Search(f, g, config)
 
 
-def _start_worker(vocab: Vocabulary, f: Formula, g: Formula | None,
-                  config: EvalConfig) -> None:
-    global _worker_sweep
-    _worker_sweep = _Sweep(vocab, f, g, config)
+def _pool_first_miss(vocab: Vocabulary, n: int, lo: int, hi: int) -> int | None:
+    return _worker_search.first_miss(vocab, n, lo, hi)
 
 
-def _pool_first_hit(n: int, chunk: int) -> int | None:
-    return _worker_sweep.first_hit(n, chunk)
-
-
-def _first_hit_in_pool(jobs: int, sweep_args: tuple, n: int,
-                       chunks: range) -> int | None:
-    """The first hit in chunk order, with up to 4 * jobs chunks in flight.
-    sweep_args are _Sweep's, for each worker's own."""
+def _first_hit_in_pool(jobs: int, search_args: tuple, vocab: Vocabulary,
+                       n: int) -> int | None:
+    """The first hit at size n, with up to 4 * jobs chunks in flight."""
     from concurrent.futures import ProcessPoolExecutor
 
+    width = 1 << CHUNK_BITS
+    starts = range(0, 1 << encoding_length(vocab, n), width)
     pool = ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                               initargs=sweep_args)
+                               initargs=search_args)
     try:
-        for lo in range(0, len(chunks), 4 * jobs):
-            futures = [pool.submit(_pool_first_hit, n, chunk)
-                       for chunk in chunks[lo:lo + 4 * jobs]]
+        for i in range(0, len(starts), 4 * jobs):
+            futures = [pool.submit(_pool_first_miss, vocab, n, lo, lo + width)
+                       for lo in starts[i:i + 4 * jobs]]
             for future in futures:
                 hit = future.result()
                 if hit is not None:
@@ -651,43 +669,23 @@ def sweep(vocab: Vocabulary, n_max: int, f: Formula, g: Formula | None = None,
     """First structure in (size, index) order with 2 <= n <= n_max that
     falsifies f, or, given g, on which f and g disagree; None if there is none.
 
-    Each size is decided in batches of up to 2^CHUNK_BITS structures, one
-    bit per structure.  With jobs > 1 and at least two batches in a size,
-    a pool of that many processes decides them; the result is the same.
+    Each size is one range search (see _Search), decided in batches of up
+    to 2^CHUNK_BITS structures, one bit per structure.  With jobs > 1 and at
+    least two batches in a size, a pool of that many processes decides
+    them; the result is the same.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or _EMPTY_CONFIG
-    local = _Sweep(vocab, f, g, config)
+    search = _Search(f, g, config)
     for n in range(2, n_max + 1):
-        chunks = range(1 << max(encoding_length(vocab, n) - CHUNK_BITS, 0))
-        if jobs > 1 and len(chunks) > 1:
-            hit = _first_hit_in_pool(jobs, (vocab, f, g, config), n, chunks)
+        length = encoding_length(vocab, n)
+        if jobs > 1 and length > CHUNK_BITS:
+            hit = _first_hit_in_pool(jobs, (f, g, config), vocab, n)
         else:
-            hits = (local.first_hit(n, chunk) for chunk in chunks)
-            hit = next((h for h in hits if h is not None), None)
+            hit = search.first_miss(vocab, n, 0, 1 << length)
         if hit is not None:
             return Structure(vocab, n, hit)
     return None
-
-
-def truth_table(f: Formula, vocab: Vocabulary, n: int,
-                config: EvalConfig | None = None) -> int | None:
-    """f's verdicts on every size-n structure as one int, bit i for the
-    structure with index i; None when the size is more than one batch or the
-    batch raises for any reason.
-
-    A pending leaf raises too, so no leaf is computed here: a caller that
-    gets None decides the size one structure at a time, which gives exactly
-    its results, exceptions and leaves.
-    """
-    low = encoding_length(vocab, n)
-    if low > CHUNK_BITS:
-        return None
-    try:
-        batch = _Batch(vocab, n, 0, low, config or _EMPTY_CONFIG, {})
-        return _program(f)(batch, batch.full)
-    except Exception:
-        return None

@@ -7,10 +7,11 @@ import pytest
 
 from fmwb import charsets, machines, semantics
 from fmwb.core import (
-    Structure, Vocabulary, encode_bin, enumerate_structures, parse_vocab,
+    NoIntegerUniverse, Structure, Vocabulary, decode_bin, encode_bin,
+    enumerate_structures, parse_vocab,
 )
-from fmwb.forms import fo_sentences
-from fmwb.logic import And, Or, parse_formula, print_formula
+from fmwb.forms import build_form, fo_sentences
+from fmwb.logic import And, Or, apply_T_ord, parse_formula, print_formula
 from fmwb.machines import (
     APPENDS, BLANK, LOGSPACE, MOVES, POLYTIME, RESERVED, SYMBOLS, MachineError,
     MalformedMachine, OracleMachine, decode_tm, encode_tm, format_machine,
@@ -328,6 +329,7 @@ def test_reduction_sweeps_match_the_reference(tau, n_max, seed):
 
 CYCLING_LFP = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
 V_R = parse_vocab("R:1 <")
+V_R1 = parse_vocab("R1:1 <")
 
 
 def test_cycling_fixpoints_raise_where_the_reference_raises():
@@ -417,9 +419,18 @@ def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(monkeypatch)
     monkeypatch.setattr(charsets, "leaf_verdict", record)
 
     def scan(m, gamma, target, n_max):
-        check = sentence_checker(target, config)
+        """The first structure where the run and the target disagree, with
+        each query and each target verdict decided alone by models()."""
+        def ask(query):
+            try:
+                return models(decode_bin(V_E, query), gamma, config)
+            except NoIntegerUniverse:
+                return False
         for b in enumerate_structures(V_E, n_max):
-            if run(m, encode_bin(b), gamma, V_E, config=config) != check(b):
+            word = encode_bin(b)
+            limit = m.step_limit(len(word))
+            accepted = next(machines._walk(m, len(word), word, limit, ask))[2]
+            if accepted != models(b, target, config):
                 return b
         return None
 
@@ -445,27 +456,29 @@ def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(monkeypatch)
         want = scan(m, gamma, target, 3)
         scan_calls = list(calls)
         calls.clear()
+        semantics._checker.cache_clear()
         assert is_reduction_upto(m, gamma, target, V_E, 3, config) == want
         assert list(dict.fromkeys(calls)) == list(dict.fromkeys(scan_calls))
-        if m is identity:
-            # every input asks its own query, so nothing is shared
-            assert calls == scan_calls
         seen.append(len(calls))
-    assert seen[:2] == [0, 0] and min(seen[2:]) > 0
-    # the shared query computes the leaf once per size, not once per input
-    assert seen[4] == 2 and len(scan_calls) == 16 + 512
+    # A checker computes a leaf once per size, where a scan computes it at
+    # every structure that reaches it.  The third case ends at its witness,
+    # structure 1 of size 2.  In the fourth gamma and the target are one
+    # sentence, so they share one checker.  In the fifth every input asks
+    # one query, of size 2.
+    assert seen == [0, 0, 1, 2, 1] and len(scan_calls) == 16 + 512
+    semantics._checker.cache_clear()
 
 
 def test_single_runs_build_no_table_before_a_checker_would(monkeypatch):
     # Oracle queries share the sentence's checker, so a size's table is
     # built once max(2^L/64, 1) queries of that size have been checked.
     built = []
-    build = semantics.truth_table
+    tabulate = semantics._Search._tabulate
 
-    def record(f, vocab, n, config):
-        built.append(n)
-        return build(f, vocab, n, config)
-    monkeypatch.setattr(semantics, "truth_table", record)
+    def record(search, size):
+        tabulate(search, size)
+        built.append((size.n, size.table is not None))
+    monkeypatch.setattr(semantics._Search, "_tabulate", record)
     semantics._checker.cache_clear()
     try:
         for n, length in ((2, 4), (3, 9)):
@@ -474,10 +487,46 @@ def test_single_runs_build_no_table_before_a_checker_would(monkeypatch):
                 assert built == []
                 b = Structure(V_E, n, index)
                 assert run(identity_machine(), encode_bin(b), EDGE, V_E) == models(b, EDGE)
-            assert built == [n]
+            assert built == [(n, True)]
             built.clear()
     finally:
         semantics._checker.cache_clear()
+
+
+def test_leaf_bearing_oracles_get_tables(monkeypatch):
+    # Every query of the identity machine is its own input, so without a
+    # table the oracle, an ord5 form, decides all 2^L structures of a size
+    # one at a time.  With the leaf shared per size, the table is built
+    # after max(2^L/64, 1) of them, or one more when the leaf is pending.
+    ups = parse_formula("Ex R(x)")
+    f = build_form("ord5", apply_T_ord(ups, V_R1), tau=V_R1, cls="NP",
+                   machine=identity_machine(), upsilon=ups).formula
+    config = EvalConfig(ups, parse_formula("Ax Ey R(x,y)"))
+    mine, singles = [], []
+    decide = semantics._decide
+
+    def noting(compile):
+        """compile, noting the programs of f, not those of the leaf's sweeps."""
+        def compile_and_note(h):
+            program = compile(h)
+            if h is f:
+                mine.append(program)
+            return program
+        return compile_and_note
+
+    def record(program, vocab, n, bits, *args):
+        if program in mine:
+            singles.append(n)
+        return decide(program, vocab, n, bits, *args)
+    monkeypatch.setattr(semantics, "_new_program", noting(semantics._new_program))
+    monkeypatch.setattr(semantics, "_program", noting(semantics._program))
+    monkeypatch.setattr(semantics, "_decide", record)
+    semantics._checker.cache_clear()
+    assert is_reduction_upto(identity_machine(), f, f, V_R1, 10, config) is None
+    for n in range(2, 11):
+        # The target and the oracle are the same checker.
+        assert 0 < singles.count(n) <= max((1 << n) >> 6, 1) + 1, n
+    semantics._checker.cache_clear()
 
 
 # --- the walk over all inputs of one size ----------------------------------
@@ -533,10 +582,16 @@ def test_walk_verdicts_match_the_reference_on_every_input():
         w[0] == w[-1] for w in ("".join(w) for w in product("01", repeat=5))]
 
 
+class _RefusedBatch(semantics._Batch):
+    def __init__(self, *args):
+        raise RuntimeError("every batch is refused")
+
+
 def _recorded_events(monkeypatch, m, gamma, target, vocab, n_max):
     """The queries and single-structure checks of a per-input scan and of a
-    sweep, in the order of their first occurrences, with truth tables
-    refused so that the sweep checks every structure."""
+    sweep, in the order of their first occurrences, with every batch of
+    more than one structure refused so that the sweep checks every
+    structure alone."""
     events = []
     answers, decide = machines._oracle_answers, semantics._decide
 
@@ -554,7 +609,7 @@ def _recorded_events(monkeypatch, m, gamma, target, vocab, n_max):
 
     monkeypatch.setattr(machines, "_oracle_answers", recording_answers)
     monkeypatch.setattr(semantics, "_decide", recording_decide)
-    monkeypatch.setattr(semantics, "truth_table", lambda *args: None)
+    monkeypatch.setattr(semantics, "_Batch", _RefusedBatch)
     semantics._checker.cache_clear()
     check = sentence_checker(target, None)
     scan = None

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -393,16 +394,16 @@ def test_every_short_psi_is_false_on_every_structure():
 
 @pytest.fixture
 def tables(monkeypatch):
-    """Each table a checker tries to build, as (sentence, n, built), with the
-    checker cache emptied so that every checker starts without tables."""
+    """Each try of a checker's search at a whole-size table, as (search, n,
+    built), with the checker cache emptied so that every checker starts
+    without tables.  A checker's search is check.first_miss.__self__."""
     tried = []
-    build = semantics.truth_table
+    tabulate = semantics._Search._tabulate
 
-    def record(f, vocab, n, config):
-        table = build(f, vocab, n, config)
-        tried.append((f, n, table is not None))
-        return table
-    monkeypatch.setattr(semantics, "truth_table", record)
+    def record(search, size):
+        tabulate(search, size)
+        tried.append((search, size.n, size.table is not None))
+    monkeypatch.setattr(semantics._Search, "_tabulate", record)
     semantics._checker.cache_clear()
     yield tried
     semantics._checker.cache_clear()
@@ -421,7 +422,8 @@ def test_a_checker_that_tabulates_a_size_answers_as_models(tables):
             check = sentence_checker(f, CONFIG)
             assert [check(a) for a in structures] == [models(a, f, CONFIG)
                                                       for a in structures]
-            assert tables == [(f, n, True) for n in range(2, n_max + 1)]
+            search = check.first_miss.__self__
+            assert tables == [(search, n, True) for n in range(2, n_max + 1)]
 
 
 def test_refused_sizes_raise_and_compute_leaves_where_a_scan_does(
@@ -435,11 +437,10 @@ def test_refused_sizes_raise_and_compute_leaves_where_a_scan_does(
     monkeypatch.setattr(charsets, "leaf_verdict", record)
     # Only the structure with every element in R reaches the fixpoint or the
     # leaf, so a table is tried and refused before it.
-    cycling = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
     leaf = print_formula(char_sentence("ord", gamma=parse_formula("Ex R(x)"),
                                        machine=identity_machine()))
     vocab = parse_vocab("R:1 <")
-    cases = [(f"(Ex ~R(x) | {cycling})", CONFIG, NoLeastFixpoint),
+    cases = [(f"(Ex ~R(x) | {CYCLING_LFP})", CONFIG, NoLeastFixpoint),
              (f"(Ex ~R(x) | {leaf})", EvalConfig(), MissingDistinguished),
              (f"(Ex ~R(x) | {leaf})", CONFIG, None),
              (f"(Ex ~R(x) | ~{leaf})", CONFIG, None)]
@@ -449,6 +450,7 @@ def test_refused_sizes_raise_and_compute_leaves_where_a_scan_does(
             tables.clear()
             calls.clear()
             check = sentence_checker(f, config)
+            search = check.first_miss.__self__
             structures = [Structure(vocab, n, i) for i in range(1 << n)]
             for a in structures[:-1]:
                 assert check(a) is True
@@ -460,9 +462,29 @@ def test_refused_sizes_raise_and_compute_leaves_where_a_scan_does(
                 for _ in range(2):
                     with pytest.raises(error):
                         check(structures[-1])
-            assert calls == [n] * (4 if error is None else 2 * (error is MissingDistinguished))
-            # Computing the leaf tries tables of its own sentences.
-            assert [t for t in tables if t[0] == f] == [(f, n, False)]
+            # The checker computes the leaf once, at its first check of the
+            # last structure, and models() once per call.  A leaf whose
+            # computation raises is not kept, so each check computes it.
+            assert calls == [n] * {None: 3, MissingDistinguished: 2,
+                                   NoLeastFixpoint: 0}[error]
+            # With the leaf known, the refused table is tried again and
+            # built.  Computing the leaf tries tables of its own sentences.
+            assert [t for t in tables if t[0] is search] == (
+                [(search, n, False)] + [(search, n, True)] * (error is None))
+
+
+def _range_lists(size, rng):
+    """Lists of ranges to search in turn: one over the size, pieces of it,
+    and each index alone.  A size of two chunks gets ranges about the
+    boundary between them instead."""
+    if size > 1 << CHUNK_BITS:
+        mid = size // 2
+        cuts = [mid - 40, mid - 3, mid, mid + 1, mid + 2, mid + 40]
+        return [[(mid - 40, mid + 40)], list(zip(cuts, cuts[1:])),
+                [(i, i + 1) for i in range(mid - 4, mid + 4)]]
+    cuts = sorted({0, size, 64, 65, 66, *rng.sample(range(1, size), 12)})
+    return [[(0, size)], list(zip(cuts, cuts[1:])),
+            [(i, i + 1) for i in range(size)]]
 
 
 def test_first_miss_answers_as_a_loop_over_models(tables, monkeypatch):
@@ -470,56 +492,80 @@ def test_first_miss_answers_as_a_loop_over_models(tables, monkeypatch):
     compute = charsets.leaf_verdict
 
     def record(vocab, n, node, config, budget):
-        calls.append(n)
+        calls.append((vocab, n, node))
         return compute(vocab, n, node, config, budget)
     monkeypatch.setattr(charsets, "leaf_verdict", record)
 
-    def outcome(run):
-        """run()'s result, or the type of what it raises; and the leaves it
-        computed."""
+    def outcomes(first_miss, ranges, want):
+        """first_miss's result on each range in turn, or the type of what it
+        raises; and the distinct leaves computed over all of them, in order."""
         calls.clear()
-        try:
-            return run(), list(calls)
-        except Exception as exc:
-            return type(exc), list(calls)
+        got = []
+        for lo, hi in ranges:
+            try:
+                got.append(first_miss(lo, hi, want))
+            except Exception as exc:
+                got.append(type(exc))
+        return got, list(dict.fromkeys(calls))
 
-    def by_models(f, vocab, n, lo, hi, want):
-        for i in range(lo, hi):
-            if models(Structure(vocab, n, i), f, CONFIG) != want:
-                return i
-        return None
+    def by_models(f, vocab, n, config):
+        def first_miss(lo, hi, want):
+            for i in range(lo, hi):
+                if models(Structure(vocab, n, i), f, config) != want:
+                    return i
+            return None
+        return first_miss
 
     rng = random.Random(29)
-    cycling = "Ex LFP[Q,u: PFP[S,v: ((Q(v) & ~S(v)) | u = v)](u)](x)"
+    no_budget = EvalConfig(UPS_ORD, UPS_UNORD, 0)
     leaf = print_formula(char_sentence("ord", gamma=parse_formula("Ex R(x)"),
                                        machine=identity_machine()))
-    fo = rng.sample(fo_sentences(V_E, 5), 6)
-    cases = [(f, V_E, 3) for f in fo]
-    cases += [(parse_formula(text), parse_vocab("R:1 <"), 7) for text in (
+    v_ord, v_p = parse_vocab("R:1 <"), parse_vocab("P:1")
+    cases = [(f, V_E, 3, CONFIG) for f in rng.sample(fo_sentences(V_E, 5), 6)]
+    cases += [(parse_formula(text), v_ord, 7, CONFIG) for text in (
         # The structures with 0 and 6 in R reach the fixpoint: from index 64
         # on, the odd indices raise and the even ones are false.
-        f"(Ex (Ay ~(y < x) & ~R(x)) | (Ex (Ay ~(x < y) & R(x)) & {cycling}))",
-        # Only the last index reaches the leaf.
-        f"(Ex ~R(x) | {leaf})",
+        f"(Ex (Ay ~(y < x) & ~R(x)) | (Ex (Ay ~(x < y) & R(x)) & {CYCLING_LFP}))",
+        # Every structure but the first reaches the fixpoint.
+        f"(Ax ~R(x) | {CYCLING_LFP})",
     )]
+    # Only the last index reaches the leaf.
+    cases += [(parse_formula(f"(Ex ~R(x) | {leaf})"), v_ord, 7, config)
+              for config in (CONFIG, no_budget)]
+    forms = [
+        (build_form("ord5", apply_T_ord(UPS_ORD, V_ORD), tau=V_ORD, cls="NP",
+                    machine=identity_machine(), upsilon=UPS_ORD), V_ORD, 7),
+        (build_form("unord6", apply_T_unord(UPS_UNORD, V_E), tau=V_E,
+                    cls="coNP", machine=always_reject_machine(),
+                    upsilon=UPS_UNORD), V_E, 3),
+        (build_form("npconp8", parse_formula("Ex P(x)"), tau=v_p,
+                    lam=parse_formula("Ax ~P(x)")), v_p, 7),
+    ]
+    cases += [(built.formula, vocab, n, config) for built, vocab, n in forms
+              for config in (CONFIG, no_budget)]
+    # Size 21 is two chunks.  Over R:1 < the structures from the second
+    # chunk on, with 0 in R, reach the leaf.
+    cases += [(parse_formula(text), parse_vocab("R:1"), 21, CONFIG)
+              for text in ("Ax (R(x) | ~R(x))", "Ex Ey (x != y & R(x) & R(y))",
+                           f"(Ex ~R(x) | {CYCLING_LFP})")]
+    cases.append((parse_formula(f"(Ex (Ay ~(y < x) & ~R(x)) | {leaf})"),
+                  v_ord, 21, CONFIG))
     tried = []
-    for f, vocab, n in cases:
-        size = 1 << encoding_length(vocab, n)
+    for f, vocab, n, config in cases:
         for want in (True, False):
-            cuts = sorted({0, size, 64, 65, 66, *rng.sample(range(1, size), 12)})
-            # One range over the size, then a fresh checker over pieces of it.
-            for ranges in ([(0, size)], list(zip(cuts, cuts[1:]))):
+            for ranges in _range_lists(1 << encoding_length(vocab, n), rng):
                 semantics._checker.cache_clear()
                 tables.clear()
-                check = sentence_checker(f, CONFIG)
-                for lo, hi in ranges:
-                    got = outcome(lambda: check.first_miss(vocab, n, lo, hi, want))
-                    assert got == outcome(lambda: by_models(f, vocab, n, lo, hi, want)), (
-                        print_formula(f), want, lo, hi)
-                mine = [built for g, _, built in tables if g == f]
-                assert mine in ([], [f in fo])
+                check = sentence_checker(f, config)
+                got = outcomes(partial(check.first_miss, vocab, n), ranges, want)
+                assert got == outcomes(by_models(f, vocab, n, config), ranges,
+                                       want), (print_formula(f), want, ranges)
+                search = check.first_miss.__self__
+                mine = [built for s, _, built in tables if s is search]
+                # A size is tried until its table is built, and then no more.
+                assert True not in mine[:-1]
                 tried += mine
-    # Tables were built and refused after single checks inside one range.
+    # Tables were built, and refused, after single checks.
     assert True in tried and False in tried
 
 
