@@ -154,6 +154,12 @@ def leaf_verdict(vocab: Vocabulary, n: int, node: Formula, config: EvalConfig,
     raise CharsetError(f"not a characteristic leaf: {node!r}")
 
 
+@lru_cache(maxsize=64)
+def _decode_payload(gamma_code: str, machine_code: str) -> tuple[Formula, OracleMachine]:
+    """A leaf's gamma and machine, decoded once for all its bounds and kinds."""
+    return godel_decode(gamma_code), decode_tm(machine_code)
+
+
 @lru_cache(maxsize=512)
 def _char_verdict(node: Formula, vocab: Vocabulary, bound: int,
                   config: EvalConfig, budget: int) -> bool:
@@ -165,8 +171,7 @@ def _char_verdict(node: Formula, vocab: Vocabulary, bound: int,
             )
         if not vocab.has_order:
             raise CharsetError("ordered characteristic leaf on an unordered structure")
-        gamma = godel_decode(node.gamma_code)
-        machine = decode_tm(node.machine_code)
+        gamma, machine = _decode_payload(node.gamma_code, node.machine_code)
         validate_sentence(gamma, vocab)
         upsilon_tau = apply_T_ord(config.upsilon_ord, vocab)
         return _reduction_agrees(vocab, gamma, machine, upsilon_tau, bound, inner)
@@ -177,8 +182,7 @@ def _char_verdict(node: Formula, vocab: Vocabulary, bound: int,
             )
         if vocab.has_order:
             raise CharsetError("unordered characteristic leaf on an ordered structure")
-        gamma = godel_decode(node.gamma_code)
-        machine = decode_tm(node.machine_code)
+        gamma, machine = _decode_payload(node.gamma_code, node.machine_code)
         validate_sentence(gamma, vocab)
         upsilon_tau = apply_T_unord(config.upsilon_unord, vocab)
         verdict = _reduction_agrees(vocab, gamma, machine, upsilon_tau, bound, inner)

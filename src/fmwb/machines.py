@@ -13,10 +13,16 @@ A reduction-agreement sweep runs the machine on all 2^L encodings of one
 size in a single walk.  The inputs share one run until its input head reads
 a position whose bit decides the next step, and the run forks there, so a
 machine that never reads its input runs once per size.  A single run is
-the same walk with every input bit known, which never forks.  The target's
-verdicts and the oracle's answers come from the two sentences' checkers
-(semantics.sentence_checker), whose one range search gives exactly the
-verdicts, exceptions and leaves of checking each structure in turn.
+the same walk with every input bit known, which never forks.  The walk
+reads the machine's transitions from one integer-coded list
+(OracleMachine.coded_steps) and keeps the input bits it has fixed as one
+integer.  The target's verdicts and the oracle's answers come from the
+two sentences' checkers (semantics.sentence_checker), whose one range
+search gives exactly the verdicts, exceptions and leaves of checking each
+structure in turn.  Before walking a size, a sweep has the target's
+checker try to build the size's table, and its range searches then read
+the table where it is built; the oracle's answers come from its
+checker's table once that exists.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ _STATE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 TransKey = tuple[str, str, str]
 TransVal = tuple[str, str, str, str, str]
 _SHIFT = {"L": -1, "R": 1, "S": 0}
+_SYM_INDEX = {sym: i for i, sym in enumerate(SYMBOLS)}
 
 
 class MachineError(ValueError):
@@ -106,10 +113,29 @@ class OracleMachine:
         return cls(tuple(states), start, kind, clock_c, step_c, table)
 
     @cached_property
-    def step_table(self) -> dict[TransKey, tuple[str, str, int, int, str]]:
-        """The transitions with head moves as -1/0/+1."""
-        return {key: (nxt, write, _SHIFT[in_mv], _SHIFT[sto_mv], app)
-                for key, (nxt, write, in_mv, sto_mv, app) in self.transitions}
+    def state_codes(self) -> dict[str, int]:
+        """Each state's code in coded_steps: 9i for the i-th state."""
+        return {state: 9 * i for i, state in enumerate(self.states)}
+
+    @cached_property
+    def coded_steps(self) -> list[tuple[int, int, int, int, str, bool]]:
+        """The transitions as one list, with state i as 9i and the symbols
+        0, 1, _ as 0, 1, 2.  The step from state 9i on input symbol a and
+        storage symbol b is at 9i + 3a + b, as (next state, symbol written,
+        input move, storage move, oracle append, whether the input bit
+        decides the step from 9i on b); a missing transition has next state
+        -1.  The flag is the same at 9i + b and 9i + 3 + b."""
+        index = self.state_codes
+        coded = [(-1, 0, 0, 0, "", False)] * (9 * len(index))
+        for (state, in_sym, sto_sym), (nxt, write, in_mv, sto_mv, app) in self.transitions:
+            coded[index[state] + 3 * _SYM_INDEX[in_sym] + _SYM_INDEX[sto_sym]] = (
+                index[nxt], _SYM_INDEX[write], _SHIFT[in_mv], _SHIFT[sto_mv], app, False)
+        for (state, in_sym, sto_sym), _ in self.transitions:
+            at = index[state] + _SYM_INDEX[sto_sym]
+            if in_sym != BLANK and coded[at] != coded[at + 3]:
+                coded[at] = coded[at][:5] + (True,)
+                coded[at + 3] = coded[at + 3][:5] + (True,)
+        return coded
 
     def step_limit(self, input_len: int) -> int:
         """(input_len+2)^step_c, or the smaller clock power for polytime,
@@ -132,6 +158,8 @@ class OracleMachine:
 _SYM_CODE = {sym: format(i, "02b") for i, sym in enumerate(SYMBOLS)}
 _MOVE_CODE = {mv: format(i, "02b") for i, mv in enumerate(MOVES)}
 _APP_CODE = {app: format(i, "02b") for i, app in enumerate(APPENDS)}
+_SYM_OF, _MOVE_OF, _APP_OF = ({code: value for value, code in codes.items()}
+                              for codes in (_SYM_CODE, _MOVE_CODE, _APP_CODE))
 
 
 def encode_tm(m: OracleMachine) -> str:
@@ -160,12 +188,12 @@ def decode_tm(bits: str) -> OracleMachine:
         raise MalformedMachine("machine code must be a nonempty bit string")
     r = BitReader(bits)
 
-    def field(table):
+    def field(values):
         code = r.take(2)
-        for value, encoded in table.items():
-            if encoded == code:
-                return value
-        raise MalformedCode(f"invalid field code {code}")
+        value = values.get(code)
+        if value is None:
+            raise MalformedCode(f"invalid field code {code}")
+        return value
 
     try:
         n_states = r.nat()
@@ -178,13 +206,13 @@ def decode_tm(bits: str) -> OracleMachine:
         transitions = []
         for _ in range(n_trans):
             state_idx = r.nat()
-            in_sym = field(_SYM_CODE)
-            sto_sym = field(_SYM_CODE)
+            in_sym = field(_SYM_OF)
+            sto_sym = field(_SYM_OF)
             next_idx = r.nat()
-            write = field(_SYM_CODE)
-            in_mv = field(_MOVE_CODE)
-            sto_mv = field(_MOVE_CODE)
-            app = field(_APP_CODE)
+            write = field(_SYM_OF)
+            in_mv = field(_MOVE_OF)
+            sto_mv = field(_MOVE_OF)
+            app = field(_APP_OF)
             if state_idx >= n_states or next_idx >= n_states:
                 raise MalformedCode("transition state index out of range")
             transitions.append(
@@ -225,9 +253,11 @@ def _oracle_answers(sentence: Formula, vocab: Vocabulary,
                     config: EvalConfig | None) -> Callable[[str], bool]:
     """Answers to oracle queries: a query that decodes is a width-1 range
     search of the sentence's checker, which gives exactly the verdicts,
-    exceptions and leaf computations of checking each query alone, and
-    reads the size's table once it has one.  The sentence is compiled at the
-    first query that decodes, so a machine that never asks never compiles it.
+    exceptions and leaf computations of checking each query alone.  Once
+    the checker holds the size's table, the query's byte in it is the
+    answer (sentence_checker's holds).  The sentence is compiled at the
+    first query that decodes, so a machine that never asks never compiles
+    it.
     """
     checker = None
     sizes: dict[int, int | None] = {}  # query length -> size, None for none
@@ -245,8 +275,7 @@ def _oracle_answers(sentence: Formula, vocab: Vocabulary,
             return False
         if checker is None:
             checker = sentence_checker(sentence, config)
-        index = int(query, 2)
-        return checker.first_miss(vocab, n, index, index + 1, True) is None
+        return checker.holds(vocab, n, int(query, 2))
     return ask
 
 
@@ -263,11 +292,12 @@ def _walk(m: OracleMachine, length: int, word: str, limit: int,
     decides the step.  Only then does the walk fork: it fixes every bit not
     yet fixed up to the head, follows the inputs with 0s there, and keeps a
     copy of the configuration for each run with a 1 at one of them (after
-    0s), to follow later.  So the bits fixed are always a prefix, and a run
-    that has fixed its first k bits p covers [p << (length-k),
+    0s), to follow later.  So the bits fixed are always a prefix, kept as a
+    numeral p and its bit count k, and a run covers [p << (length-k),
     (p+1) << (length-k)).  Every step taken is the step of the lowest input
     the run covers, so queries, exceptions and their order are those of
-    running each input in turn, less the repeats of shared queries.
+    running each input in turn, less the repeats of shared queries.  States
+    and symbols are read in the codes of OracleMachine.coded_steps.
 
     The configuration (state, heads, storage, oracle tape) determines the
     rest of a run, so a repeated one is a cycle that never reaches ACC.
@@ -276,55 +306,56 @@ def _walk(m: OracleMachine, length: int, word: str, limit: int,
     it, cheap fields first.  Each query and each check of the space bound
     on the cycle happened once before the repeat is seen, so the verdict
     and any exception are those of the run to its clock.  The kept
-    configurations are never changed, so forked runs share them.
+    configurations are never changed, so forked runs share them: a forked
+    run keeps its snapshot as one tuple, (the step of the next snapshot,
+    state, input head, storage head, storage, oracle tape).
     """
-    table = m.step_table
+    coded, codes = m.coded_steps, m.state_codes
+    acc, que, yes, no = codes["ACC"], codes["QUE"], codes["YES"], codes["NO"]
     space_cap = m.space_limit(length)
     # Forked runs not yet followed, the next in index order last.
-    pending = [(word, m.start, 0, 0, {}, "",
-                {0} if space_cap is not None else None,
-                0, 1, None, None, None, None, None)]
+    pending = [(int(word, 2) if word else 0, len(word), codes[m.start], 0, 0, {}, "",
+                {0} if space_cap is not None else None, 0,
+                (1, None, None, None, None, None))]
     while pending:
-        (word, state, in_head, sto_head, storage, oracle, visited, steps,
-         seen_at, seen_state, seen_in, seen_sto, seen_storage,
-         seen_oracle) = pending.pop()
-        known = len(word)
+        (prefix, known, state, in_head, sto_head, storage, oracle, visited, steps,
+         seen) = pending.pop()
+        seen_at, seen_state, seen_in, seen_sto, seen_storage, seen_oracle = seen
         while True:
+            sto_sym = storage.get(sto_head, 2)
             if 0 <= in_head < known:
-                in_sym = word[in_head]
+                step = coded[state + 3 * (prefix >> (known - 1 - in_head) & 1) + sto_sym]
             elif in_head < 0 or in_head >= length:
-                in_sym = BLANK
+                step = coded[state + 6 + sto_sym]
             else:
-                in_sym = "0"
-                sto_sym = storage.get(sto_head, BLANK)
-                if table.get((state, "0", sto_sym)) != table.get((state, "1", sto_sym)):
+                # An unfixed bit: the step on 0, which is also the step on 1
+                # unless the bit decides it.
+                step = coded[state + sto_sym]
+                if step[5]:
                     # This run reads 0s up to the head; a 1 at one of those
                     # positions is a later range, the nearest pushed last.
                     for pos in range(known, in_head + 1):
                         pending.append((
-                            word + "0" * (pos - known) + "1", state, in_head,
-                            sto_head, dict(storage), oracle,
-                            None if visited is None else set(visited), steps,
-                            seen_at, seen_state, seen_in, seen_sto,
-                            seen_storage, seen_oracle))
-                    word += "0" * (in_head + 1 - known)
+                            (prefix << (pos + 1 - known)) | 1, pos + 1, state,
+                            in_head, sto_head, dict(storage), oracle,
+                            None if visited is None else set(visited), steps, seen))
+                    prefix <<= in_head + 1 - known
                     known = in_head + 1
-            action = table.get((state, in_sym, storage.get(sto_head, BLANK)))
-            if action is None:
+            if step[0] < 0:
                 # No transition leaves ACC or QUE, so both come here too.
-                if state == "ACC":
+                if state == acc:
                     accepted = True
                     break
-                if state != "QUE" or steps >= limit:
+                if state != que or steps >= limit:
                     accepted = False
                     break
-                state = "YES" if ask(oracle) else "NO"
+                state = yes if ask(oracle) else no
                 oracle = ""
             else:
                 if steps >= limit:
                     accepted = False
                     break
-                state, write, in_dx, sto_dx, app = action
+                state, write, in_dx, sto_dx, app, _ = step
                 storage[sto_head] = write
                 in_head += in_dx
                 sto_head += sto_dx
@@ -340,10 +371,12 @@ def _walk(m: OracleMachine, length: int, word: str, limit: int,
                 accepted = False
                 break
             if steps == seen_at:
+                seen_at <<= 1
                 seen_state, seen_in, seen_sto = state, in_head, sto_head
                 seen_storage, seen_oracle = dict(storage), oracle
-                seen_at <<= 1
-        lo = int(word, 2) << (length - known) if word else 0
+                seen = (seen_at, seen_state, seen_in, seen_sto, seen_storage,
+                        seen_oracle)
+        lo = prefix << (length - known)
         yield lo, lo + (1 << (length - known)), accepted
 
 
@@ -355,22 +388,26 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
 
     Structures are visited by size, then index.  At each size one walk runs
     the machine on all encodings at once (see _walk) and gives a verdict
-    for each range of encodings that share the bits their run read.  The
-    target's checker finds the first disagreement in each range, and the
-    oracle's checker answers the queries (see _oracle_answers); both are
-    the one range search of semantics._Search.  So the result, any
-    exception, the first asking of each query and the order of the distinct
-    leaves computed are those of running the machine and checking the
+    for each range of encodings that share the bits their run read.  Before
+    the walk, the target's checker makes its whole-size try at the size
+    (see semantics._Search.try_table), so that, where the try runs through,
+    each range is one byte search of the size's table.  The target's
+    checker finds the first disagreement in each range, and the oracle's
+    checker answers the queries (see _oracle_answers); both are the one
+    range search of semantics._Search.  So the result, any exception, the
+    first asking of each query and the order of the distinct leaves
+    computed are those of running the machine and checking the
     target on every structure in turn.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    first_miss = sentence_checker(target, config).first_miss
+    check = sentence_checker(target, config)
     ask = _oracle_answers(gamma, vocab, config)
     for n in range(2, n_max + 1):
         length = encoding_length(vocab, n)
+        check.try_table(vocab, n)
         for lo, hi, accepted in _walk(m, length, "", m.step_limit(length), ask):
-            miss = first_miss(vocab, n, lo, hi, accepted)
+            miss = check.first_miss(vocab, n, lo, hi, accepted)
             if miss is not None:
                 return Structure(vocab, n, miss)
     return None

@@ -393,6 +393,8 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
     if t in CHAR_NODES:
         # A leaf sees a structure only through its vocabulary and size, so
         # its verdict is one constant per batch.
+        state["leaves"].add(f)
+
         def compute(b):
             from . import charsets
 
@@ -420,14 +422,16 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
 
 
 def _new_program(f: Formula):
-    """f compiled: program(batch, care) is f's table, exact on care."""
-    state = {"slots": 0}
+    """f compiled: program(batch, care) is f's table, exact on care, and
+    program.leaves is the set of f's characteristic leaves."""
+    state = {"slots": 0, "leaves": set()}
     run = _compile_batch(f, {}, frozenset(), state)
     width = state["slots"]
 
     def program(b: _Batch, care: int) -> int:
         b.renv, b.exact = {}, True
         return run(b, [None] * width, care)
+    program.leaves = state["leaves"]
     return program
 
 
@@ -449,7 +453,8 @@ def _decide(program, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
 class _Record:
     """A search's state at one vocabulary and size: its leaf verdicts; the
     width-1 searches left before the next whole-size try (None: no more
-    tries); the leaves known at the last try a pending leaf refused; and
+    tries, since the size needs more than one chunk or a try raised); the
+    leaves known at the last try a pending leaf refused; and
     the table, as an int until its first read (a sweep never reads it),
     then as one byte per structure."""
 
@@ -479,47 +484,68 @@ class _Search:
       care masks are exact, so it computes a leaf where it first reaches it.
       After max(2^L/64, 1) of these at a size, the whole-size batch is tried
       without computing any leaf; a pending leaf refuses it until one more
-      leaf of the size is known.
+      leaf of the size is known.  try_table(vocab, n) makes that try at
+      once, for a caller that will read the whole size, when every leaf
+      of f (and g) is known at the size, so that no leaf refuses it.
     - A wider range runs the batch over its chunks, with the care mask set
       to its structures, and computes a pending leaf only when no structure
       before the first that reaches it is a miss.  The batch evaluates a
       subformula for every structure that reaches it, so it can raise where
       a scan never looks; and it gives up on a leaf first reached in a later
       partial fixpoint stage, whose first structure it cannot tell.  Then
-      the chunk is decided one structure at a time, with the same programs.
+      the chunk is decided one structure at a time, with the same programs,
+      as is a range over the whole size once a try at its batch raised.
     """
 
-    __slots__ = ("config", "programs", "sizes", "last_vocab", "last_n", "last")
+    __slots__ = ("config", "programs", "leaves", "sizes", "last_vocab", "last_n",
+                 "last")
 
     def __init__(self, f: Formula, g: Formula | None, config: EvalConfig):
         self.config = config
         # f, then g: a compile error raises before anything is evaluated.
         self.programs = [_new_program(h) for h in (f, g) if h is not None]
+        self.leaves = set().union(*(program.leaves for program in self.programs))
         self.sizes: dict[tuple[Vocabulary, int], _Record] = {}
         # The last size searched, under the caller's (equal) vocabulary object.
         self.last_vocab = self.last_n = self.last = None
 
+    def _size(self, vocab: Vocabulary, n: int) -> _Record:
+        if vocab is self.last_vocab and n == self.last_n:
+            return self.last
+        size = (self.sizes.get((vocab, n))
+                or self.sizes.setdefault((vocab, n), _Record(vocab, n)))
+        self.last_vocab, self.last_n, self.last = vocab, n, size
+        return size
+
+    def try_table(self, vocab: Vocabulary, n: int) -> None:
+        """Make the whole-size try of the countdown now, unless the size has
+        a table, a try raised, or a leaf is still unknown at the size: such
+        a leaf would refuse the try, and the caller's range searches would
+        run the same batch again to find where the leaf is first reached.
+        A try that runs through ends the countdown with the table, and one
+        that raises ends the tries, so a size still gets at most one try
+        that is not refused."""
+        size = self._size(vocab, n)
+        if (size.flags is None and size.table is None and size.left is not None
+                and size.leaves.keys() >= self.leaves):
+            self._tabulate(size)
+
     def first_miss(self, vocab: Vocabulary, n: int, lo: int, hi: int,
                    want: bool = True) -> int | None:
-        if vocab is self.last_vocab and n == self.last_n:
-            size = self.last
-        else:
-            size = (self.sizes.get((vocab, n))
-                    or self.sizes.setdefault((vocab, n), _Record(vocab, n)))
-            self.last_vocab, self.last_n, self.last = vocab, n, size
+        size = self._size(vocab, n)
         flags = size.flags
-        if flags is not None:
-            miss = flags.find(0 if want else 1, lo, hi)
-            return None if miss < 0 else miss
-        if hi - lo == 1 and size.left is not None:
-            if size.left:
-                size.left -= 1
-            elif len(size.leaves) > size.known:
-                self._tabulate(size)
-        if size.table is not None:
-            size.flags, size.table = _bytes_of(size.table, 1 << size.length), None
-            return self.first_miss(vocab, n, lo, hi, want)
-        return self._search(size, lo, hi, want)
+        if flags is None:
+            if hi - lo == 1 and size.left is not None:
+                if size.left:
+                    size.left -= 1
+                elif len(size.leaves) > size.known:
+                    self._tabulate(size)
+            if size.table is None:
+                return self._search(size, lo, hi, want)
+            size.flags = flags = _bytes_of(size.table, 1 << size.length)
+            size.table = None
+        miss = flags.find(0 if want else 1, lo, hi)
+        return None if miss < 0 else miss
 
     def _search(self, size: _Record, lo: int, hi: int, want: bool) -> int | None:
         if hi - lo == 1:
@@ -528,17 +554,24 @@ class _Search:
         for chunk in range(lo >> low, ((hi - 1) >> low) + 1):
             base = chunk << low
             start, end = max(lo, base), min(hi, base + (1 << low))
-            try:
-                batch = _Batch(size.vocab, size.n, chunk, low, self.config, size.leaves)
-                hit = self._first_hit_in(batch, size, (1 << (end - base))
-                                         - (1 << (start - base)), want)
-                hit = None if hit is None else base | hit
-            except Exception:
-                hit = next((i for i in range(start, end)
-                            if self._holds(size, i) != want), None)
+            if size.left is None and end - start == 1 << size.length:
+                # The whole-size batch raised at a try, and would again.
+                hit = self._scan(size, start, end, want)
+            else:
+                try:
+                    batch = _Batch(size.vocab, size.n, chunk, low, self.config,
+                                   size.leaves)
+                    hit = self._first_hit_in(batch, size, (1 << (end - base))
+                                             - (1 << (start - base)), want)
+                    hit = None if hit is None else base | hit
+                except Exception:
+                    hit = self._scan(size, start, end, want)
             if hit is not None:
                 return hit
         return None
+
+    def _scan(self, size: _Record, lo: int, hi: int, want: bool) -> int | None:
+        return next((i for i in range(lo, hi) if self._holds(size, i) != want), None)
 
     def _holds(self, size: _Record, index: int) -> bool:
         verdicts = [_decide(program, size.vocab, size.n, index, self.config,
@@ -586,17 +619,19 @@ def _checker(f: Formula, config: EvalConfig):
     # The last size checked that has a table, and that table.
     last_vocab = last_n = flags = None
 
-    def check(a: Structure) -> bool:
+    def holds(vocab: Vocabulary, n: int, bits: int) -> bool:
         nonlocal last_vocab, last_n, flags
-        vocab, n = a.vocab, a.n
         if vocab is last_vocab and n == last_n:
-            return flags[a.bits] == 1
-        holds = first_miss(vocab, n, a.bits, a.bits + 1, True) is None
+            return flags[bits] == 1
+        verdict = first_miss(vocab, n, bits, bits + 1, True) is None
         if search.last.flags is not None:
             last_vocab, last_n, flags = vocab, n, search.last.flags
-        return holds
+        return verdict
 
-    check.first_miss = first_miss
+    def check(a: Structure) -> bool:
+        return holds(a.vocab, a.n, a.bits)
+
+    check.holds, check.first_miss, check.try_table = holds, first_miss, search.try_table
     return check
 
 
@@ -605,7 +640,10 @@ def sentence_checker(f: Formula, config: EvalConfig | None = None):
     its first_miss(vocab, n, lo, hi, want) is the first index in [lo, hi)
     whose size-n structure's verdict is not `want`, or None.  Both are the
     range search of a _Search cached per sentence and configuration, which
-    keeps each size's leaf verdicts and table across calls.
+    keeps each size's leaf verdicts and table across calls.  Its
+    holds(vocab, n, bits) is check on the structure of that index, without
+    building it; and try_table(vocab, n) makes the size's whole-size try at
+    once, for a caller that will read the whole size (see _Search).
     """
     return _checker(f, config or _EMPTY_CONFIG)
 

@@ -368,6 +368,33 @@ def test_a_refused_target_table_is_built_once(monkeypatch):
     assert built == [2]
 
 
+def test_a_pending_target_leaf_costs_no_extra_batch(monkeypatch):
+    # The machine accepts every input, so each walk is one range over the
+    # whole size, whose one batch reaches the target's leaf where R is full
+    # and computes it there.  A whole-size try before the walk would be
+    # refused at that leaf, and the range would run the same batch again.
+    # The one more batch at n = 2 is the leaf's own reduction sweep.
+    built = []
+
+    class Batch(semantics._Batch):
+        def __init__(self, vocab, n, *args):
+            built.append(n)
+            super().__init__(vocab, n, *args)
+    monkeypatch.setattr(semantics, "_Batch", Batch)
+    semantics._checker.cache_clear()
+    gamma = parse_formula("Ex R(x)")
+    leaf = print_formula(charsets.char_sentence("ord", gamma=gamma,
+                                                machine=identity_machine()))
+    config = EvalConfig(gamma, parse_formula("Ax Ey R(x,y)"))
+    target = parse_formula(f"(Ex ~R(x) | {leaf})")
+    try:
+        assert is_reduction_upto(always_accept_machine(), gamma, target, V_R, 6,
+                                 config) is None
+        assert [built.count(n) for n in range(2, 7)] == [2, 1, 1, 1, 1]
+    finally:
+        semantics._checker.cache_clear()
+
+
 def _query_machine(word):
     """Writes `word` on the oracle tape whatever its input, queries, and
     accepts exactly on YES."""
@@ -527,6 +554,35 @@ def test_leaf_bearing_oracles_get_tables(monkeypatch):
         # The target and the oracle are the same checker.
         assert 0 < singles.count(n) <= max((1 << n) >> 6, 1) + 1, n
     semantics._checker.cache_clear()
+
+
+def test_a_sweep_reads_a_leaf_free_target_from_its_table(monkeypatch):
+    # A reduction sweep reads every structure of a size, so it asks the
+    # target's checker for the size's table before the walk, and a target
+    # without leaves that raises nowhere is never decided one structure at
+    # a time.
+    gamma, target = EDGE, parse_formula("Ey Ex E(x,y)")
+    mine, singles = [], []
+    compile, decide = semantics._new_program, semantics._decide
+
+    def noting(h):
+        program = compile(h)
+        if h is target:
+            mine.append(program)
+        return program
+
+    def record(program, vocab, n, bits, *args):
+        if program in mine:
+            singles.append((n, bits))
+        return decide(program, vocab, n, bits, *args)
+    monkeypatch.setattr(semantics, "_new_program", noting)
+    monkeypatch.setattr(semantics, "_decide", record)
+    semantics._checker.cache_clear()
+    try:
+        assert is_reduction_upto(identity_machine(), gamma, target, V_E, 3) is None
+        assert mine and singles == []
+    finally:
+        semantics._checker.cache_clear()
 
 
 # --- the walk over all inputs of one size ----------------------------------
