@@ -59,28 +59,27 @@ def member_S_ord(a: Structure, gamma: Formula, machine: OracleMachine,
                  upsilon_tau: Formula,
                  config: EvalConfig | None = None) -> bool:
     """Reduction agreement on every structure up to ell^(3) of the encoding length."""
-    if not a.vocab.has_order:
-        raise CharsetError("the ordered set needs an ordered vocabulary")
-    _require_char_free("gamma", gamma)
-    _require_char_free("the transported distinguished sentence", upsilon_tau)
-    validate_sentence(gamma, a.vocab)
-    validate_sentence(upsilon_tau, a.vocab)
-    bound = ell(encoding_length(a.vocab, a.n), 3)
-    return _reduction_agrees(a.vocab, gamma, machine, upsilon_tau, bound,
-                             config or EvalConfig())
+    return _member_reduction(a, gamma, machine, upsilon_tau, config, True)
 
 
 def member_S_unord(a: Structure, gamma: Formula, machine: OracleMachine,
                    upsilon_tau: Formula,
                    config: EvalConfig | None = None) -> bool:
     """As the ordered set, with bound ell^(2) and an unordered vocabulary."""
-    if a.vocab.has_order:
-        raise CharsetError("the unordered set needs an order-free vocabulary")
+    return _member_reduction(a, gamma, machine, upsilon_tau, config, False)
+
+
+def _member_reduction(a: Structure, gamma: Formula, machine: OracleMachine,
+                      upsilon_tau: Formula, config: EvalConfig | None,
+                      ordered: bool) -> bool:
+    if a.vocab.has_order != ordered:
+        raise CharsetError("the ordered set needs an ordered vocabulary" if ordered
+                           else "the unordered set needs an order-free vocabulary")
     _require_char_free("gamma", gamma)
     _require_char_free("the transported distinguished sentence", upsilon_tau)
     validate_sentence(gamma, a.vocab)
     validate_sentence(upsilon_tau, a.vocab)
-    bound = ell(encoding_length(a.vocab, a.n), 2)
+    bound = ell(encoding_length(a.vocab, a.n), 3 if ordered else 2)
     return _reduction_agrees(a.vocab, gamma, machine, upsilon_tau, bound,
                              config or EvalConfig())
 
@@ -164,29 +163,22 @@ def _decode_payload(gamma_code: str, machine_code: str) -> tuple[Formula, Oracle
 def _char_verdict(node: Formula, vocab: Vocabulary, bound: int,
                   config: EvalConfig, budget: int) -> bool:
     inner = EvalConfig(config.upsilon_ord, config.upsilon_unord, budget)
-    if isinstance(node, CharOrd):
-        if config.upsilon_ord is None:
+    if isinstance(node, (CharOrd, CharUnord, CoCharUnord)):
+        ordered = isinstance(node, CharOrd)
+        kind = "ordered" if ordered else "unordered"
+        upsilon = config.upsilon_ord if ordered else config.upsilon_unord
+        if upsilon is None:
             raise MissingDistinguished(
-                "ordered characteristic leaves need a configured distinguished sentence"
+                f"{kind} characteristic leaves need a configured distinguished sentence"
             )
-        if not vocab.has_order:
-            raise CharsetError("ordered characteristic leaf on an unordered structure")
+        if vocab.has_order != ordered:
+            raise CharsetError(f"{kind} characteristic leaf on an "
+                               f"{'unordered' if ordered else 'ordered'} structure")
         gamma, machine = _decode_payload(node.gamma_code, node.machine_code)
         validate_sentence(gamma, vocab)
-        upsilon_tau = apply_T_ord(config.upsilon_ord, vocab)
-        return _reduction_agrees(vocab, gamma, machine, upsilon_tau, bound, inner)
-    if isinstance(node, (CharUnord, CoCharUnord)):
-        if config.upsilon_unord is None:
-            raise MissingDistinguished(
-                "unordered characteristic leaves need a configured distinguished sentence"
-            )
-        if vocab.has_order:
-            raise CharsetError("unordered characteristic leaf on an ordered structure")
-        gamma, machine = _decode_payload(node.gamma_code, node.machine_code)
-        validate_sentence(gamma, vocab)
-        upsilon_tau = apply_T_unord(config.upsilon_unord, vocab)
+        upsilon_tau = (apply_T_ord if ordered else apply_T_unord)(upsilon, vocab)
         verdict = _reduction_agrees(vocab, gamma, machine, upsilon_tau, bound, inner)
-        return verdict if isinstance(node, CharUnord) else not verdict
+        return not verdict if isinstance(node, CoCharUnord) else verdict
     lam = godel_decode(node.lambda_code)
     gamma = godel_decode(node.gamma_code)
     validate_sentence(lam, vocab)

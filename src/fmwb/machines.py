@@ -17,12 +17,12 @@ the same walk with every input bit known, which never forks.  The walk
 reads the machine's transitions from one integer-coded list
 (OracleMachine.coded_steps) and keeps the input bits it has fixed as one
 integer.  The target's verdicts and the oracle's answers come from the
-two sentences' checkers (semantics.sentence_checker), whose one range
-search gives exactly the verdicts, exceptions and leaves of checking each
-structure in turn.  Before walking a size, a sweep has the target's
-checker try to build the size's table, and its range searches then read
-the table where it is built; the oracle's answers come from its
-checker's table once that exists.
+two sentences' checkers (semantics.sentence_checker).  A checker is its
+sentence's cached range search, which gives exactly the verdicts,
+exceptions and leaves of checking each structure in turn.  Before walking
+a size, a sweep has the target's checker try to build the size's table,
+and its range searches then read the table where it is built; the
+oracle's answers come from its checker's table once that exists.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def _oracle_answers(sentence: Formula, vocab: Vocabulary,
     search of the sentence's checker, which gives exactly the verdicts,
     exceptions and leaf computations of checking each query alone.  Once
     the checker holds the size's table, the query's byte in it is the
-    answer (sentence_checker's holds).  The sentence is compiled at the
+    answer (see semantics._Search.holds).  The sentence is compiled at the
     first query that decodes, so a machine that never asks never compiles
     it.
     """
@@ -393,8 +393,8 @@ def is_reduction_upto(m: OracleMachine, gamma: Formula, target: Formula,
     (see semantics._Search.try_table), so that, where the try runs through,
     each range is one byte search of the size's table.  The target's
     checker finds the first disagreement in each range, and the oracle's
-    checker answers the queries (see _oracle_answers); both are the one
-    range search of semantics._Search.  So the result, any exception, the
+    checker answers the queries (see _oracle_answers); each checker is its
+    sentence's semantics._Search.  So the result, any exception, the
     first asking of each query and the order of the distinct leaves
     computed are those of running the machine and checking the
     target on every structure in turn.

@@ -7,9 +7,11 @@ fixpoint operators iterate stage by stage.
 A sentence is compiled, by one pass of structural recursion, into a
 program over batches of structures of one size: its values are truth
 tables, one bit per structure of the batch: one structure in models(), or
-a chunk of up to 2^CHUNK_BITS.  sweep(), sentence_checker() and, through
-it, the reduction sweeps and oracle queries in machines all go through one
-range search, _Search, which answers as models() on each index would.
+a chunk of up to 2^CHUNK_BITS.  sweep() and the reduction sweeps and oracle
+queries in machines all go through one range search, _Search, which
+answers as models() on each index would.  A sentence's checker
+(sentence_checker) is its _Search, cached per sentence and configuration;
+models() borrows only that search's compiled program.
 
 Characteristic leaves delegate to the decision procedures in charsets under
 a recursion budget, since decoded payloads are untrusted and may nest
@@ -119,12 +121,6 @@ def _bytes_of(bits: int, width: int) -> bytes:
     return bin(bits | 1 << width)[:2:-1].encode().translate(_BYTE_BITS)
 
 
-@lru_cache(maxsize=64)
-def _shape(vocab: Vocabulary, n: int) -> tuple[dict[str, list], int]:
-    """The bit positions and the encoding length of size n over vocab."""
-    return bit_positions(vocab, n), encoding_length(vocab, n)
-
-
 class _Batch:
     """The structures of size n whose indices have `chunk` above their lowest
     `low` bits, with the atom tables and relation environment they share.
@@ -147,7 +143,7 @@ class _Batch:
         self.full = full = (1 << width) - 1
         # The atom of a tuple is the table of its bit in the encoding, and
         # bits at or above `low` are fixed by the chunk.
-        self.pos, length = _shape(vocab, n)
+        self.pos, length = bit_positions(vocab, n), encoding_length(vocab, n)
         self.tab = [_bit_table(p, width) if p < low else full * (chunk >> (p - low) & 1)
                     for p in range(length)]
         self.config = config
@@ -162,14 +158,14 @@ class _One(_Batch):
     single = True
 
     def __init__(self, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
-                 shape: tuple[dict[str, list], int], leaves: dict):
+                 leaves: dict):
         self.vocab = vocab
         self.n = n
         self.universe = range(n)
         self.full = 1
-        self.pos, length = shape
+        self.pos = bit_positions(vocab, n)
         # Byte p is the encoding's bit at position p.
-        self.tab = _bytes_of(bits, length)
+        self.tab = _bytes_of(bits, encoding_length(vocab, n))
         self.config = config
         self.leaves = leaves
 
@@ -435,15 +431,10 @@ def _new_program(f: Formula):
     return program
 
 
-# models() shares one program per sentence; a search compiles its own, since
-# hashing a new sentence for the cache can cost more than compiling it.
-_program = lru_cache(maxsize=512)(_new_program)
-
-
 def _decide(program, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
-            shape=None, leaves=None) -> bool:
+            leaves=None) -> bool:
     """The program's verdict on one structure, from the batch of just it."""
-    return program(_One(vocab, n, bits, config, shape or _shape(vocab, n),
+    return program(_One(vocab, n, bits, config,
                         {} if leaves is None else leaves), 1) == 1
 
 
@@ -458,12 +449,12 @@ class _Record:
     the table, as an int until its first read (a sweep never reads it),
     then as one byte per structure."""
 
-    __slots__ = ("vocab", "n", "shape", "length", "leaves", "left", "known",
-                 "table", "flags")
+    __slots__ = ("vocab", "n", "length", "leaves", "left", "known", "table",
+                 "flags")
 
     def __init__(self, vocab: Vocabulary, n: int):
-        self.vocab, self.n, self.shape = vocab, n, _shape(vocab, n)
-        self.length = length = self.shape[1]
+        self.vocab, self.n = vocab, n
+        self.length = length = encoding_length(vocab, n)
         self.left = max((1 << length) >> 6, 1) if length <= CHUNK_BITS else None
         self.leaves, self.known, self.table, self.flags = {}, -1, None, None
 
@@ -475,7 +466,9 @@ class _Search:
     size-n structure's verdict on f is not `want` (given g, where f and g
     disagree; want is then true), or None.  Its answers, exceptions and the
     order of the distinct leaves it computes are those of models() on each
-    index in turn.
+    index in turn.  holds(vocab, n, bits) is the verdict on the structure
+    of index `bits`, and calling the search on a structure is holds on its
+    index.  The checker of a sentence (sentence_checker) is its search.
 
     - A leaf's verdict depends on the vocabulary and size alone: each size
       keeps one dict of them.  It keeps a table once a batch over the whole
@@ -530,6 +523,18 @@ class _Search:
                 and size.leaves.keys() >= self.leaves):
             self._tabulate(size)
 
+    def holds(self, vocab: Vocabulary, n: int, bits: int) -> bool:
+        """A width-1 range search, or, where (vocab, n) is the last size
+        searched and has a table, the index's byte in it."""
+        if vocab is self.last_vocab and n == self.last_n:
+            flags = self.last.flags
+            if flags is not None:
+                return flags[bits] == 1
+        return self.first_miss(vocab, n, bits, bits + 1) is None
+
+    def __call__(self, a: Structure) -> bool:
+        return self.holds(a.vocab, a.n, a.bits)
+
     def first_miss(self, vocab: Vocabulary, n: int, lo: int, hi: int,
                    want: bool = True) -> int | None:
         size = self._size(vocab, n)
@@ -549,7 +554,7 @@ class _Search:
 
     def _search(self, size: _Record, lo: int, hi: int, want: bool) -> int | None:
         if hi - lo == 1:
-            return lo if self._holds(size, lo) != want else None
+            return lo if self._verdict(size, lo) != want else None
         low = min(size.length, CHUNK_BITS)
         for chunk in range(lo >> low, ((hi - 1) >> low) + 1):
             base = chunk << low
@@ -571,11 +576,12 @@ class _Search:
         return None
 
     def _scan(self, size: _Record, lo: int, hi: int, want: bool) -> int | None:
-        return next((i for i in range(lo, hi) if self._holds(size, i) != want), None)
+        return next((i for i in range(lo, hi) if self._verdict(size, i) != want), None)
 
-    def _holds(self, size: _Record, index: int) -> bool:
+    def _verdict(self, size: _Record, index: int) -> bool:
+        """The index's verdict, decided on its structure alone."""
         verdicts = [_decide(program, size.vocab, size.n, index, self.config,
-                            size.shape, size.leaves) for program in self.programs]
+                            size.leaves) for program in self.programs]
         return verdicts[0] == (verdicts[1] if len(verdicts) == 2 else True)
 
     def _run(self, batch: _Batch, care: int) -> int:
@@ -613,44 +619,24 @@ class _Search:
 
 
 @lru_cache(maxsize=512)
-def _checker(f: Formula, config: EvalConfig):
-    search = _Search(f, None, config)
-    first_miss = search.first_miss
-    # The last size checked that has a table, and that table.
-    last_vocab = last_n = flags = None
-
-    def holds(vocab: Vocabulary, n: int, bits: int) -> bool:
-        nonlocal last_vocab, last_n, flags
-        if vocab is last_vocab and n == last_n:
-            return flags[bits] == 1
-        verdict = first_miss(vocab, n, bits, bits + 1, True) is None
-        if search.last.flags is not None:
-            last_vocab, last_n, flags = vocab, n, search.last.flags
-        return verdict
-
-    def check(a: Structure) -> bool:
-        return holds(a.vocab, a.n, a.bits)
-
-    check.holds, check.first_miss, check.try_table = holds, first_miss, search.try_table
-    return check
+def _checker(f: Formula, config: EvalConfig) -> _Search:
+    return _Search(f, None, config)
 
 
-def sentence_checker(f: Formula, config: EvalConfig | None = None):
-    """Compile a sentence once; the result maps structures to verdicts, and
-    its first_miss(vocab, n, lo, hi, want) is the first index in [lo, hi)
-    whose size-n structure's verdict is not `want`, or None.  Both are the
-    range search of a _Search cached per sentence and configuration, which
-    keeps each size's leaf verdicts and table across calls.  Its
-    holds(vocab, n, bits) is check on the structure of that index, without
-    building it; and try_table(vocab, n) makes the size's whole-size try at
-    once, for a caller that will read the whole size (see _Search).
-    """
+def sentence_checker(f: Formula, config: EvalConfig | None = None) -> _Search:
+    """The checker of f: its _Search, cached per sentence and configuration,
+    which keeps each size's leaf verdicts and table across calls.  It maps
+    a structure to its verdict, and answers holds, first_miss and try_table
+    (see _Search)."""
     return _checker(f, config or _EMPTY_CONFIG)
 
 
 def models(a: Structure, f: Formula, config: EvalConfig | None = None) -> bool:
-    """Does the structure satisfy the sentence?"""
-    return _decide(_program(f), a.vocab, a.n, a.bits, config or _EMPTY_CONFIG)
+    """Does the structure satisfy the sentence?  Decided on the structure
+    alone, as a reference for the range search: it runs the compiled
+    program of f's checker, but keeps no leaf verdict and builds no table."""
+    config = config or _EMPTY_CONFIG
+    return _decide(_checker(f, config).programs[0], a.vocab, a.n, a.bits, config)
 
 
 def valid_upto(f: Formula, vocab: Vocabulary, n_max: int,

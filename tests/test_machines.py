@@ -349,7 +349,7 @@ def test_cycling_fixpoints_raise_where_the_reference_raises():
         assert _assert_reduction_matches(m, gamma, target, V_R, 3) == want
 
 
-def test_a_refused_target_table_is_built_once(monkeypatch):
+def test_a_refused_target_table_is_built_once(monkeypatch, fresh_caches):
     # Only the size-2 structure with R full reaches the cycling fixpoint, so
     # the size's table is refused.  The sweep and the target's checker share
     # one try at it.
@@ -360,7 +360,6 @@ def test_a_refused_target_table_is_built_once(monkeypatch):
             built.append(n)
             super().__init__(vocab, n, *args)
     monkeypatch.setattr(semantics, "_Batch", Batch)
-    semantics._checker.cache_clear()
     target = parse_formula(f"(Ex ~R(x) | {CYCLING_LFP})")
     with pytest.raises(NoLeastFixpoint):
         is_reduction_upto(always_accept_machine(), parse_formula("Ex R(x)"),
@@ -368,7 +367,7 @@ def test_a_refused_target_table_is_built_once(monkeypatch):
     assert built == [2]
 
 
-def test_a_pending_target_leaf_costs_no_extra_batch(monkeypatch):
+def test_a_pending_target_leaf_costs_no_extra_batch(monkeypatch, fresh_caches):
     # The machine accepts every input, so each walk is one range over the
     # whole size, whose one batch reaches the target's leaf where R is full
     # and computes it there.  A whole-size try before the walk would be
@@ -381,18 +380,14 @@ def test_a_pending_target_leaf_costs_no_extra_batch(monkeypatch):
             built.append(n)
             super().__init__(vocab, n, *args)
     monkeypatch.setattr(semantics, "_Batch", Batch)
-    semantics._checker.cache_clear()
     gamma = parse_formula("Ex R(x)")
     leaf = print_formula(charsets.char_sentence("ord", gamma=gamma,
                                                 machine=identity_machine()))
     config = EvalConfig(gamma, parse_formula("Ax Ey R(x,y)"))
     target = parse_formula(f"(Ex ~R(x) | {leaf})")
-    try:
-        assert is_reduction_upto(always_accept_machine(), gamma, target, V_R, 6,
-                                 config) is None
-        assert [built.count(n) for n in range(2, 7)] == [2, 1, 1, 1, 1]
-    finally:
-        semantics._checker.cache_clear()
+    assert is_reduction_upto(always_accept_machine(), gamma, target, V_R, 6,
+                             config) is None
+    assert [built.count(n) for n in range(2, 7)] == [2, 1, 1, 1, 1]
 
 
 def _query_machine(word):
@@ -432,7 +427,8 @@ def test_order_only_vocabulary_answers_every_query_no():
                                          order_only, 4) is None
 
 
-def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(monkeypatch):
+def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(
+        monkeypatch, fresh_caches):
     # The sweep computes the distinct leaves a scan computes, in the scan's
     # order.  It may compute one less often: a query that many inputs share
     # is asked once for all of them.
@@ -493,10 +489,10 @@ def test_oracle_leaves_are_computed_only_where_a_scan_computes_them(monkeypatch)
     # sentence, so they share one checker.  In the fifth every input asks
     # one query, of size 2.
     assert seen == [0, 0, 1, 2, 1] and len(scan_calls) == 16 + 512
-    semantics._checker.cache_clear()
 
 
-def test_single_runs_build_no_table_before_a_checker_would(monkeypatch):
+def test_single_runs_build_no_table_before_a_checker_would(monkeypatch,
+                                                           fresh_caches):
     # Oracle queries share the sentence's checker, so a size's table is
     # built once max(2^L/64, 1) queries of that size have been checked.
     built = []
@@ -506,21 +502,17 @@ def test_single_runs_build_no_table_before_a_checker_would(monkeypatch):
         tabulate(search, size)
         built.append((size.n, size.table is not None))
     monkeypatch.setattr(semantics._Search, "_tabulate", record)
-    semantics._checker.cache_clear()
-    try:
-        for n, length in ((2, 4), (3, 9)):
-            before = max((1 << length) >> 6, 1)
-            for index in range(before + 1):
-                assert built == []
-                b = Structure(V_E, n, index)
-                assert run(identity_machine(), encode_bin(b), EDGE, V_E) == models(b, EDGE)
-            assert built == [(n, True)]
-            built.clear()
-    finally:
-        semantics._checker.cache_clear()
+    for n, length in ((2, 4), (3, 9)):
+        before = max((1 << length) >> 6, 1)
+        for index in range(before + 1):
+            assert built == []
+            b = Structure(V_E, n, index)
+            assert run(identity_machine(), encode_bin(b), EDGE, V_E) == models(b, EDGE)
+        assert built == [(n, True)]
+        built.clear()
 
 
-def test_leaf_bearing_oracles_get_tables(monkeypatch):
+def test_leaf_bearing_oracles_get_tables(monkeypatch, fresh_caches):
     # Every query of the identity machine is its own input, so without a
     # table the oracle, an ord5 form, decides all 2^L structures of a size
     # one at a time.  With the leaf shared per size, the table is built
@@ -532,31 +524,26 @@ def test_leaf_bearing_oracles_get_tables(monkeypatch):
     mine, singles = [], []
     decide = semantics._decide
 
-    def noting(compile):
+    def noting(h, compile=semantics._new_program):
         """compile, noting the programs of f, not those of the leaf's sweeps."""
-        def compile_and_note(h):
-            program = compile(h)
-            if h is f:
-                mine.append(program)
-            return program
-        return compile_and_note
+        program = compile(h)
+        if h is f:
+            mine.append(program)
+        return program
 
     def record(program, vocab, n, bits, *args):
         if program in mine:
             singles.append(n)
         return decide(program, vocab, n, bits, *args)
-    monkeypatch.setattr(semantics, "_new_program", noting(semantics._new_program))
-    monkeypatch.setattr(semantics, "_program", noting(semantics._program))
+    monkeypatch.setattr(semantics, "_new_program", noting)
     monkeypatch.setattr(semantics, "_decide", record)
-    semantics._checker.cache_clear()
     assert is_reduction_upto(identity_machine(), f, f, V_R1, 10, config) is None
     for n in range(2, 11):
         # The target and the oracle are the same checker.
         assert 0 < singles.count(n) <= max((1 << n) >> 6, 1) + 1, n
-    semantics._checker.cache_clear()
 
 
-def test_a_sweep_reads_a_leaf_free_target_from_its_table(monkeypatch):
+def test_a_sweep_reads_a_leaf_free_target_from_its_table(monkeypatch, fresh_caches):
     # A reduction sweep reads every structure of a size, so it asks the
     # target's checker for the size's table before the walk, and a target
     # without leaves that raises nowhere is never decided one structure at
@@ -577,12 +564,8 @@ def test_a_sweep_reads_a_leaf_free_target_from_its_table(monkeypatch):
         return decide(program, vocab, n, bits, *args)
     monkeypatch.setattr(semantics, "_new_program", noting)
     monkeypatch.setattr(semantics, "_decide", record)
-    semantics._checker.cache_clear()
-    try:
-        assert is_reduction_upto(identity_machine(), gamma, target, V_E, 3) is None
-        assert mine and singles == []
-    finally:
-        semantics._checker.cache_clear()
+    assert is_reduction_upto(identity_machine(), gamma, target, V_E, 3) is None
+    assert mine and singles == []
 
 
 # --- the walk over all inputs of one size ----------------------------------

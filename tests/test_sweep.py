@@ -31,7 +31,7 @@ from fmwb.machines import (
 from fmwb.semantics import (
     CHUNK_BITS, EvalConfig, MissingDistinguished, NoLeastFixpoint,
     PositivityViolation, RecursionBudgetExhausted, _Batch, _decide, _InexactCare, _LeafPending,
-    _program, models, sentence_checker, sweep,
+    _new_program, models, sentence_checker, sweep,
 )
 from helpers import always_reject_machine
 from oracles import psi_expansion
@@ -47,7 +47,7 @@ CONFIG = EvalConfig(UPS_ORD, UPS_UNORD)
 def table(f, vocab, n, chunk=0, config=CONFIG):
     """f's batch table on every structure, computing each leaf it reaches."""
     low = min(encoding_length(vocab, n), CHUNK_BITS)
-    batch, program = _Batch(vocab, n, chunk, low, config, {}), _program(f)
+    batch, program = _Batch(vocab, n, chunk, low, config, {}), _new_program(f)
     while True:
         try:
             return program(batch, batch.full)
@@ -57,7 +57,7 @@ def table(f, vocab, n, chunk=0, config=CONFIG):
 
 def one_at_a_time(f, config=CONFIG):
     """models(-, f, config), with f compiled once."""
-    program = _program(f)
+    program = _new_program(f)
     return lambda a: _decide(program, a.vocab, a.n, a.bits, config)
 
 
@@ -393,10 +393,10 @@ def test_every_short_psi_is_false_on_every_structure():
 
 
 @pytest.fixture
-def tables(monkeypatch):
+def tables(monkeypatch, fresh_caches):
     """Each try of a checker's search at a whole-size table, as (search, n,
-    built), with the checker cache emptied so that every checker starts
-    without tables.  A checker's search is check.first_miss.__self__."""
+    built), with the caches emptied so that every checker starts without
+    tables.  A checker is its search: check.first_miss.__self__ is check."""
     tried = []
     tabulate = semantics._Search._tabulate
 
@@ -404,9 +404,7 @@ def tables(monkeypatch):
         tabulate(search, size)
         tried.append((search, size.n, size.table is not None))
     monkeypatch.setattr(semantics._Search, "_tabulate", record)
-    semantics._checker.cache_clear()
-    yield tried
-    semantics._checker.cache_clear()
+    return tried
 
 
 def test_a_checker_that_tabulates_a_size_answers_as_models(tables):
@@ -575,6 +573,33 @@ def test_models_and_single_checks_build_no_table(tables):
         models(a, f)
         sentence_checker(f, EvalConfig(char_budget=a.bits))(a)
     assert tables == []
+
+
+def test_models_runs_the_program_of_the_cached_checker(fresh_caches, monkeypatch):
+    # The checker of f is its cached search, which compiles f once for
+    # itself and for models().  It answers as models(), through a search
+    # before its size has a table and from the table after.
+    f = build_form("ord5", apply_T_ord(UPS_ORD, V_ORD), tau=V_ORD, cls="NP",
+                   machine=identity_machine(), upsilon=UPS_ORD).formula
+    compiled = []
+
+    def compile_batch(h, *args, compile_batch=semantics._compile_batch):
+        if h is f:
+            compiled.append(h)
+        return compile_batch(h, *args)
+    monkeypatch.setattr(semantics, "_compile_batch", compile_batch)
+    structures = list(enumerate_structures(V_ORD, 6))
+    models(structures[0], f, CONFIG)
+    check = sentence_checker(f, CONFIG)
+    assert isinstance(check, semantics._Search)
+    assert check is sentence_checker(f, CONFIG)
+    assert len(compiled) == 1
+    tabled = set()
+    for a in structures:
+        size = check.sizes.get((a.vocab, a.n))
+        tabled.add(size is not None and size.flags is not None)
+        assert check(a) == check.holds(a.vocab, a.n, a.bits) == models(a, f, CONFIG)
+    assert tabled == {False, True} and len(compiled) == 1
 
 
 def _fmwb_process(argv):
