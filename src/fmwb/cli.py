@@ -32,12 +32,6 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "emit", None):
-        with open(args.emit, "w", encoding="ascii") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-
-
 def read_structure(path: str) -> Structure:
     lines = [ln.split("#", 1)[0].strip() for ln in _read(path).splitlines()]
     lines = [ln for ln in lines if ln]
@@ -126,7 +120,9 @@ def _eval_config(args) -> EvalConfig:
                 f" {logic.SIGMA_ORD} or {logic.SIGMA_UNORD}"
             )
     budget = getattr(args, "budget", None)
-    return EvalConfig(ups_ord, ups_unord, budget if budget is not None else 8)
+    if budget is None:
+        return EvalConfig(ups_ord, ups_unord)
+    return EvalConfig(ups_ord, ups_unord, budget)
 
 
 def _base_upsilon(config: EvalConfig, ordered: bool) -> logic.Formula:
@@ -140,6 +136,34 @@ def _base_upsilon(config: EvalConfig, ordered: bool) -> logic.Formula:
     return upsilon
 
 
+# --- answers -------------------------------------------------------------
+
+
+def _say(args, text: str) -> int:
+    """Print the result text, and write it to --emit's file when given."""
+    print(text)
+    if getattr(args, "emit", None):
+        with open(args.emit, "w", encoding="ascii") as handle:
+            print(text, file=handle)
+    return 0
+
+
+def _truth(verdict: bool) -> int:
+    print("true" if verdict else "false")
+    return 0 if verdict else 1
+
+
+def _report(witness, holds_line: str, found_line: str) -> int:
+    """The answer of a bounded search: holds_line when it found no witness,
+    else found_line and the witness."""
+    if witness is None:
+        print(holds_line)
+        return 0
+    print(found_line)
+    print(witness)
+    return 1
+
+
 # --- subcommands ---------------------------------------------------------
 
 
@@ -147,30 +171,19 @@ def cmd_mc(args) -> int:
     a = read_structure(args.structure)
     sentence = read_sentence(args.sentence)
     validate_sentence(sentence, a.vocab)
-    verdict = models(a, sentence, _eval_config(args))
-    print("true" if verdict else "false")
-    return 0 if verdict else 1
+    return _truth(models(a, sentence, _eval_config(args)))
 
 
 def cmd_enc(args) -> int:
-    bits = encode_bin(read_structure(args.structure))
-    print(bits)
-    _emit(args, bits)
-    return 0
+    return _say(args, encode_bin(read_structure(args.structure)))
 
 
 def cmd_dec(args) -> int:
-    text = str(decode_bin(_tau(args), read_bits(args.bits)))
-    print(text)
-    _emit(args, text)
-    return 0
+    return _say(args, str(decode_bin(_tau(args), read_bits(args.bits))))
 
 
 def cmd_benc(args) -> int:
-    bits = aristotelian.benc(read_structure(args.structure))
-    print(bits)
-    _emit(args, bits)
-    return 0
+    return _say(args, aristotelian.benc(read_structure(args.structure)))
 
 
 def cmd_uenc_len(args) -> int:
@@ -179,64 +192,41 @@ def cmd_uenc_len(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    text = str(aristotelian.reconstruct(_tau(args), read_bits(args.bits)))
-    print(text)
-    _emit(args, text)
-    return 0
+    return _say(args, str(aristotelian.reconstruct(_tau(args), read_bits(args.bits))))
 
 
 def cmd_iso(args) -> int:
-    verdict = is_isomorphic(read_structure(args.left), read_structure(args.right))
-    print("true" if verdict else "false")
-    return 0 if verdict else 1
+    return _truth(is_isomorphic(read_structure(args.left), read_structure(args.right)))
 
 
 def cmd_canon(args) -> int:
-    text = str(aristotelian.canonize(read_structure(args.structure)))
-    print(text)
-    _emit(args, text)
-    return 0
+    return _say(args, str(aristotelian.canonize(read_structure(args.structure))))
 
 
 def cmd_op_apply(args) -> int:
     upsilon = read_sentence(args.sentence)
     tau = _tau(args)
-    if args.which == "ord":
-        result = logic.apply_T_ord(upsilon, tau)
-    else:
-        result = logic.apply_T_unord(upsilon, tau)
-    text = print_formula(result)
-    print(text)
-    _emit(args, text)
-    return 0
+    transport = logic.apply_T_ord if args.which == "ord" else logic.apply_T_unord
+    return _say(args, print_formula(transport(upsilon, tau)))
 
 
 def cmd_psi(args) -> int:
     if args.action == "encode":
-        text = print_formula(logic.psi_encode(args.value))
-        print(text)
-        _emit(args, text)
-        return 0
+        return _say(args, print_formula(logic.psi_encode(args.value)))
     w = logic.psi_recognize(read_sentence(args.value))
     if w is None:
         print("not an encoding sentence")
         return 1
-    print(w)
-    _emit(args, w)
-    return 0
+    return _say(args, w)
 
 
 def cmd_tm(args) -> int:
     if args.action == "encode":
-        bits = machines.encode_tm(machines.parse_machine(_read(args.machine)))
-        print(bits)
-        _emit(args, bits)
-        return 0
+        machine = machines.parse_machine(_read(args.machine))
+        return _say(args, machines.encode_tm(machine))
     if args.action == "decode":
         text = machines.format_machine(machines.decode_tm(read_bits(args.machine)))
-        print(text, end="")
-        _emit(args, text)
-        return 0
+        return _say(args, text.removesuffix("\n"))
     machine = machines.parse_machine(_read(args.machine))
     if args.action == "run":
         _need(args, "input", "oracle")
@@ -255,12 +245,8 @@ def cmd_tm(args) -> int:
     _validate(tau, gamma, target)
     witness = machines.is_reduction_upto(machine, gamma, target, tau, args.nmax,
                                          config)
-    if witness is None:
-        print(f"reduction condition holds up to n = {args.nmax}")
-        return 0
-    print("violated by:")
-    print(witness)
-    return 1
+    return _report(witness, f"reduction condition holds up to n = {args.nmax}",
+                   "violated by:")
 
 
 def cmd_cfg(args) -> int:
@@ -269,9 +255,7 @@ def cmd_cfg(args) -> int:
         if args.string is None:
             raise CliError("cfg member needs a query string")
         word = "" if args.string in ("eps", "-") else args.string
-        verdict = cfg.cyk_member(grammar, word)
-        print("true" if verdict else "false")
-        return 0 if verdict else 1
+        return _truth(cfg.cyk_member(grammar, word))
     missing = cfg.find_missing(grammar, args.lenmax)
     if missing is None:
         print(f"no missing string up to length {args.lenmax}")
@@ -283,18 +267,15 @@ def cmd_cfg(args) -> int:
 def cmd_charset(args) -> int:
     a = read_structure(args.struct)
     config = _eval_config(args)
-    if args.kind == "ord":
+    if args.kind in ("ord", "unord"):
+        ordered = args.kind == "ord"
         _need(args, "gamma", "machine")
         gamma = read_sentence(args.gamma)
         machine = machines.parse_machine(_read(args.machine))
-        upsilon_tau = logic.apply_T_ord(_base_upsilon(config, True), a.vocab)
-        verdict = charsets.member_S_ord(a, gamma, machine, upsilon_tau, config)
-    elif args.kind == "unord":
-        _need(args, "gamma", "machine")
-        gamma = read_sentence(args.gamma)
-        machine = machines.parse_machine(_read(args.machine))
-        upsilon_tau = logic.apply_T_unord(_base_upsilon(config, False), a.vocab)
-        verdict = charsets.member_S_unord(a, gamma, machine, upsilon_tau, config)
+        transport, member = ((logic.apply_T_ord, charsets.member_S_ord) if ordered
+                             else (logic.apply_T_unord, charsets.member_S_unord))
+        upsilon_tau = transport(_base_upsilon(config, ordered), a.vocab)
+        verdict = member(a, gamma, machine, upsilon_tau, config)
     elif args.kind == "npconp":
         _need(args, "lam", "gamma")
         lam = read_sentence(args.lam)
@@ -303,8 +284,7 @@ def cmd_charset(args) -> int:
     else:
         _need(args, "grammar")
         verdict = charsets.member_S_cfg(a, cfg.parse_grammar(_read(args.grammar)))
-    print("true" if verdict else "false")
-    return 0 if verdict else 1
+    return _truth(verdict)
 
 
 def _form_args(args, kind: str):
@@ -318,16 +298,15 @@ def _form_args(args, kind: str):
 
 def cmd_form(args) -> int:
     kind = args.kind
+    tau, cls, upsilon = _form_args(args, kind)
     if args.action == "enumerate":
-        # --budget counts emissions here; the leaf budget keeps its default
-        count, args.budget = (args.budget if args.budget is not None else 20), None
-        tau, cls, upsilon = _form_args(args, kind)
+        # --budget counts emissions here
+        count = args.budget if args.budget is not None else 20
         for sentence in forms.enumerate_logic(kind, tau=tau, cls=cls,
                                               upsilon=upsilon, budget=count):
             print(print_formula(sentence))
         return 0
     if args.action == "build":
-        tau, cls, upsilon = _form_args(args, kind)
         _need(args, "gamma")
         gamma = read_sentence(args.gamma)
         if kind == "npconp8":
@@ -339,11 +318,7 @@ def cmd_form(args) -> int:
             machine = machines.parse_machine(_read(args.machine))
             built = forms.build_form(kind, gamma, tau=tau, cls=cls,
                                      machine=machine, upsilon=upsilon)
-        text = print_formula(built.formula)
-        print(text)
-        _emit(args, text)
-        return 0
-    tau, cls, upsilon = _form_args(args, kind)
+        return _say(args, print_formula(built.formula))
     if args.sentence is None:
         raise CliError("form recognize needs a sentence file")
     phi = read_sentence(args.sentence)
@@ -359,31 +334,24 @@ def cmd_form(args) -> int:
     return 0
 
 
-def cmd_valid_upto(args) -> int:
-    f = read_sentence(args.sentence)
+def _sweep_command(args, paths, holds_line: str, found_line: str) -> int:
+    """The answer of a sweep for a structure that falsifies the sentence of
+    the one path, or on which the sentences of the two paths disagree."""
+    sentences = [read_sentence(path) for path in paths]
     tau, config = _tau(args), _eval_config(args)
-    _validate(tau, f)
-    witness = sweep(tau, args.nmax, f, None, config, args.jobs)
-    if witness is None:
-        print(f"valid up to n = {args.nmax}")
-        return 0
-    print("counterexample:")
-    print(witness)
-    return 1
+    _validate(tau, *sentences)
+    witness = sweep(tau, args.nmax, *sentences, config=config, jobs=args.jobs)
+    return _report(witness, holds_line, found_line)
+
+
+def cmd_valid_upto(args) -> int:
+    return _sweep_command(args, [args.sentence], f"valid up to n = {args.nmax}",
+                          "counterexample:")
 
 
 def cmd_modeq_upto(args) -> int:
-    f = read_sentence(args.left)
-    g = read_sentence(args.right)
-    tau, config = _tau(args), _eval_config(args)
-    _validate(tau, f, g)
-    witness = sweep(tau, args.nmax, f, g, config, args.jobs)
-    if witness is None:
-        print(f"equivalent up to n = {args.nmax}")
-        return 0
-    print("disagreement:")
-    print(witness)
-    return 1
+    return _sweep_command(args, [args.left, args.right],
+                          f"equivalent up to n = {args.nmax}", "disagreement:")
 
 
 # --- argument wiring ------------------------------------------------------
@@ -404,50 +372,42 @@ def _wire_mc(p) -> None:
     p.add_argument("structure")
     p.add_argument("sentence")
     _add_upsilon_opts(p)
-    p.set_defaults(func=cmd_mc)
 
 
 def _wire_enc(p) -> None:
     p.add_argument("structure")
     p.add_argument("--emit")
-    p.set_defaults(func=cmd_enc)
 
 
 def _wire_dec(p) -> None:
     p.add_argument("bits")
     p.add_argument("--tau", required=True)
     p.add_argument("--emit")
-    p.set_defaults(func=cmd_dec)
 
 
 def _wire_benc(p) -> None:
     p.add_argument("structure")
     p.add_argument("--emit")
-    p.set_defaults(func=cmd_benc)
 
 
 def _wire_uenc_len(p) -> None:
     p.add_argument("structure")
-    p.set_defaults(func=cmd_uenc_len)
 
 
 def _wire_reconstruct(p) -> None:
     p.add_argument("bits")
     p.add_argument("--tau", required=True)
     p.add_argument("--emit")
-    p.set_defaults(func=cmd_reconstruct)
 
 
 def _wire_iso(p) -> None:
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_iso)
 
 
 def _wire_canon(p) -> None:
     p.add_argument("structure")
     p.add_argument("--emit")
-    p.set_defaults(func=cmd_canon)
 
 
 def _wire_op_apply(p) -> None:
@@ -455,14 +415,12 @@ def _wire_op_apply(p) -> None:
     p.add_argument("--which", choices=("ord", "unord"), required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--emit")
-    p.set_defaults(func=cmd_op_apply)
 
 
 def _wire_psi(p) -> None:
     p.add_argument("action", choices=("encode", "recognize"))
     p.add_argument("value", help="bit string (encode) or sentence file (recognize)")
     p.add_argument("--emit")
-    p.set_defaults(func=cmd_psi)
 
 
 def _wire_tm(p) -> None:
@@ -476,7 +434,6 @@ def _wire_tm(p) -> None:
     p.add_argument("--nmax", type=int, default=3)
     p.add_argument("--emit")
     _add_upsilon_opts(p)
-    p.set_defaults(func=cmd_tm)
 
 
 def _wire_cfg(p) -> None:
@@ -484,7 +441,6 @@ def _wire_cfg(p) -> None:
     p.add_argument("grammar")
     p.add_argument("string", nargs="?", help="query string ('eps' for empty)")
     p.add_argument("--lenmax", type=int, default=4)
-    p.set_defaults(func=cmd_cfg)
 
 
 def _wire_charset(p) -> None:
@@ -497,7 +453,6 @@ def _wire_charset(p) -> None:
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--grammar")
     _add_upsilon_opts(p)
-    p.set_defaults(func=cmd_charset)
 
 
 def _wire_form(p) -> None:
@@ -510,7 +465,6 @@ def _wire_form(p) -> None:
     p.add_argument("sentence", nargs="?", help="sentence file (recognize)")
     p.add_argument("--emit")
     _add_upsilon_opts(p)
-    p.set_defaults(func=cmd_form)
 
 
 def _wire_valid_upto(p) -> None:
@@ -519,7 +473,6 @@ def _wire_valid_upto(p) -> None:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     _add_upsilon_opts(p)
-    p.set_defaults(func=cmd_valid_upto)
 
 
 def _wire_modeq_upto(p) -> None:
@@ -529,26 +482,26 @@ def _wire_modeq_upto(p) -> None:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     _add_upsilon_opts(p)
-    p.set_defaults(func=cmd_modeq_upto)
 
 
 _COMMANDS = {
-    "mc": ("model-check a sentence on a structure", _wire_mc),
-    "enc": ("binary encoding of a structure", _wire_enc),
-    "dec": ("decode a binary encoding", _wire_dec),
-    "benc": ("condensed encoding of a monadic structure", _wire_benc),
-    "uenc-len": ("length of the unary encoding", _wire_uenc_len),
-    "reconstruct": ("rebuild a structure from benc bits", _wire_reconstruct),
-    "iso": ("brute-force isomorphism test", _wire_iso),
-    "canon": ("canonical relabeling of a monadic structure", _wire_canon),
-    "op-apply": ("transport a distinguished sentence", _wire_op_apply),
-    "psi": ("encoding sentences", _wire_psi),
-    "tm": ("oracle Turing machines", _wire_tm),
-    "cfg": ("context-free grammars", _wire_cfg),
-    "charset": ("characteristic-set membership", _wire_charset),
-    "form": ("canonical forms", _wire_form),
-    "valid-upto": ("bounded validity search", _wire_valid_upto),
-    "modeq-upto": ("bounded model-class comparison", _wire_modeq_upto),
+    "mc": ("model-check a sentence on a structure", _wire_mc, cmd_mc),
+    "enc": ("binary encoding of a structure", _wire_enc, cmd_enc),
+    "dec": ("decode a binary encoding", _wire_dec, cmd_dec),
+    "benc": ("condensed encoding of a monadic structure", _wire_benc, cmd_benc),
+    "uenc-len": ("length of the unary encoding", _wire_uenc_len, cmd_uenc_len),
+    "reconstruct": ("rebuild a structure from benc bits", _wire_reconstruct,
+                    cmd_reconstruct),
+    "iso": ("brute-force isomorphism test", _wire_iso, cmd_iso),
+    "canon": ("canonical relabeling of a monadic structure", _wire_canon, cmd_canon),
+    "op-apply": ("transport a distinguished sentence", _wire_op_apply, cmd_op_apply),
+    "psi": ("encoding sentences", _wire_psi, cmd_psi),
+    "tm": ("oracle Turing machines", _wire_tm, cmd_tm),
+    "cfg": ("context-free grammars", _wire_cfg, cmd_cfg),
+    "charset": ("characteristic-set membership", _wire_charset, cmd_charset),
+    "form": ("canonical forms", _wire_form, cmd_form),
+    "valid-upto": ("bounded validity search", _wire_valid_upto, cmd_valid_upto),
+    "modeq-upto": ("bounded model-class comparison", _wire_modeq_upto, cmd_modeq_upto),
 }
 
 
@@ -562,8 +515,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS if command is None else (command,):
-        help_text, wire = _COMMANDS[name]
-        wire(sub.add_parser(name, help=help_text))
+        help_text, wire, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        wire(p)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -1114,17 +1114,34 @@ def _check_source(upsilon: Formula, source: Vocabulary, what: str,
         )
 
 
+def _ordered_target(tau: Vocabulary) -> tuple[str, int]:
+    """The symbol of an ordered target that the ordered transport writes to:
+    its first relation symbol."""
+    if not tau.has_order:
+        raise NoOrderInTarget(f"target vocabulary {tau} has no order")
+    if not tau.symbols:
+        raise NoOrderInTarget("target vocabulary has no relation symbols")
+    return tau.symbols[0]
+
+
+def _unordered_target(tau: Vocabulary) -> tuple[str, int]:
+    """The symbol of an unordered target that the unordered transport writes
+    to: its least symbol of arity > 1."""
+    if tau.has_order:
+        raise OrderedTarget(f"target vocabulary {tau} must be unordered")
+    for name, arity in tau.symbols:
+        if arity > 1:
+            return name, arity
+    raise AristotelianTarget(f"all symbols of {tau} are unary")
+
+
 def apply_T_ord(upsilon: Formula, tau: Vocabulary) -> Formula:
     """Transport a sentence over {R:1, <} to an arbitrary ordered vocabulary.
 
     Atoms R(t) become R1(t) when the first target symbol is unary, otherwise
     Ey R1(y,...,y,t) with a fresh y repeated arity-1 times.
     """
-    if not tau.has_order:
-        raise NoOrderInTarget(f"target vocabulary {tau} has no order")
-    if not tau.symbols:
-        raise NoOrderInTarget("target vocabulary has no relation symbols")
-    name, arity = tau.symbols[0]
+    name, arity = _ordered_target(tau)
     _check_source(upsilon, SIGMA_ORD, "ordered operator", name)
     if arity == 1:
         return _substitute_atoms(upsilon, lambda args: Rel(name, args))
@@ -1142,12 +1159,7 @@ def apply_T_unord(upsilon: Formula, tau: Vocabulary) -> Formula:
     The least symbol of arity > 1 receives the substitution; extra positions
     are filled with a fresh z bound existentially.
     """
-    if tau.has_order:
-        raise OrderedTarget(f"target vocabulary {tau} must be unordered")
-    candidates = [(name, a) for name, a in tau.symbols if a > 1]
-    if not candidates:
-        raise AristotelianTarget(f"all symbols of {tau} are unary")
-    name, arity = candidates[0]
+    name, arity = _unordered_target(tau)
     _check_source(upsilon, SIGMA_UNORD, "unordered operator", name)
     if arity == 2:
         return _substitute_atoms(upsilon, lambda args: Rel(name, args))
@@ -1163,9 +1175,7 @@ def pad_structure_ord(a: Structure, tau: Vocabulary) -> Structure:
     """The target-structure image of the zero-padding reduction (ordered)."""
     if a.vocab != SIGMA_ORD:
         raise WrongSourceVocabulary(f"expected a structure over {SIGMA_ORD}")
-    if not tau.has_order or not tau.symbols:
-        raise NoOrderInTarget(f"target vocabulary {tau} has no order")
-    name, arity = tau.symbols[0]
+    name, arity = _ordered_target(tau)
     image = {(0,) * (arity - 1) + tup for tup in a.rel["R"]}
     return Structure.make(tau, a.n, {name: image})
 
@@ -1174,12 +1184,7 @@ def pad_structure_unord(a: Structure, tau: Vocabulary) -> Structure:
     """The target-structure image of the least-k reduction (unordered)."""
     if a.vocab != SIGMA_UNORD:
         raise WrongSourceVocabulary(f"expected a structure over {SIGMA_UNORD}")
-    if tau.has_order:
-        raise OrderedTarget(f"target vocabulary {tau} must be unordered")
-    candidates = [(name, arity) for name, arity in tau.symbols if arity > 1]
-    if not candidates:
-        raise AristotelianTarget(f"all symbols of {tau} are unary")
-    name, arity = candidates[0]
+    name, arity = _unordered_target(tau)
     image = {tup + (0,) * (arity - 2) for tup in a.rel["R"]}
     return Structure.make(tau, a.n, {name: image})
 

@@ -6,8 +6,9 @@ fixpoint operators iterate stage by stage.
 
 A sentence is compiled, by one pass of structural recursion, into a
 program over batches of structures of one size: its values are truth
-tables, one bit per structure of the batch: one structure in models(), or
-a chunk of up to 2^CHUNK_BITS.  sweep() and the reduction sweeps and oracle
+tables, one bit per structure of the batch: a chunk of up to 2^CHUNK_BITS
+structures, or the lone structure that models() checks, which is the
+batch with no low bits.  sweep() and the reduction sweeps and oracle
 queries in machines all go through one range search, _Search, which
 answers as models() on each index would.  A sentence's checker
 (sentence_checker) is its _Search, cached per sentence and configuration;
@@ -73,7 +74,8 @@ _EMPTY_CONFIG = EvalConfig()
 # of the batch, bit i for structure (chunk << low) | i.  First-order
 # variables take the same value in every structure at once, so equality,
 # order and BIT are constant tables, and each connective is one big-int
-# operation.  With low = 0 the batch is the single structure `chunk`.
+# operation.  A lone structure is the batch with low = 0: the structure
+# `chunk`, whose tables are 0 or 1.
 #
 # Every node is evaluated under a care mask: the structures that reach the
 # node when each is evaluated on its own, given the short-circuits above
@@ -127,12 +129,13 @@ class _Batch:
 
     leaves holds the verdicts of the leaves computed so far for this
     vocabulary and size, by leaf.  A leaf whose verdict is not known raises
-    _LeafPending.  Each run of a program sets renv and exact afresh.
+    _LeafPending, except in a lone structure (low = 0): its care masks are
+    exact, so it computes the leaf where it first reaches it.  Each run of
+    a program sets renv and exact afresh.
     """
 
     __slots__ = ("vocab", "n", "universe", "full", "pos", "tab", "renv",
                  "config", "leaves", "exact")
-    single = False
 
     def __init__(self, vocab: Vocabulary, n: int, chunk: int, low: int,
                  config: EvalConfig, leaves: dict):
@@ -142,30 +145,11 @@ class _Batch:
         self.universe = range(n)
         self.full = full = (1 << width) - 1
         # The atom of a tuple is the table of its bit in the encoding, and
-        # bits at or above `low` are fixed by the chunk.
+        # bits at or above `low` are fixed by the chunk.  A lone structure
+        # keeps its bits as bytes, byte p holding bit p.
         self.pos, length = bit_positions(vocab, n), encoding_length(vocab, n)
         self.tab = [_bit_table(p, width) if p < low else full * (chunk >> (p - low) & 1)
-                    for p in range(length)]
-        self.config = config
-        self.leaves = leaves
-
-
-class _One(_Batch):
-    """The batch of one structure being checked.  Its care masks are exact,
-    so it computes a leaf where it first reaches it."""
-
-    __slots__ = ()
-    single = True
-
-    def __init__(self, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
-                 leaves: dict):
-        self.vocab = vocab
-        self.n = n
-        self.universe = range(n)
-        self.full = 1
-        self.pos = bit_positions(vocab, n)
-        # Byte p is the encoding's bit at position p.
-        self.tab = _bytes_of(bits, encoding_length(vocab, n))
+                    for p in range(length)] if low else _bytes_of(chunk, length)
         self.config = config
         self.leaves = leaves
 
@@ -406,7 +390,7 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
                     raise RecursionBudgetExhausted(
                         "nested characteristic leaves exceeded the recursion budget"
                     )
-                if not b.single:
+                if b.full != 1:
                     if not b.exact:
                         raise _InexactCare("leaf first reached in a later PFP stage")
                     raise _LeafPending(care, lambda: compute(b))
@@ -434,8 +418,8 @@ def _new_program(f: Formula):
 def _decide(program, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
             leaves=None) -> bool:
     """The program's verdict on one structure, from the batch of just it."""
-    return program(_One(vocab, n, bits, config,
-                        {} if leaves is None else leaves), 1) == 1
+    return program(_Batch(vocab, n, bits, 0, config,
+                          {} if leaves is None else leaves), 1) == 1
 
 
 # --- the range search ---------------------------------------------------

@@ -8,16 +8,17 @@ import pytest
 
 import fmwb
 from fmwb.cfg import parse_grammar
-from fmwb.charsets import char_sentence
+from fmwb.charsets import char_sentence, member_S_unord
 from fmwb import cli
 from fmwb.cli import build_parser, main, read_structure
 from fmwb.core import Structure, Vocabulary, encode_bin
 from fmwb.forms import build_form
-from fmwb.logic import parse_formula, print_formula
+from fmwb.logic import apply_T_unord, parse_formula, print_formula, psi_encode
 from fmwb.machines import (
     BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, encode_tm,
     format_machine, identity_machine,
 )
+from fmwb.semantics import EvalConfig
 from randgen import padded_identity_machine
 
 
@@ -219,6 +220,69 @@ def test_config_file_resolution(files, capsys):
     assert main(["charset", "member", "--kind", "ord", "--struct", struct,
                  "--gamma", gamma, "--machine", machine,
                  "--config", config, "--class", "P"]) == 2
+
+
+def test_charset_member_unord_answers_as_member_S_unord(files, capsys):
+    write, _ = files
+    struct = write("a.struct", "vocab E:2\nn = 2\nE = (0,1) (1,1)")
+    machine = write("id.tm", format_machine(identity_machine()))
+    ups_ord = write("ord.sent", "Ex R(x)")
+    ups_unord = write("unord.sent", "Ax Ey R(x,y)")
+    a, upsilon = read_structure(struct), parse_formula("Ax Ey R(x,y)")
+    config = EvalConfig(None, upsilon)
+    for text in ("Ax Ey E(x,y)", "Ex Ey E(x,y)"):
+        gamma = write("gamma.sent", text)
+        want = member_S_unord(a, parse_formula(text), identity_machine(),
+                              apply_T_unord(upsilon, a.vocab), config)
+        assert main(["charset", "member", "--kind", "unord", "--struct", struct,
+                     "--gamma", gamma, "--machine", machine,
+                     "--upsilon", ups_unord]) == (0 if want else 1)
+        assert capsys.readouterr() == (f"{str(want).lower()}\n", "")
+    # each side refuses to run on the other side's distinguished sentence alone
+    for kind, which, ups in (("ord", "ordered", ups_unord),
+                             ("unord", "unordered", ups_ord)):
+        assert main(["charset", "member", "--kind", kind, "--struct", struct,
+                     "--gamma", gamma, "--machine", machine,
+                     "--upsilon", ups]) == 2
+        assert capsys.readouterr() == (
+            "", f"fmwb: this kind needs the {which} distinguished sentence"
+            " (--upsilon FILE or --config FILE --class TAG)\n")
+
+
+# Per command and action with --emit, its argv without --emit, from a
+# function of the fixture's file writer.
+_MONADIC = "vocab R:1\nn = 3\nR = (0) (2)"
+_EMITTING = {
+    "enc": lambda w: ["enc", w("a.struct", _MONADIC)],
+    "dec": lambda w: ["dec", w("w.bits", "010"), "--tau", "R:1 <"],
+    "benc": lambda w: ["benc", w("a.struct", _MONADIC)],
+    "reconstruct": lambda w: ["reconstruct", w("b.bits", "10101111011"),
+                              "--tau", "R:1"],
+    "canon": lambda w: ["canon", w("a.struct", _MONADIC)],
+    "op-apply": lambda w: ["op-apply", w("u.sent", "Ex R(x)"), "--which", "ord",
+                           "--tau", "E:2 <"],
+    "psi encode": lambda w: ["psi", "encode", "101"],
+    "psi recognize": lambda w: ["psi", "recognize",
+                                w("p.sent", print_formula(psi_encode("101")))],
+    "tm encode": lambda w: ["tm", "encode",
+                            w("id.tm", format_machine(identity_machine()))],
+    "tm decode": lambda w: ["tm", "decode",
+                            w("id.bits", encode_tm(identity_machine()))],
+    "form build": lambda w: [
+        "form", "build", "--kind", "ord5", "--tau", "R1:1 <",
+        "--gamma", w("g.sent", "Ex R1(x)"),
+        "--machine", w("id.tm", format_machine(identity_machine())),
+        "--upsilon", w("u.sent", "Ex R(x)"), "--class", "NP"],
+}
+
+
+@pytest.mark.parametrize("command", list(_EMITTING))
+def test_emit_writes_what_is_printed(command, files, capsys):
+    write, tmp = files
+    emitted = tmp / "emitted"
+    assert main(_EMITTING[command](write) + ["--emit", str(emitted)]) == 0
+    out = capsys.readouterr().out
+    assert out and emitted.read_text() == out
 
 
 def test_valid_and_modeq(files, capsys):

@@ -589,6 +589,27 @@ def test_padding_images():
     assert e.rel["E"] == {(0, 2)} and e.rel["P"] == frozenset()
 
 
+def test_padding_and_transport_reject_a_target_alike():
+    # A padding and its transport name the same fault in the same words.
+    a = Structure.make(parse_vocab("R:1 <"), 2, {"R": [(1,)]})
+    c = Structure.make(parse_vocab("R:2"), 2, {"R": [(0, 1)]})
+    ups_ord, ups_unord = parse_formula("Ex R(x)"), parse_formula("Ex R(x,x)")
+    for pad, source, ups, target, fault, message in [
+        (pad_structure_ord, a, ups_ord, "<", NoOrderInTarget,
+         "^target vocabulary has no relation symbols$"),
+        (pad_structure_ord, a, ups_ord, "E:2", NoOrderInTarget, "has no order"),
+        (pad_structure_unord, c, ups_unord, "E:2 <", OrderedTarget,
+         "must be unordered"),
+        (pad_structure_unord, c, ups_unord, "P:1", AristotelianTarget,
+         "are unary"),
+    ]:
+        transport = apply_T_ord if pad is pad_structure_ord else apply_T_unord
+        with pytest.raises(fault, match=message):
+            pad(source, parse_vocab(target))
+        with pytest.raises(fault, match=message):
+            transport(ups, parse_vocab(target))
+
+
 def test_psi_examples():
     f = psi_encode("10")
     assert print_formula(f) == "Ex1 Ax2 (x1 != x1 & x2 != x2)"

@@ -356,9 +356,10 @@ def test_a_refused_target_table_is_built_once(monkeypatch, fresh_caches):
     built = []
 
     class Batch(semantics._Batch):
-        def __init__(self, vocab, n, *args):
-            built.append(n)
-            super().__init__(vocab, n, *args)
+        def __init__(self, vocab, n, chunk, low, *args):
+            if low:
+                built.append(n)
+            super().__init__(vocab, n, chunk, low, *args)
     monkeypatch.setattr(semantics, "_Batch", Batch)
     target = parse_formula(f"(Ex ~R(x) | {CYCLING_LFP})")
     with pytest.raises(NoLeastFixpoint):
@@ -376,9 +377,10 @@ def test_a_pending_target_leaf_costs_no_extra_batch(monkeypatch, fresh_caches):
     built = []
 
     class Batch(semantics._Batch):
-        def __init__(self, vocab, n, *args):
-            built.append(n)
-            super().__init__(vocab, n, *args)
+        def __init__(self, vocab, n, chunk, low, *args):
+            if low:
+                built.append(n)
+            super().__init__(vocab, n, chunk, low, *args)
     monkeypatch.setattr(semantics, "_Batch", Batch)
     gamma = parse_formula("Ex R(x)")
     leaf = print_formula(charsets.char_sentence("ord", gamma=gamma,
@@ -622,8 +624,10 @@ def test_walk_verdicts_match_the_reference_on_every_input():
 
 
 class _RefusedBatch(semantics._Batch):
-    def __init__(self, *args):
-        raise RuntimeError("every batch is refused")
+    def __init__(self, vocab, n, chunk, low, *args):
+        if low:
+            raise RuntimeError("every batch is refused")
+        super().__init__(vocab, n, chunk, low, *args)
 
 
 def _recorded_events(monkeypatch, m, gamma, target, vocab, n_max):

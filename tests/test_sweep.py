@@ -330,8 +330,10 @@ def test_a_sweep_compiles_each_sentence_once(monkeypatch):
     assert want is not None and want.n == 4
 
     class Batch(semantics._Batch):
-        def __init__(self, *args):
-            raise RuntimeError("every chunk falls back")
+        def __init__(self, vocab, n, chunk, low, *args):
+            if low:
+                raise RuntimeError("every chunk falls back")
+            super().__init__(vocab, n, chunk, low, *args)
 
     compiled = []
 
