@@ -39,7 +39,10 @@ def read_structure(path: str) -> Structure:
             or lines[1].split("=", 1)[0].strip() != "n"):
         raise CliError(f"{path}: expected 'vocab ...' then 'n = ...'")
     vocab = parse_vocab(lines[0][len("vocab "):])
-    n = int(lines[1].split("=", 1)[1])
+    try:
+        n = int(lines[1].split("=", 1)[1])
+    except ValueError:
+        raise CliError(f"{path}: bad size line {lines[1]!r}") from None
     relations: dict[str, set[tuple[int, ...]]] = {}
     for line in lines[2:]:
         name, sep, rest = line.partition("=")
@@ -47,9 +50,12 @@ def read_structure(path: str) -> Structure:
             raise CliError(f"{path}: bad relation line {line!r}")
         tuples = set()
         for tok in rest.split():
-            if not (tok.startswith("(") and tok.endswith(")")):
-                raise CliError(f"{path}: bad tuple {tok!r}")
-            tuples.add(tuple(int(t) for t in tok[1:-1].split(",") if t))
+            try:
+                if not (tok.startswith("(") and tok.endswith(")")):
+                    raise ValueError
+                tuples.add(tuple(int(t) for t in tok[1:-1].split(",") if t))
+            except ValueError:
+                raise CliError(f"{path}: bad tuple {tok!r}") from None
         name = name.strip()
         if name in relations:
             raise CliError(f"{path}: symbol {name} given twice")

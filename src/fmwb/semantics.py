@@ -16,9 +16,11 @@ models() borrows only that search's compiled program.
 
 Characteristic leaves delegate to the decision procedures in charsets under
 a recursion budget, since decoded payloads are untrusted and may nest
-further leaves.  Callers are expected to hand in sentences that are
-well-formed over the structure's vocabulary (see logic.validate_sentence);
-the evaluator itself does not re-validate on every call.
+further leaves.  A program only reads leaf verdicts: _first_hit computes a
+leaf once the program that reached it has unwound, so nested leaves do not
+stack.  Callers are expected to hand in sentences that are well-formed over
+the structure's vocabulary (see logic.validate_sentence); the evaluator
+itself does not re-validate on every call.
 """
 
 from __future__ import annotations
@@ -88,17 +90,17 @@ CHUNK_BITS = 20
 
 class _LeafPending(Exception):
     """A leaf whose verdict for this size is not known yet is reached by the
-    structures of a care mask; a scan computes it at the lowest one."""
+    structures of a care mask, the lowest of them `first`."""
 
-    def __init__(self, care: int, resolve):
+    def __init__(self, care: int, leaf: Formula):
         super().__init__("characteristic leaf verdict not yet known")
         self.first = (care & -care).bit_length() - 1
-        self.resolve = resolve
+        self.leaf = leaf
 
 
 class _InexactCare(Exception):
-    """A leaf is first reached in a partial fixpoint's later stages, where the
-    care mask may hold structures whose own evaluation has already stopped."""
+    """A leaf is first reached in a partial fixpoint's later stages, where a
+    care mask of several structures may hold some whose evaluation stopped."""
 
 
 def _bit_table(p: int, width: int) -> int:
@@ -128,10 +130,9 @@ class _Batch:
     `low` bits, with the atom tables and relation environment they share.
 
     leaves holds the verdicts of the leaves computed so far for this
-    vocabulary and size, by leaf.  A leaf whose verdict is not known raises
-    _LeafPending, except in a lone structure (low = 0): its care masks are
-    exact, so it computes the leaf where it first reaches it.  Each run of
-    a program sets renv and exact afresh.
+    vocabulary and size, by leaf.  A program reaching a leaf whose verdict
+    is not known raises _LeafPending, in a lone structure (low = 0) too.
+    Each run of a program sets renv and exact afresh.
     """
 
     __slots__ = ("vocab", "n", "universe", "full", "pos", "tab", "renv",
@@ -375,27 +376,14 @@ def _compile_batch(f: Formula, slots: dict[str, int], so_bound: frozenset[str],
         # its verdict is one constant per batch.
         state["leaves"].add(f)
 
-        def compute(b):
-            from . import charsets
-
-            b.leaves[f] = charsets.leaf_verdict(b.vocab, b.n, f, b.config,
-                                                b.config.char_budget - 1)
-
         def run_char(b, env, care):
             verdict = b.leaves.get(f)
             if verdict is None:
                 if not care:
                     return 0
-                if b.config.char_budget <= 0:
-                    raise RecursionBudgetExhausted(
-                        "nested characteristic leaves exceeded the recursion budget"
-                    )
-                if b.full != 1:
-                    if not b.exact:
-                        raise _InexactCare("leaf first reached in a later PFP stage")
-                    raise _LeafPending(care, lambda: compute(b))
-                compute(b)
-                verdict = b.leaves[f]
+                if not b.exact and b.full != 1:
+                    raise _InexactCare("leaf first reached in a later PFP stage")
+                raise _LeafPending(care, f)
             return b.full if verdict else 0
         return run_char
     raise TypeError(f"cannot evaluate {f!r}")
@@ -415,11 +403,39 @@ def _new_program(f: Formula):
     return program
 
 
+def _first_hit(run, batch: _Batch, limit: int, want: bool) -> int | None:
+    """The lowest bit of `limit` where run(batch, care), a table exact on
+    care, is not `want`, or None.  This is the one place a leaf verdict is
+    computed: a pending leaf only when no structure below the first that
+    reaches it is a hit, after the run has unwound, and then the run is
+    made again.  So nested leaves never hold their programs on one stack."""
+    while True:
+        try:
+            table = run(batch, limit)
+        except _LeafPending as pending:
+            leaf, first = pending.leaf, pending.first
+        else:
+            bad = limit & (~table if want else table)
+            return (bad & -bad).bit_length() - 1 if bad else None
+        below = limit & ((1 << first) - 1)
+        hit = _first_hit(run, batch, below, want) if below else None
+        if hit is not None:
+            return hit
+        config = batch.config
+        if config.char_budget <= 0:
+            raise RecursionBudgetExhausted(
+                "nested characteristic leaves exceeded the recursion budget")
+        from . import charsets
+
+        batch.leaves[leaf] = charsets.leaf_verdict(batch.vocab, batch.n, leaf, config,
+                                                   config.char_budget - 1)
+
+
 def _decide(program, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
             leaves=None) -> bool:
     """The program's verdict on one structure, from the batch of just it."""
-    return program(_Batch(vocab, n, bits, 0, config,
-                          {} if leaves is None else leaves), 1) == 1
+    batch = _Batch(vocab, n, bits, 0, config, {} if leaves is None else leaves)
+    return _first_hit(program, batch, 1, False) == 0
 
 
 # --- the range search ---------------------------------------------------
@@ -429,18 +445,16 @@ class _Record:
     """A search's state at one vocabulary and size: its leaf verdicts; the
     width-1 searches left before the next whole-size try (None: no more
     tries, since the size needs more than one chunk or a try raised); the
-    leaves known at the last try a pending leaf refused; and
-    the table, as an int until its first read (a sweep never reads it),
-    then as one byte per structure."""
+    leaves known at the last try a pending leaf refused; and the table, one
+    byte per structure, which only a whole-size try (_tabulate) writes."""
 
-    __slots__ = ("vocab", "n", "length", "leaves", "left", "known", "table",
-                 "flags")
+    __slots__ = ("vocab", "n", "length", "leaves", "left", "known", "flags")
 
     def __init__(self, vocab: Vocabulary, n: int):
         self.vocab, self.n = vocab, n
         self.length = length = encoding_length(vocab, n)
         self.left = max((1 << length) >> 6, 1) if length <= CHUNK_BITS else None
-        self.leaves, self.known, self.table, self.flags = {}, -1, None, None
+        self.leaves, self.known, self.flags = {}, -1, None
 
 
 class _Search:
@@ -455,10 +469,10 @@ class _Search:
     index.  The checker of a sentence (sentence_checker) is its search.
 
     - A leaf's verdict depends on the vocabulary and size alone: each size
-      keeps one dict of them.  It keeps a table once a batch over the whole
-      size runs through; then no structure raises, and every leaf is known.
-    - A width-1 range is decided on the batch of its one structure, whose
-      care masks are exact, so it computes a leaf where it first reaches it.
+      keeps one dict of them.  It keeps a table once a whole-size try runs
+      through; then no structure raises, and every leaf it reaches is known.
+    - A width-1 range is decided on the batch of its one structure, and
+      _first_hit computes each leaf that batch reaches.
       After max(2^L/64, 1) of these at a size, the whole-size batch is tried
       without computing any leaf; a pending leaf refuses it until one more
       leaf of the size is known.  try_table(vocab, n) makes that try at
@@ -503,7 +517,7 @@ class _Search:
         that raises ends the tries, so a size still gets at most one try
         that is not refused."""
         size = self._size(vocab, n)
-        if (size.flags is None and size.table is None and size.left is not None
+        if (size.flags is None and size.left is not None
                 and size.leaves.keys() >= self.leaves):
             self._tabulate(size)
 
@@ -522,17 +536,14 @@ class _Search:
     def first_miss(self, vocab: Vocabulary, n: int, lo: int, hi: int,
                    want: bool = True) -> int | None:
         size = self._size(vocab, n)
+        if size.flags is None and hi - lo == 1 and size.left is not None:
+            if size.left:
+                size.left -= 1
+            elif len(size.leaves) > size.known:
+                self._tabulate(size)
         flags = size.flags
         if flags is None:
-            if hi - lo == 1 and size.left is not None:
-                if size.left:
-                    size.left -= 1
-                elif len(size.leaves) > size.known:
-                    self._tabulate(size)
-            if size.table is None:
-                return self._search(size, lo, hi, want)
-            size.flags = flags = _bytes_of(size.table, 1 << size.length)
-            size.table = None
+            return self._search(size, lo, hi, want)
         miss = flags.find(0 if want else 1, lo, hi)
         return None if miss < 0 else miss
 
@@ -550,8 +561,8 @@ class _Search:
                 try:
                     batch = _Batch(size.vocab, size.n, chunk, low, self.config,
                                    size.leaves)
-                    hit = self._first_hit_in(batch, size, (1 << (end - base))
-                                             - (1 << (start - base)), want)
+                    hit = _first_hit(self._run, batch, (1 << (end - base))
+                                     - (1 << (start - base)), want)
                     hit = None if hit is None else base | hit
                 except Exception:
                     hit = self._scan(size, start, end, want)
@@ -574,32 +585,15 @@ class _Search:
         return tables[0] ^ tables[1] ^ batch.full if len(tables) == 2 else tables[0]
 
     def _tabulate(self, size: _Record) -> None:
-        """Try the whole-size batch without computing a leaf."""
+        """Try the whole-size batch without computing a leaf: the one place
+        a table is stored."""
         try:
             batch = _Batch(size.vocab, size.n, 0, size.length, self.config, size.leaves)
-            size.table = self._run(batch, batch.full)
+            size.flags = _bytes_of(self._run(batch, batch.full), 1 << size.length)
         except (_LeafPending, _InexactCare):
             size.known = len(size.leaves)
         except Exception:
             size.left = None
-
-    def _first_hit_in(self, batch: _Batch, size: _Record, limit: int,
-                      want: bool) -> int | None:
-        """The lowest bit of `limit` whose verdict is not `want`, or None."""
-        while True:
-            try:
-                table = self._run(batch, limit)
-            except _LeafPending as pending:
-                below = limit & ((1 << pending.first) - 1)
-                hit = self._first_hit_in(batch, size, below, want) if below else None
-                if hit is not None:
-                    return hit
-                pending.resolve()
-                continue
-            if limit == batch.full and size.length <= CHUNK_BITS:
-                size.table = table  # a run over the whole size
-            bad = limit & (~table if want else table)
-            return (bad & -bad).bit_length() - 1 if bad else None
 
 
 @lru_cache(maxsize=512)

@@ -13,7 +13,9 @@ from fmwb import cli
 from fmwb.cli import build_parser, main, read_structure
 from fmwb.core import Structure, Vocabulary, encode_bin
 from fmwb.forms import build_form
-from fmwb.logic import apply_T_unord, parse_formula, print_formula, psi_encode
+from fmwb.logic import (
+    CharOrd, apply_T_unord, godel_encode, parse_formula, print_formula, psi_encode,
+)
 from fmwb.machines import (
     BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, encode_tm,
     format_machine, identity_machine,
@@ -569,6 +571,15 @@ def test_structure_files_need_n_on_their_second_line(files, capsys):
     assert capsys.readouterr().out == "0000\n"
 
 
+def test_structure_files_name_themselves_in_number_errors(files, capsys):
+    write, _ = files
+    for text, error in (("vocab E:2\nn = x", "bad size line 'n = x'"),
+                        ("vocab E:2\nn = 2\nE = (0,a)", "bad tuple '(0,a)'")):
+        path = write("bad.struct", text)
+        assert main(["enc", path]) == 2
+        assert capsys.readouterr() == ("", f"fmwb: {path}: {error}\n")
+
+
 def test_form_recognize_refuses_a_class_form_build_refuses(files, capsys):
     write, _ = files
     ups = write("ups.sent", "Ex Ey R(x,y)")
@@ -634,6 +645,32 @@ def test_mc_evaluates_characteristic_leaves(files, capsys):
     assert capsys.readouterr().out.strip() == "true"
     # without the distinguished sentence the leaf is unresolvable
     assert main(["mc", struct, built]) == 2
+
+
+def test_mc_decides_leaves_nested_six_deep(files, capsys):
+    # Six CHAR_ORD leaves nest through their gammas.  Each gamma, and the
+    # sentence, is wrapped in 9,000 negations: every program is within
+    # MAX_DEPTH, but all seven together pass the recursion limit.  Each
+    # leaf is computed after the program that reached it has unwound, so
+    # the verdict is that of the unwrapped sentence.
+    write, _ = files
+
+    def nested(negations):
+        text = "Ex R(x)"
+        for _ in range(6):
+            gamma = parse_formula("~" * negations + text)
+            text = print_formula(CharOrd(godel_encode(gamma),
+                                         encode_tm(identity_machine())))
+        return "~" * negations + text
+
+    ups = write("ups.sent", "Ex R(x)")
+    struct = write("a.struct", "vocab R:1 <\nn = 3\nR = (1)")
+    verdicts = []
+    for negations in (0, 9_000):
+        sentence = write("nested.sent", nested(negations))
+        verdicts.append((main(["mc", struct, sentence, "--upsilon", ups]),
+                         capsys.readouterr()))
+    assert verdicts[1] == verdicts[0] and verdicts[0][1].err == ""
 
 
 def test_form_recognize_reads_a_long_machine_code(files):

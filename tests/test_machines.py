@@ -51,6 +51,15 @@ def test_machine_invariants():
         )
 
 
+def test_a_bad_move_of_either_head_alone_is_refused():
+    for in_mv, sto_mv in (("X", "S"), ("S", "X")):
+        with pytest.raises(MachineError, match="bad head move in transition from q0"):
+            OracleMachine.make(
+                ("q0",) + RESERVED, "q0", "polytime", 1, 1,
+                {("q0", "0", "_"): ("ACC", "_", in_mv, sto_mv, "")},
+            )
+
+
 def test_encode_roundtrip_stock_machines():
     for m in (identity_machine(), always_accept_machine(),
               always_reject_machine(), identity_machine(LOGSPACE, 2, 2)):
@@ -75,6 +84,14 @@ def test_decode_rejects_junk():
     good = encode_tm(identity_machine())
     with pytest.raises(MalformedMachine):
         decode_tm(good + "0")
+
+
+def test_decode_counts_the_trailing_bits():
+    good = encode_tm(identity_machine())
+    for extra in ("0", "101", "1" * 17):
+        with pytest.raises(MalformedMachine) as refused:
+            decode_tm(good + extra)
+        assert str(refused.value) == f"{len(extra)} trailing bits after the machine"
 
 
 def test_text_format_roundtrip():
@@ -118,6 +135,12 @@ def test_step_limit_is_the_clock_power_capped_without_big_powers():
     assert identity_machine("polytime", 2**40, 2**40).step_limit(4) == 1 << 63
     assert identity_machine("logspace", 1, 2**40).step_limit(10**6) == 1 << 63
     assert time.perf_counter() - start < 0.1
+
+
+def test_step_limit_takes_the_power_below_the_cap():
+    # 6^16 is about 2^41: the shortcut to the cap must not fire.
+    assert identity_machine("polytime", 16, 16).step_limit(4) == 6**16
+    assert identity_machine("logspace", 1, 24).step_limit(2) == 4**24 < 1 << 63
 
 
 def test_logspace_storage_cap_rejects():
@@ -502,7 +525,7 @@ def test_single_runs_build_no_table_before_a_checker_would(monkeypatch,
 
     def record(search, size):
         tabulate(search, size)
-        built.append((size.n, size.table is not None))
+        built.append((size.n, size.flags is not None))
     monkeypatch.setattr(semantics._Search, "_tabulate", record)
     for n, length in ((2, 4), (3, 9)):
         before = max((1 << length) >> 6, 1)

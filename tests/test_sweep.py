@@ -52,7 +52,8 @@ def table(f, vocab, n, chunk=0, config=CONFIG):
         try:
             return program(batch, batch.full)
         except _LeafPending as pending:
-            pending.resolve()
+            batch.leaves[pending.leaf] = charsets.leaf_verdict(
+                vocab, n, pending.leaf, config, config.char_budget - 1)
 
 
 def one_at_a_time(f, config=CONFIG):
@@ -267,6 +268,35 @@ def test_leaf_first_reached_in_a_later_pfp_stage_goes_to_the_checker():
         assert sweep(V_ORD, 4, f, None, CONFIG) == scan(V_ORD, 4, f)
 
 
+def test_a_lone_structure_raises_the_leaf_it_reaches(leaf_calls):
+    # A program only reads leaf verdicts, on the batch of one structure too.
+    leaf = char_sentence("ord", gamma=parse_formula("Ex R1(x)"),
+                         machine=identity_machine())
+    program = _new_program(parse_formula(f"(Ax ~R1(x) | {print_formula(leaf)})"))
+    batch = _Batch(V_ORD, 2, 3, 0, CONFIG, {})  # R1 = {0, 1}
+    with pytest.raises(_LeafPending) as pending:
+        program(batch, 1)
+    assert pending.value.leaf == leaf and pending.value.first == 0
+    assert leaf_calls == []
+
+
+def test_nested_leaves_do_not_stack_their_programs(fresh_caches):
+    # The sentence and the leaf's gamma are each 600 levels deep.  The leaf
+    # is computed once the sentence's program has unwound, so under a limit
+    # of 1,000 frames the two programs need not fit on the stack together.
+    gamma = parse_formula("~" * 600 + "Ex R(x)")
+    leaf = char_sentence("ord", gamma=gamma, machine=identity_machine())
+    wrapped = parse_formula("~" * 600 + print_formula(leaf))
+    a = Structure(parse_vocab("R:1 <"), 3, 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = models(a, wrapped, CONFIG)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == models(a, leaf, CONFIG)
+
+
 def test_cli_prints_the_counterexample_before_an_unreached_leaf(
         write, capsys, leaf_calls):
     # Checked one structure at a time, the leaf is never reached before the
@@ -404,7 +434,7 @@ def tables(monkeypatch, fresh_caches):
 
     def record(search, size):
         tabulate(search, size)
-        tried.append((search, size.n, size.table is not None))
+        tried.append((search, size.n, size.flags is not None))
     monkeypatch.setattr(semantics._Search, "_tabulate", record)
     return tried
 
