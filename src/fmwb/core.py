@@ -59,6 +59,19 @@ class Vocabulary:
     def is_aristotelian(self) -> bool:
         return not self.has_order and all(a == 1 for _, a in self.symbols)
 
+    def __hash__(self) -> int:
+        # Stored at first use, since every cache keyed by a vocabulary
+        # hashes it.  String hashes differ between processes, so
+        # __reduce__ leaves the stored one behind.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.symbols, self.has_order))
+            return h
+
+    def __reduce__(self):
+        return type(self), (self.symbols, self.has_order)
+
     def __str__(self):
         parts = [f"{name}:{arity}" for name, arity in self.symbols]
         if self.has_order:

@@ -65,6 +65,19 @@ class EvalConfig:
     upsilon_unord: Formula | None = None
     char_budget: int = 8
 
+    def __hash__(self) -> int:
+        # Stored at first use, as core.Vocabulary stores its hash, and left
+        # behind by __reduce__.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(
+                (self.upsilon_ord, self.upsilon_unord, self.char_budget))
+            return h
+
+    def __reduce__(self):
+        return type(self), (self.upsilon_ord, self.upsilon_unord, self.char_budget)
+
 
 _EMPTY_CONFIG = EvalConfig()
 
@@ -508,18 +521,24 @@ class _Search:
         self.last_vocab, self.last_n, self.last = vocab, n, size
         return size
 
-    def try_table(self, vocab: Vocabulary, n: int) -> None:
-        """Make the whole-size try of the countdown now, unless the size has
-        a table, a try raised, or a leaf is still unknown at the size: such
-        a leaf would refuse the try, and the caller's range searches would
-        run the same batch again to find where the leaf is first reached.
-        A try that runs through ends the countdown with the table, and one
-        that raises ends the tries, so a size still gets at most one try
-        that is not refused."""
+    def try_table(self, vocab: Vocabulary, n: int,
+                  reads: int | None = None) -> bytes | None:
+        """Make the whole-size try of the countdown now, for a caller that
+        will read `reads` structures of the size (all of them by default),
+        unless the size has a table, a try raised, the reads are fewer than
+        the width-1 searches left before the countdown's own try, or a leaf
+        is still unknown at the size: such a leaf would refuse the try, and
+        the caller's range searches would run the same batch again to find
+        where the leaf is first reached.  A try that runs through ends the
+        countdown with the table, and one that raises ends the tries, so a
+        size still gets at most one try that is not refused.  Returns the
+        size's table, or None."""
         size = self._size(vocab, n)
         if (size.flags is None and size.left is not None
+                and (reads is None or reads >= size.left)
                 and size.leaves.keys() >= self.leaves):
             self._tabulate(size)
+        return size.flags
 
     def holds(self, vocab: Vocabulary, n: int, bits: int) -> bool:
         """A width-1 range search, or, where (vocab, n) is the last size

@@ -168,6 +168,57 @@ def random_machine(rng: random.Random, kind: str = "polytime",
     )
 
 
+def random_copying_machine(rng: random.Random, kind: str = "polytime",
+                           max_transitions: int = 6) -> OracleMachine:
+    """A random machine with copy steps planted in it: steps whose
+    transitions on input 0 and 1 differ only in appending "0" and "1".
+
+    It starts with a chain of states that append a constant prefix c, then
+    a state that copies the input from left to right, moving on or staying,
+    and goes to QUE, YES, NO or one of the random states at the end.  A few
+    random states of the random machine get a copy pair too, and some
+    transitions from YES and NO, so that the continuations after a query
+    may halt, read and decide on input bits, copy them or ask again.  Now
+    and then a planted pair differs only in its appends but copies nothing.
+    """
+    m = random_machine(rng, kind, max_transitions)
+    extras = [s for s in m.states if s not in RESERVED]
+    chain = [f"c{i}" for i in range(rng.randint(0, 3))]
+    states = tuple(chain) + ("k",) + m.states
+    symbols = ("0", "1", BLANK)
+    moves = ("L", "R", "S")
+    transitions = dict(m.transitions)
+
+    def appends():
+        return rng.choice((("0", "1"),) * 5 + (("1", "0"), ("", "1"), ("0", "")))
+
+    for i, state in enumerate(chain):
+        nxt = chain[i + 1] if i + 1 < len(chain) else "k"
+        bit = rng.choice("01")
+        for sym in symbols:
+            transitions[(state, sym, BLANK)] = (nxt, BLANK, "S", "S", bit)
+    move = rng.choice(("R", "R", "R", "S"))
+    for bit, app in zip("01", appends()):
+        transitions[("k", bit, BLANK)] = ("k", BLANK, move, "S", app)
+    transitions[("k", BLANK, BLANK)] = (
+        rng.choice(("QUE",) * 6 + ("YES", "NO") + tuple(extras)), BLANK, "S", "S", "")
+    # Copy pairs in random states, on a random storage symbol.
+    for state in rng.sample(extras, rng.randint(0, len(extras))):
+        sto, nxt = rng.choice(symbols), rng.choice(states)
+        write, in_mv, sto_mv = rng.choice(symbols), rng.choice(moves), rng.choice(moves)
+        for bit, app in zip("01", appends()):
+            transitions[(state, bit, sto)] = (nxt, write, in_mv, sto_mv, app)
+    for state in ("YES", "NO"):
+        for sym in rng.sample(symbols, rng.randint(0, 3)):
+            transitions[(state, sym, BLANK)] = (
+                rng.choice(("ACC",) * len(states) + states), rng.choice(symbols),
+                rng.choice(moves), rng.choice(moves), rng.choice(("", "", "0", "1")))
+    return OracleMachine.make(
+        states, chain[0] if chain else "k", kind,
+        rng.choice((1, 2, 2, 3)), rng.choice((1, 2, 2, 3)), transitions,
+    )
+
+
 def padded_identity_machine(min_bits: int) -> OracleMachine:
     """identity_machine plus unreachable self-looping states, until its
     code has at least min_bits bits."""

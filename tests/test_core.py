@@ -1,5 +1,10 @@
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,11 +14,45 @@ from fmwb.core import (
     Vocabulary, decode_bin, ell, encode_bin, encoding_length,
     enumerate_structures, is_isomorphic, parse_vocab,
 )
+from fmwb import core
 from fmwb.logic import parse_formula
-from fmwb.semantics import models
+from fmwb.semantics import EvalConfig, models
 from helpers import apply_permutation
 from oracles import naive_models
 from randgen import random_structure
+
+
+def test_unpickled_vocabularies_and_configs_hash_as_built_there():
+    # Both store their hash at first use; string hashes differ between
+    # processes, so a stored hash must not travel with the pickle.
+    vocab = parse_vocab("E:2 <")
+    config = EvalConfig(parse_formula("Ex R(x)"), parse_formula("Ax Ey R(x,y)"), 5)
+    hash(vocab), hash(config)
+    assert pickle.loads(pickle.dumps(vocab)) == vocab
+    assert hash(pickle.loads(pickle.dumps(config))) == hash(config)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(core.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "import pickle, sys\n"
+        "from fmwb.core import parse_vocab\n"
+        "from fmwb.logic import parse_formula\n"
+        "from fmwb.semantics import EvalConfig\n"
+        "vocab, config = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = (parse_vocab('E:2 <'), EvalConfig(parse_formula('Ex R(x)'),\n"
+        "         parse_formula('Ax Ey R(x,y)'), 5))\n"
+        "print(vocab == fresh[0], config == fresh[1], hash(vocab) == hash(fresh[0]),\n"
+        "      hash(config) == hash(fresh[1]), hash(vocab), hash(config))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          input=pickle.dumps((vocab, config)), capture_output=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    *verdicts, vocab_hash, config_hash = done.stdout.split()
+    assert verdicts == [b"True"] * 4
+    # the child hashes strings differently, so a stored hash would differ
+    assert int(vocab_hash) != hash(vocab) and int(config_hash) != hash(config)
 
 
 def test_vocab_invariants():

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -20,7 +21,7 @@ from fmwb.machines import (
 from fmwb.semantics import EvalConfig, NoLeastFixpoint, models, sentence_checker
 from helpers import always_accept_machine, always_reject_machine
 from oracles import naive_reduction_upto, naive_run
-from randgen import random_formula, random_machine
+from randgen import random_copying_machine, random_formula, random_machine
 from test_sweep import spinning_leaf
 
 V_E = Vocabulary((("E", 2),))
@@ -732,3 +733,259 @@ def test_walk_forks_only_where_a_bit_decides_a_step():
     limit = identity_machine().step_limit(4)
     assert list(machines._walk(identity_machine(), 4, "0110", limit, ask)) == [
         (6, 7, True)]
+
+
+# --- copy steps, and queries answered from the oracle's table -------------
+
+
+def _counting_oracle(counts):
+    """_oracle_answers, counting in `counts` the queries asked one at a
+    time ("ask"), the table reads that got answers ("table") or none ("no
+    table"), and the queries read at once whose length decodes to no size
+    ("no size")."""
+    answers = machines._oracle_answers
+
+    def counting_answers(*args):
+        ask = answers(*args)
+
+        def counted(query):
+            counts["ask"] += 1
+            return ask(query)
+
+        def counted_slice(*slice_args):
+            got = ask.slice(*slice_args)
+            counts["no table" if got is None else "table"] += 1
+            return got
+        def counted_size(length):
+            n = ask.size(length)
+            if n is None:
+                counts["no size"] += 1
+            return n
+        counted.size, counted.slice = counted_size, counted_slice
+        return counted
+    return counting_answers
+
+
+def _counting_fast_path(monkeypatch):
+    """Counts, for the reduction sweeps that follow, of the ranges the walk
+    gives one verdict ("range") or one verdict per input ("slice"), and of
+    the oracle's calls (see _counting_oracle)."""
+    counts = Counter()
+    walk = machines._walk
+
+    def counting_walk(*args):
+        for lo, hi, accepted in walk(*args):
+            counts["slice" if isinstance(accepted, bytes) else "range"] += 1
+            yield lo, hi, accepted
+    monkeypatch.setattr(machines, "_walk", counting_walk)
+    monkeypatch.setattr(machines, "_oracle_answers", _counting_oracle(counts))
+    return counts
+
+
+def test_copy_steps_are_flagged_once_per_pair():
+    copies = [step for step in identity_machine().coded_steps if step[6]]
+    assert len(copies) == 2 and all(step[5] for step in copies)
+    # The same pair with a different move on 1 decides the step, and copies nothing.
+    m = OracleMachine.make(("q0",) + RESERVED, "q0", POLYTIME, 2, 2, {
+        ("q0", "0", BLANK): ("q0", BLANK, "R", "S", "0"),
+        ("q0", "1", BLANK): ("q0", BLANK, "S", "S", "1")})
+    assert [step[5:] for step in m.coded_steps if step[5]] == [(True, False)] * 2
+    # Appending "1" on 0 and "0" on 1 is a negated copy, not a copy step.
+    m = OracleMachine.make(("q0",) + RESERVED, "q0", POLYTIME, 2, 2, {
+        ("q0", "0", BLANK): ("q0", BLANK, "R", "S", "1"),
+        ("q0", "1", BLANK): ("q0", BLANK, "R", "S", "0")})
+    assert not any(step[6] for step in m.coded_steps)
+
+
+def test_only_walks_of_at_most_128_bits_copy_without_forking():
+    # Copies two bits and accepts.  A reference is one Latin-1 character,
+    # so a longer walk forks at the copies as at any deciding read.
+    copy = {("a", bit, BLANK): ("b", BLANK, "R", "S", bit) for bit in "01"}
+    copy.update({("b", bit, BLANK): ("ACC", BLANK, "R", "S", bit) for bit in "01"})
+    m = OracleMachine.make(("a", "b") + RESERVED, "a", POLYTIME, 2, 2, copy)
+    for length, ranges in ((128, 1), (129, 4)):
+        walk = machines._walk(m, length, "", m.step_limit(length), None)
+        # the ranges, by the two bits they fix
+        assert [(lo >> (length - 2), accepted) for lo, _, accepted in walk] == [
+            (i, True) for i in range(ranges)]
+
+
+def test_copying_walks_match_the_reference_on_every_input():
+    # The walk with the oracle's table, input by input, against naive_run.
+    oracles = (parse_formula("Ex P(x)"), parse_formula("Ax P(x)"))
+    rng = random.Random(5233)
+    seen = Counter()
+    for draw in range(600):
+        length = draw % 8
+        oracle = oracles[draw // 8 % 2]
+        m = random_copying_machine(rng, (POLYTIME, LOGSPACE)[draw % 2],
+                                   rng.choice((4, 12, 30)))
+        counts = Counter()
+        ask = _counting_oracle(counts)(oracle, V_P, None)
+        verdicts = []
+        for lo, hi, accepted in machines._walk(m, length, "", m.step_limit(length),
+                                               ask, True):
+            assert lo == len(verdicts) < hi
+            if isinstance(accepted, bytes):
+                assert len(accepted) == hi - lo
+                verdicts.extend(byte == 1 for byte in accepted)
+                counts["slice"] += 1
+            else:
+                verdicts.extend([accepted] * (hi - lo))
+        words = ["".join(w) for w in product("01", repeat=length)]
+        assert verdicts == [naive_run(m, w, oracle, V_P) for w in words], (
+            format_machine(m), length)
+        seen.update(key for key in counts)
+        # A table was read, yet queries were asked: a continuation gave up.
+        seen["fell back"] += bool(counts["table"] and counts["ask"])
+    assert min(seen[key] for key in ("slice", "ask", "fell back")) >= 10, seen
+
+
+@pytest.mark.parametrize("tau, n_max, seed", [
+    ("E:2", 3, 9101), ("R1:1 <", 3, 9102), ("P:1 Q:1", 4, 9103),
+])
+def test_copying_reduction_sweeps_match_the_reference(monkeypatch, tau, n_max,
+                                                      seed):
+    # Gammas with a cycling least fixpoint make the whole-size try raise at
+    # every size where a structure reaches it, so queries go one at a time.
+    vocab = parse_vocab(tau)
+    rng = random.Random(seed)
+    pool = fo_sentences(vocab, 5)
+    name, arity = vocab.symbols[0]
+    reach = parse_formula(f"Ex {name}({','.join('x' * arity)})")
+    cycling = And(reach, parse_formula(CYCLING_LFP))
+
+    def sentence():
+        if rng.random() < 0.5:
+            return rng.choice(pool)
+        return random_formula(rng, vocab, rng.randint(2, 7), allow_so=False,
+                              allow_char=False)
+
+    counts = _counting_fast_path(monkeypatch)
+    outcomes = []
+    for draw in range(150):
+        kind = rng.choice((POLYTIME, LOGSPACE))
+        if draw % 3:
+            m = random_copying_machine(rng, kind, rng.choice((4, 8, 20)))
+        else:
+            m = identity_machine(kind, rng.randint(1, 3), rng.randint(1, 3))
+        gamma = rng.choice((sentence(), sentence(), Or(sentence(), cycling)))
+        large = And(_at_least(rng.randint(3, n_max)), sentence())
+        target = rng.choice((gamma, Or(gamma, large), sentence()))
+        outcomes.append(_assert_reduction_matches(m, gamma, target, vocab, n_max))
+    assert None in outcomes and NoLeastFixpoint in outcomes
+    assert {w[0] for w in outcomes if isinstance(w, tuple)} == set(range(2, n_max + 1))
+    # Both the slices and the queries asked one at a time ran, and so did
+    # table reads refused at a query.
+    assert min(counts[key] for key in ("slice", "range", "table", "ask")) >= 5, counts
+    assert counts["no table"] >= 3, counts
+
+
+def test_identity_reductions_ask_no_query_alone(monkeypatch, fresh_caches):
+    # Over E:2 to n = 4 the identity machine copies 4, 9 and 16 input bits,
+    # 66,064 inputs in all.  Each size is one run, whose 2^L queries are
+    # one slice of gamma's table, compared with the target's in one step.
+    counts = _counting_fast_path(monkeypatch)
+    gamma = parse_formula("Ax Ey (E(x,y) | E(y,x))")
+    loops = parse_formula("Ex E(x,x)")
+    for target in (gamma, Or(gamma, And(_at_least(4), loops))):
+        want = semantics.mod_eq_upto(gamma, target, V_E, 4)
+        assert is_reduction_upto(identity_machine(), gamma, target, V_E, 4) == want
+    assert want.n == 4
+    assert counts == {"slice": 6, "table": 6}
+
+
+def test_queries_at_the_clock_are_not_asked():
+    # The identity machine with step exponent 1 asks after L + 1 steps,
+    # within its clock of L + 2, and its YES step would be step L + 3: it
+    # rejects every input.  With one more step before the copying, it
+    # reaches QUE at its clock and asks nothing, so it never compiles a
+    # gamma that does not compile (y is free).
+    broken, holds = parse_formula("Ex E(x,y)"), parse_formula("Ax x = x")
+    stalling = OracleMachine.make(
+        ("s", "q0") + RESERVED, "s", POLYTIME, 1, 1,
+        {**dict(identity_machine().transitions),
+         **{("s", sym, BLANK): ("q0", BLANK, "S", "S", "") for sym in SYMBOLS}})
+    for m in (identity_machine(POLYTIME, 1, 1), stalling):
+        assert _assert_reduction_matches(m, EDGE, holds, V_E, 3) == (2, 0)
+    with pytest.raises(KeyError):
+        is_reduction_upto(identity_machine(POLYTIME, 1, 1), broken, holds, V_E, 3)
+    assert is_reduction_upto(stalling, broken, holds, V_E, 3) == Structure(V_E, 2, 0)
+
+
+def test_a_constant_prefix_selects_the_slice(monkeypatch):
+    # Writes "1", then copies its input and asks: over P:1 the query of an
+    # L-bit input w is "1" w, of size L + 1, and the answers to all of them
+    # are the upper half of that size's table.
+    m = OracleMachine.make(
+        ("c0", "q0") + RESERVED, "c0", POLYTIME, 3, 3,
+        {**dict(identity_machine().transitions),
+         **{("c0", sym, BLANK): ("q0", BLANK, "S", "S", "1") for sym in SYMBOLS}})
+    counts = _counting_fast_path(monkeypatch)
+    gamma = parse_formula("Ax P(x)")
+    assert _assert_reduction_matches(m, gamma, gamma, V_P, 5) is None
+    assert _assert_reduction_matches(m, gamma, parse_formula("Ex P(x)"), V_P, 5) == (2, 1)
+    assert _assert_reduction_matches(m, gamma, parse_formula("Ax x = x"), V_P, 5) == (2, 0)
+    assert counts["slice"] == 4 + 1 + 1 and counts["ask"] == 0
+
+
+def test_a_small_slice_builds_no_table_sooner_than_its_queries_would(
+        monkeypatch, fresh_caches):
+    # Writes ten 1s, then copies its input and asks: over P:1 the 2^L
+    # queries of an L-bit input are a 1024th of the size L + 10.  The table
+    # read counts them as 2^L width-1 searches, which is fewer than the
+    # max(2^(L+10)/64, 1) that the checker asks before its own try.
+    chain = tuple(f"c{i}" for i in range(10))
+    transitions = dict(identity_machine().transitions)
+    for i, state in enumerate(chain):
+        transitions.update({(state, sym, BLANK): ((chain + ("q0",))[i + 1], BLANK, "S",
+                                                  "S", "1") for sym in SYMBOLS})
+    m = OracleMachine.make(chain + ("q0",) + RESERVED, "c0", POLYTIME, 3, 3, transitions)
+    built = []
+    tabulate = semantics._Search._tabulate
+
+    def record(search, size):
+        built.append(size.n)
+        tabulate(search, size)
+    monkeypatch.setattr(semantics._Search, "_tabulate", record)
+    gamma = parse_formula("Ex Ey (P(x) & ~P(y))")
+    assert _assert_reduction_matches(m, gamma, parse_formula("Ex ~P(x)"), V_P, 4) is None
+    assert built == [2, 3, 4]  # the target's tables, none of gamma's
+
+
+
+def test_queries_of_no_size_are_answered_without_reading_a_table():
+    # Writes "1", copies its input and asks; after NO it accepts.  Over E:2
+    # a query of 1 + L bits is never a square, so every answer is NO, and
+    # the walk follows the NO continuation once for all 2^64 inputs.
+    m = OracleMachine.make(
+        ("c0", "q0") + RESERVED, "c0", POLYTIME, 2, 2,
+        {**dict(identity_machine().transitions),
+         **{("c0", sym, BLANK): ("q0", BLANK, "S", "S", "1") for sym in SYMBOLS},
+         ("NO", BLANK, BLANK): ("ACC", BLANK, "S", "S", "")})
+    counts = Counter()
+    ask = _counting_oracle(counts)(EDGE, V_E, None)
+    assert list(machines._walk(m, 64, "", m.step_limit(64), ask, True)) == [
+        (0, 1 << 64, True)]
+    assert counts == {"no size": 1}
+
+
+def test_runs_forked_at_a_query_read_no_table_again(monkeypatch):
+    # Copies its input and asks; after YES it reads its input back, each bit
+    # deciding the step, and accepts.  At each size the one run reads
+    # gamma's table once, its YES continuation forks, and the run forks at
+    # the query: every input is asked alone, and no forked run reads again.
+    transitions = dict(identity_machine().transitions)
+    transitions[("YES", BLANK, BLANK)] = ("b0", BLANK, "L", "S", "")
+    transitions.update({("b0", "0", BLANK): ("b1", BLANK, "L", "S", ""),
+                        ("b0", "1", BLANK): ("b0", BLANK, "L", "S", ""),
+                        ("b0", BLANK, BLANK): ("ACC", BLANK, "S", "S", "")})
+    transitions.update({("b1", sym, BLANK): ("b0", BLANK, "L", "S", "") for sym in "01"})
+    transitions[("b1", BLANK, BLANK)] = ("ACC", BLANK, "S", "S", "")
+    m = OracleMachine.make(("q0", "b0", "b1") + RESERVED, "q0", POLYTIME, 2, 2,
+                           transitions)
+    counts = _counting_fast_path(monkeypatch)
+    gamma = parse_formula("Ax Ey (E(x,y) | E(y,x))")
+    assert _assert_reduction_matches(m, gamma, gamma, V_E, 3) is None
+    inputs = (1 << 4) + (1 << 9)
+    assert counts == {"table": 2, "range": inputs, "ask": inputs}
