@@ -35,11 +35,10 @@ def encode_nat(x: int) -> str:
 
 
 def decode_nat(bits: str, pos: int = 0) -> tuple[int, int]:
-    """Decode one codeword starting at pos; returns (value, bits consumed)."""
-    i = pos
-    while i < len(bits) and bits[i] == "1":
-        i += 1
-    if i >= len(bits):
+    """Decode one codeword of the bit string bits starting at pos; returns
+    (value, bits consumed)."""
+    i = bits.find("0", pos)
+    if i < 0:
         raise MalformedCode("ran out of bits scanning the length-of-length prefix")
     clen = i - pos
     if clen == 0:
@@ -60,7 +59,8 @@ def decode_nat(bits: str, pos: int = 0) -> tuple[int, int]:
 def encode_str(s: str) -> str:
     """Length-prefixed ascii string as bits."""
     data = s.encode("ascii")
-    return encode_nat(len(data)) + "".join(format(byte, "08b") for byte in data)
+    body = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
+    return encode_nat(len(data)) + body
 
 
 class BitReader:
@@ -89,9 +89,7 @@ class BitReader:
         """One encode_str codeword."""
         data = self.take(8 * self.nat())
         try:
-            return bytes(
-                int(data[i : i + 8], 2) for i in range(0, len(data), 8)
-            ).decode("ascii")
+            return int(data or "0", 2).to_bytes(len(data) // 8, "big").decode("ascii")
         except UnicodeDecodeError as exc:
             raise MalformedCode("string field is not ascii") from exc
 
@@ -160,6 +158,8 @@ def parse_benc(vocab: Vocabulary, bits: str) -> list[int]:
     if not vocab.is_aristotelian():
         raise NotAristotelian(f"vocabulary {vocab} is not all-unary")
     m = len(vocab.symbols)
+    if bits.strip("01"):
+        raise MalformedBenc("benc must consist of '0'/'1' characters")
     if not bits or bits[0] != "1":
         raise MalformedBenc("benc must start with 1")
     pos = 1

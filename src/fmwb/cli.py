@@ -38,7 +38,10 @@ def read_structure(path: str) -> Structure:
     if (len(lines) < 2 or not lines[0].startswith("vocab ") or "=" not in lines[1]
             or lines[1].split("=", 1)[0].strip() != "n"):
         raise CliError(f"{path}: expected 'vocab ...' then 'n = ...'")
-    vocab = parse_vocab(lines[0][len("vocab "):])
+    try:
+        vocab = parse_vocab(lines[0][len("vocab "):])
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
     try:
         n = int(lines[1].split("=", 1)[1])
     except ValueError:
@@ -60,7 +63,10 @@ def read_structure(path: str) -> Structure:
         if name in relations:
             raise CliError(f"{path}: symbol {name} given twice")
         relations[name] = tuples
-    return Structure.make(vocab, n, relations)
+    try:
+        return Structure.make(vocab, n, relations)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def read_sentence(path: str) -> logic.Formula:

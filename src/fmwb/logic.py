@@ -18,7 +18,7 @@ normalized form: '->' is expanded and binary connectives are parenthesized).
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from itertools import accumulate
 from operator import attrgetter
 from string import Formatter
 from types import SimpleNamespace
@@ -320,14 +320,51 @@ _VAR_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _REL_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
-_QUANTIFIER_TEXT = {"1": "Ex", "0": "Ax"}
+# The numbered runs of a printed encoding sentence, in fixed blocks: the
+# head entries "?xi " (with ? for the quantifier letter) and the matrix
+# entries " & xi != xi)".  Numbers 1..99 are prefixes of _LOW_HEAD and
+# _LOW_TAIL, whose first k entries end at _LOW_HEAD_ENDS[k] and
+# _LOW_TAIL_ENDS[k]; the tail has no entry for 1.  The hundred
+# 100b .. 100b+99 is a prefix of _HUNDRED_HEAD and _HUNDRED_TAIL, whose
+# entries are _HUNDRED_WIDTHS wide, with the digits of b for '#'.
+def _numbered(entries) -> tuple[str, tuple[int, ...]]:
+    """The entries joined, and where each prefix of them ends."""
+    entries = list(entries)
+    return "".join(entries), (0, *accumulate(map(len, entries)))
+
+
+_LOW_HEAD, _LOW_HEAD_ENDS = _numbered(f"?x{i} " for i in range(1, 100))
+_LOW_TAIL, _LOW_TAIL_ENDS = _numbered(
+    f" & x{i} != x{i})" if i > 1 else "" for i in range(1, 100))
+_HUNDRED_HEAD = "".join(f"?x#{i:02} " for i in range(100))
+_HUNDRED_TAIL = "".join(f" & x#{i:02} != x#{i:02})" for i in range(100))
+_HUNDRED_WIDTHS = (len(_HUNDRED_HEAD) // 100, len(_HUNDRED_TAIL) // 100)
+_QUANTIFIER_LETTERS = bytes.maketrans(b"10", b"EA")
 
 
 def _psi_text(w: str) -> str:
-    nums = list(map(str, range(2, len(w) + 1)))
-    head = " ".join(map("".join, zip(map(_QUANTIFIER_TEXT.__getitem__, w), ["1", *nums])))
-    matrix = "".join(map("".join, zip(repeat(" & x"), nums, repeat(" != x"), nums, repeat(")"))))
-    return f"{head} {'(' * len(nums)}x1 != x1{matrix}"
+    """The printed expansion of Psi(w), for a nonempty bit string w.
+
+    The head is first built with '?' for every quantifier letter.  Entries
+    of d-digit numbers are d + 3 characters wide, so the letters of one
+    digit count lie at a fixed stride and one extended slice writes them.
+    """
+    k = len(w)
+    cut = min(k, 99)
+    head, tail = [_LOW_HEAD[:_LOW_HEAD_ENDS[cut]]], [_LOW_TAIL[:_LOW_TAIL_ENDS[cut]]]
+    head_width, tail_width = _HUNDRED_WIDTHS
+    for b in range(1, k // 100 + 1):
+        count, digits = min(k - 100 * b + 1, 100), str(b)
+        head.append(_HUNDRED_HEAD[:head_width * count].replace("#", digits))
+        tail.append(_HUNDRED_TAIL[:tail_width * count].replace("#", digits))
+    masked = bytearray("".join(head), "ascii")
+    letters = w.encode("ascii").translate(_QUANTIFIER_LETTERS)
+    start, low, count, width = 0, 0, 9, 4
+    while low < k:
+        high = min(k, low + count)
+        masked[start:start + width * (high - low):width] = letters[low:high]
+        start, low, count, width = start + width * count, high, 10 * count, width + 1
+    return f"{masked.decode('ascii')}{'(' * (k - 1)}x1 != x1{''.join(tail)}"
 
 
 # The Goedel tag of the quantifier each bit of w stands for.

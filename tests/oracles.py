@@ -4,8 +4,9 @@ Nothing here shares code with fmwb's evaluator: naive_models is a plain
 recursive truth definition over fresh assignment dicts, table_models builds
 truth tables with numpy, naive_run simulates a machine to its clock,
 naive_reduction_upto checks a reduction one structure at a time with those two,
-naive_parse is a recursive-descent parser of the text syntax, and the
-remaining helpers are direct restatements of the properties under test
+naive_parse is a recursive-descent parser of the text syntax, the naive_*
+bit codecs read and write a bit or a byte at a time, and the remaining
+helpers are direct restatements of the properties under test
 (breadth-first closure, exhaustive coloring, derivation search).
 """
 
@@ -17,6 +18,7 @@ import re
 
 import numpy as np
 
+from fmwb.aristotelian import MalformedCode, encode_nat
 from fmwb.core import NoIntegerUniverse, Structure, decode_bin
 from fmwb.logic import (
     And, Bit, CharCfg, CharNpconp, CharOrd, CharUnord, CoCharUnord, Eq,
@@ -35,6 +37,50 @@ def psi_expansion(w):
     for i in range(k, 0, -1):
         matrix = (Exists if w[i - 1] == "1" else Forall)(f"x{i}", matrix)
     return matrix
+
+
+def naive_decode_nat(bits, pos=0):
+    """One encode_nat codeword at pos, its 1-prefix scanned a bit at a
+    time: (value, bits consumed)."""
+    i = pos
+    while i < len(bits) and bits[i] == "1":
+        i += 1
+    if i >= len(bits):
+        raise MalformedCode("ran out of bits scanning the length-of-length prefix")
+    clen = i - pos
+    if clen == 0:
+        raise MalformedCode("codeword must start with at least one 1")
+    i += 1
+    if i + clen > len(bits):
+        raise MalformedCode("truncated length field")
+    blen = int(bits[i : i + clen], 2)
+    i += clen
+    if i + blen > len(bits):
+        raise MalformedCode("truncated value field")
+    if blen == 0:
+        raise MalformedCode("empty value field")
+    value = int(bits[i : i + blen], 2)
+    return value, i + blen - pos
+
+
+def naive_encode_str(s):
+    """encode_str written a byte at a time."""
+    data = s.encode("ascii")
+    return encode_nat(len(data)) + "".join(format(byte, "08b") for byte in data)
+
+
+def naive_read_string(bits):
+    """The encode_str codeword bits starts with, read a byte at a time:
+    (string, bits consumed)."""
+    length, pos = naive_decode_nat(bits)
+    if pos + 8 * length > len(bits):
+        raise MalformedCode(f"truncated field at bit {pos}")
+    data = bits[pos : pos + 8 * length]
+    try:
+        text = bytes(int(data[i : i + 8], 2) for i in range(0, len(data), 8)).decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedCode("string field is not ascii") from exc
+    return text, pos + 8 * length
 
 
 def naive_models(a, f, env=None, rels=None, leaf=None):

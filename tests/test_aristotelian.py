@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fmwb.aristotelian import (
-    MalformedBenc, MalformedCode, NotAristotelian, benc, canonical_order,
-    canonize, decide_M, decode_nat, encode_nat, pattern_counts, reconstruct,
-    uenc_length,
+    BitReader, MalformedBenc, MalformedCode, NotAristotelian, benc, canonical_order,
+    canonize, decide_M, decode_nat, encode_nat, encode_str, pattern_counts,
+    reconstruct, uenc_length,
 )
 from fmwb.core import Structure, Vocabulary, ell, is_isomorphic
 from fmwb.logic import parse_formula
 from helpers import apply_permutation
+from oracles import naive_decode_nat, naive_encode_str, naive_read_string
 
 V2 = Vocabulary((("P", 1), ("Q", 1)))
 
@@ -56,6 +58,45 @@ def test_prefix_free_small():
         for j, u in enumerate(words):
             if i != j:
                 assert not u.startswith(w)
+
+
+def _outcome(read, bits):
+    try:
+        return read(bits)
+    except MalformedCode as exc:
+        return f"MalformedCode: {exc}"
+
+
+def _read_string(bits):
+    r = BitReader(bits)
+    return r.string(), r.pos
+
+
+def test_bit_codecs_match_their_bit_at_a_time_definitions():
+    rng = random.Random(23)
+    texts = ["".join(t) for n in range(3)
+             for t in itertools.product(map(chr, range(128)), repeat=n)]
+    texts += ["".join(chr(rng.randrange(128)) for _ in range(rng.randrange(3, 60)))
+              for _ in range(300)]
+    codes = []
+    for s in texts:
+        code = encode_str(s)
+        assert code == naive_encode_str(s), s
+        codes.append(code)
+    # Payloads with bytes past ascii, and bit strings that are no codeword.
+    for _ in range(300):
+        length = rng.randrange(6)
+        codes.append(encode_nat(length) + format(rng.getrandbits(8 * length), f"0{8 * length}b")
+                     + format(rng.getrandbits(8), "08b"))
+        codes.append(format(rng.getrandbits(40), "040b"))
+    # Every truncation; the codes of short strings share most of theirs.
+    for bits in sorted({code[:end] for code in codes for end in range(len(code) + 1)}):
+        assert _outcome(_read_string, bits) == _outcome(naive_read_string, bits), bits
+        for pos in {0, len(bits) // 2}:
+            assert _outcome(lambda b: decode_nat(b, pos), bits) \
+                == _outcome(lambda b: naive_decode_nat(b, pos), bits), (bits, pos)
+    with pytest.raises(UnicodeEncodeError):
+        encode_str("\x80")
 
 
 def test_codeword_length_formula():
@@ -175,6 +216,10 @@ def test_reconstruct_rejects_malformed(v_mon):
     with pytest.raises(MalformedBenc):
         # pattern blocks out of order
         reconstruct(v_mon, "1" + "1" + encode_nat(1) + "0" + encode_nat(1))
+    # Characters other than bits, also where a count is read.
+    for bits in ("1010 11 ", "1_0_1", "10" + "1x01" + "1" + "1011", "2"):
+        with pytest.raises(MalformedBenc, match="consist of '0'/'1'"):
+            reconstruct(v_mon, bits)
 
 
 def test_reconstruct_assigns_patterns_in_order(v_mon):

@@ -555,7 +555,7 @@ def test_structure_files_lose_no_line(files, capsys):
     unknown = write("f.struct", "vocab E:2\nn = 2\nF = (0,1)")
     twice = write("twice.struct", "vocab E:2\nn = 2\nE = (0,1)\nE = (1,1)")
     assert main(["enc", unknown]) == 2
-    assert capsys.readouterr() == ("", "fmwb: no symbol F in vocabulary E:2\n")
+    assert capsys.readouterr() == ("", f"fmwb: {unknown}: no symbol F in vocabulary E:2\n")
     assert main(["enc", twice]) == 2
     assert capsys.readouterr() == ("", f"fmwb: {twice}: symbol E given twice\n")
 
@@ -575,6 +575,19 @@ def test_structure_files_name_themselves_in_number_errors(files, capsys):
     write, _ = files
     for text, error in (("vocab E:2\nn = x", "bad size line 'n = x'"),
                         ("vocab E:2\nn = 2\nE = (0,a)", "bad tuple '(0,a)'")):
+        path = write("bad.struct", text)
+        assert main(["enc", path]) == 2
+        assert capsys.readouterr() == ("", f"fmwb: {path}: {error}\n")
+
+
+def test_structure_files_name_themselves_in_vocabulary_and_structure_errors(files, capsys):
+    write, _ = files
+    for text, error in (
+            ("vocab E:x\nn = 2", "bad vocabulary token 'E:x', expected name:arity"),
+            ("vocab E:2 E:1\nn = 2", "duplicate relation symbols in ['E', 'E']"),
+            ("vocab E:2\nn = -1", "universe size must be > 1, got -1"),
+            ("vocab E:2\nn = 2\nE = (0,5)", "tuple (0, 5) outside universe of size 2"),
+            ("vocab E:2\nn = 2\nE = ()", "E expects arity 2, got ()")):
         path = write("bad.struct", text)
         assert main(["enc", path]) == 2
         assert capsys.readouterr() == ("", f"fmwb: {path}: {error}\n")

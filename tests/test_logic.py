@@ -394,6 +394,33 @@ def test_printed_encoding_sentences_parse_as_their_plain_tokens():
         == "expected '}', found 'x1' (at position 13)"
 
 
+def test_printed_encoding_sentences_are_their_printed_expansions():
+    rng = random.Random(23)
+    for k in [*range(1, 1101), 9_999, 10_000, 10_001]:
+        w = format(rng.getrandbits(k), f"0{k}b")
+        assert print_formula(Psi(w)) == print_formula(psi_expansion(w)), k
+
+
+def test_encoding_sentences_broken_at_a_digit_boundary_parse_as_plain_tokens():
+    rng = random.Random(29)
+    for k in (9, 10, 11, 99, 100, 101, 999, 1000, 1001):
+        w = format(rng.getrandbits(k), f"0{k}b")
+        psi = print_formula(Psi(w))
+        # The last number of fewer digits, and the first of more.
+        j = max(b for b in (9, 99, 999) if b <= k)
+        texts = [psi.replace("(", "", 1)]
+        for i in (j, j + 1) if j < k else (j,):
+            texts += [
+                psi.replace(f"x{i} ", f"x{i + 1} ", 1),
+                psi.replace(f" & x{i} != x{i})", f" & x{i + 1} != x{i + 1})"),
+            ]
+        for text in texts:
+            assert text != psi and not any(logic._psi_spans(text)), (k, text[:80])
+            got = outcome(parse_formula, text)
+            assert got == outcome(plain_parse, text), k
+            assert got == outcome(naive_parse, text), k
+
+
 @pytest.mark.parametrize("text", [
     "Ex1 Ax1 " * 4500 + "R(x1)",
     "Ex1  Ex1  " * 4500 + "R(x1)",
