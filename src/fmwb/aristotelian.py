@@ -1,9 +1,14 @@
-"""Condensed encodings for structures whose symbols are all monadic.
+"""Condensed encodings for structures whose symbols are all monadic, and
+the package's codeword writer and reader.
 
 A structure over m unary predicates is determined up to isomorphism by how
 many elements realize each of the 2^m predicate patterns.  benc writes those
 counts behind a leading 1; uenc is the unary restatement of benc read as a
 binary numeral, and is only ever handled through its length.
+
+Every bit code of the package (benc, Goedel, machine and grammar codes) is
+a sequence of encode_nat and encode_str codewords, read back through one
+BitReader, and read_code frames a whole untrusted code.
 """
 
 from __future__ import annotations
@@ -36,24 +41,12 @@ def encode_nat(x: int) -> str:
 
 def decode_nat(bits: str, pos: int = 0) -> tuple[int, int]:
     """Decode one codeword of the bit string bits starting at pos; returns
-    (value, bits consumed)."""
-    i = bits.find("0", pos)
-    if i < 0:
-        raise MalformedCode("ran out of bits scanning the length-of-length prefix")
-    clen = i - pos
-    if clen == 0:
-        raise MalformedCode("codeword must start with at least one 1")
-    i += 1
-    if i + clen > len(bits):
-        raise MalformedCode("truncated length field")
-    blen = int(bits[i : i + clen], 2)
-    i += clen
-    if i + blen > len(bits):
-        raise MalformedCode("truncated value field")
-    if blen == 0:
-        raise MalformedCode("empty value field")
-    value = int(bits[i : i + blen], 2)
-    return value, i + blen - pos
+    (value, bits consumed).  A codeword whose 1-prefix has k bits spans at
+    most 2k + 2^k bits, and the reader is built over those bits alone, so
+    that a stream is read one codeword at a time."""
+    k = bits.find("0", pos) - pos
+    r = BitReader(bits[pos : pos + 2 * k + (1 << k)] if k >= 0 else bits[pos:])
+    return r.nat(), r.pos
 
 
 def encode_str(s: str) -> str:
@@ -66,16 +59,43 @@ def encode_str(s: str) -> str:
 class BitReader:
     """A cursor over a bit string holding consecutive codewords.
 
-    Every read raises MalformedCode when the string ends too early.
+    A string with any character other than 0 and 1 is refused when the
+    reader is built, and every read raises MalformedCode when the string
+    ends too early.
     """
 
     def __init__(self, bits: str):
+        if bits.count("0") + bits.count("1") != len(bits):
+            raise MalformedCode("code must consist of '0'/'1' characters")
         self.bits = bits
         self.pos = 0
 
     def nat(self) -> int:
-        value, used = decode_nat(self.bits, self.pos)
-        self.pos += used
+        """One encode_nat codeword: 1^|c| 0 c b."""
+        bits, pos = self.bits, self.pos
+        i = bits.find("0", pos)
+        if i < 0:
+            raise MalformedCode("ran out of bits scanning the length-of-length prefix")
+        clen = i - pos
+        if clen == 0:
+            raise MalformedCode("codeword must start with at least one 1")
+        i += 1
+        if i + clen > len(bits):
+            raise MalformedCode("truncated length field")
+        blen = int(bits[i : i + clen], 2)
+        i += clen
+        if i + blen > len(bits):
+            raise MalformedCode("truncated value field")
+        if blen == 0:
+            raise MalformedCode("empty value field")
+        self.pos = i + blen
+        return int(bits[i : self.pos], 2)
+
+    def index(self, bound: int) -> int:
+        """A codeword read as an index below bound."""
+        value = self.nat()
+        if value >= bound:
+            raise MalformedCode(f"index {value} is not below {bound}")
         return value
 
     def take(self, k: int) -> str:
@@ -96,6 +116,22 @@ class BitReader:
     def payload(self) -> str:
         """A bit string behind its length codeword."""
         return self.take(self.nat())
+
+
+def read_code(bits: str, read, error: type[Exception], what: str):
+    """What read takes from a reader over the whole untrusted code bits.
+
+    Each MalformedCode is raised as the decoder's error, and so are bits
+    that read leaves over; what names the decoded object in that message.
+    """
+    try:
+        r = BitReader(bits)
+        value = read(r)
+    except MalformedCode as exc:
+        raise error(str(exc)) from exc
+    if r.pos != len(bits):
+        raise error(f"{len(bits) - r.pos} trailing bits after the {what}")
+    return value
 
 
 def _check_aristotelian(a: Structure) -> None:
@@ -158,24 +194,18 @@ def parse_benc(vocab: Vocabulary, bits: str) -> list[int]:
     if not vocab.is_aristotelian():
         raise NotAristotelian(f"vocabulary {vocab} is not all-unary")
     m = len(vocab.symbols)
-    if bits.strip("01"):
-        raise MalformedBenc("benc must consist of '0'/'1' characters")
-    if not bits or bits[0] != "1":
-        raise MalformedBenc("benc must start with 1")
-    pos = 1
-    counts = []
-    for pattern in patterns(m):
-        if bits[pos : pos + m] != pattern:
-            raise MalformedBenc(f"expected pattern block {pattern} at bit {pos}")
-        pos += m
-        try:
-            count, used = decode_nat(bits, pos)
-        except MalformedCode as exc:
-            raise MalformedBenc(f"bad count after pattern {pattern}: {exc}") from exc
-        counts.append(count)
-        pos += used
-    if pos != len(bits):
-        raise MalformedBenc(f"{len(bits) - pos} trailing bits after the last count")
+
+    def read(r: BitReader) -> list[int]:
+        if r.take(1) != "1":
+            raise MalformedCode("benc must start with 1")
+        counts = []
+        for pattern in patterns(m):
+            if r.take(m) != pattern:
+                raise MalformedCode(f"expected pattern block {pattern} at bit {r.pos - m}")
+            counts.append(r.nat())
+        return counts
+
+    counts = read_code(bits, read, MalformedBenc, "last count")
     if sum(counts) <= 1:
         raise MalformedBenc("pattern counts must sum to a universe size > 1")
     return counts

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
+from .aristotelian import BitReader, encode_nat, encode_str, read_code
 
 
 class GrammarError(ValueError):
@@ -285,35 +285,24 @@ def encode_grammar(g: Grammar) -> str:
 
 
 def decode_grammar(bits: str) -> Grammar:
-    if not bits or bits.strip("01"):
-        raise MalformedGrammar("grammar code must be a nonempty bit string")
-    r = BitReader(bits)
+    fields = read_code(bits, _read_grammar, MalformedGrammar, "grammar")
     try:
-        nonterminals = tuple(r.string() for _ in range(r.nat()))
-        terminals = tuple(r.string() for _ in range(r.nat()))
-        start_idx = r.nat()
-        productions = []
-        for _ in range(r.nat()):
-            head_idx = r.nat()
-            body = []
-            for _ in range(r.nat()):
-                is_terminal = r.take(1) == "1"
-                idx = r.nat()
-                pool = terminals if is_terminal else nonterminals
-                if idx >= len(pool):
-                    raise MalformedCode("symbol index out of range")
-                body.append(pool[idx])
-            if head_idx >= len(nonterminals):
-                raise MalformedCode("production head out of range")
-            productions.append((nonterminals[head_idx], tuple(body)))
-    except MalformedCode as exc:
-        raise MalformedGrammar(str(exc)) from exc
-    if r.pos != len(bits):
-        raise MalformedGrammar(f"{len(bits) - r.pos} trailing bits after the grammar")
-    if start_idx >= len(nonterminals):
-        raise MalformedGrammar("start index out of range")
-    try:
-        return Grammar.make(nonterminals, terminals, productions,
-                            nonterminals[start_idx])
+        return Grammar.make(*fields)
     except GrammarError as exc:
         raise MalformedGrammar(str(exc)) from exc
+
+
+def _read_grammar(r: BitReader) -> tuple:
+    """The arguments of Grammar.make, in code order."""
+    nonterminals = tuple(r.string() for _ in range(r.nat()))
+    terminals = tuple(r.string() for _ in range(r.nat()))
+    start = nonterminals[r.index(len(nonterminals))]
+    productions = []
+    for _ in range(r.nat()):
+        head = nonterminals[r.index(len(nonterminals))]
+        body = []
+        for _ in range(r.nat()):
+            pool = terminals if r.take(1) == "1" else nonterminals
+            body.append(pool[r.index(len(pool))])
+        productions.append((head, tuple(body)))
+    return nonterminals, terminals, productions, start

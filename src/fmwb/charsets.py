@@ -142,45 +142,40 @@ def leaf_verdict(vocab: Vocabulary, n: int, node: Formula, config: EvalConfig,
     that every parseable sentence has a defined (if possibly budget-limited)
     semantics.
     """
-    if isinstance(node, (CharOrd, CharUnord, CoCharUnord, CharNpconp)):
-        depth = 3 if isinstance(node, CharOrd) else 2
-        bound = ell(encoding_length(vocab, n), depth)
-        return _char_verdict(node, vocab, bound, config, budget)
     if isinstance(node, CharCfg):
         if not vocab.has_order:
             raise CharsetError("grammar characteristic leaf on an unordered structure")
-        return _grammar_covers(vocab, n, decode_grammar(node.grammar_code))
-    raise CharsetError(f"not a characteristic leaf: {node!r}")
-
-
-@lru_cache(maxsize=64)
-def _decode_payload(gamma_code: str, machine_code: str) -> tuple[Formula, OracleMachine]:
-    """A leaf's gamma and machine, decoded once for all its bounds and kinds."""
-    return godel_decode(gamma_code), decode_tm(machine_code)
-
-
-@lru_cache(maxsize=512)
-def _char_verdict(node: Formula, vocab: Vocabulary, bound: int,
-                  config: EvalConfig, budget: int) -> bool:
+        return _grammar_covers(vocab, n, _decode_payload(decode_grammar, node.grammar_code))
+    if not isinstance(node, (CharOrd, CharUnord, CoCharUnord, CharNpconp)):
+        raise CharsetError(f"not a characteristic leaf: {node!r}")
     inner = EvalConfig(config.upsilon_ord, config.upsilon_unord, budget)
-    if isinstance(node, (CharOrd, CharUnord, CoCharUnord)):
-        ordered = isinstance(node, CharOrd)
-        kind = "ordered" if ordered else "unordered"
-        upsilon = config.upsilon_ord if ordered else config.upsilon_unord
-        if upsilon is None:
-            raise MissingDistinguished(
-                f"{kind} characteristic leaves need a configured distinguished sentence"
-            )
-        if vocab.has_order != ordered:
-            raise CharsetError(f"{kind} characteristic leaf on an "
-                               f"{'unordered' if ordered else 'ordered'} structure")
-        gamma, machine = _decode_payload(node.gamma_code, node.machine_code)
+    if isinstance(node, CharNpconp):
+        lam = _decode_payload(godel_decode, node.lambda_code)
+        gamma = _decode_payload(godel_decode, node.gamma_code)
+        validate_sentence(lam, vocab)
         validate_sentence(gamma, vocab)
-        upsilon_tau = (apply_T_ord if ordered else apply_T_unord)(upsilon, vocab)
-        verdict = _reduction_agrees(vocab, gamma, machine, upsilon_tau, bound, inner)
-        return not verdict if isinstance(node, CoCharUnord) else verdict
-    lam = godel_decode(node.lambda_code)
-    gamma = godel_decode(node.gamma_code)
-    validate_sentence(lam, vocab)
+        bound = ell(encoding_length(vocab, n), 2)
+        return _complement_agrees(vocab, lam, gamma, bound, inner)
+    ordered = isinstance(node, CharOrd)
+    kind = "ordered" if ordered else "unordered"
+    upsilon = config.upsilon_ord if ordered else config.upsilon_unord
+    if upsilon is None:
+        raise MissingDistinguished(
+            f"{kind} characteristic leaves need a configured distinguished sentence"
+        )
+    if vocab.has_order != ordered:
+        raise CharsetError(f"{kind} characteristic leaf on an "
+                           f"{'unordered' if ordered else 'ordered'} structure")
+    gamma = _decode_payload(godel_decode, node.gamma_code)
+    machine = _decode_payload(decode_tm, node.machine_code)
     validate_sentence(gamma, vocab)
-    return _complement_agrees(vocab, lam, gamma, bound, inner)
+    upsilon_tau = (apply_T_ord if ordered else apply_T_unord)(upsilon, vocab)
+    bound = ell(encoding_length(vocab, n), 3 if ordered else 2)
+    verdict = _reduction_agrees(vocab, gamma, machine, upsilon_tau, bound, inner)
+    return not verdict if isinstance(node, CoCharUnord) else verdict
+
+
+@lru_cache(maxsize=128)
+def _decode_payload(decode, code: str):
+    """One payload of a leaf, decoded once for all its bounds and kinds."""
+    return decode(code)

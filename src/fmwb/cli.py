@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import aristotelian, cfg, charsets, forms, logic, machines
@@ -32,6 +33,17 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+# int() also takes '_', '+' and blanks.  A minus stays, so that a negative
+# size or element meets the structure's own range check.
+_NUMBER = re.compile(r"-?[0-9]+")
+
+
+def _number(text: str) -> int:
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"bad number {text!r}")
+    return int(text)
+
+
 def read_structure(path: str) -> Structure:
     lines = [ln.split("#", 1)[0].strip() for ln in _read(path).splitlines()]
     lines = [ln for ln in lines if ln]
@@ -43,7 +55,7 @@ def read_structure(path: str) -> Structure:
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
     try:
-        n = int(lines[1].split("=", 1)[1])
+        n = _number(lines[1].split("=", 1)[1].strip())
     except ValueError:
         raise CliError(f"{path}: bad size line {lines[1]!r}") from None
     relations: dict[str, set[tuple[int, ...]]] = {}
@@ -56,7 +68,8 @@ def read_structure(path: str) -> Structure:
             try:
                 if not (tok.startswith("(") and tok.endswith(")")):
                     raise ValueError
-                tuples.add(tuple(int(t) for t in tok[1:-1].split(",") if t))
+                entries = tok[1:-1]
+                tuples.add(tuple(map(_number, entries.split(","))) if entries else ())
             except ValueError:
                 raise CliError(f"{path}: bad tuple {tok!r}") from None
         name = name.strip()
@@ -386,19 +399,14 @@ def _wire_mc(p) -> None:
     _add_upsilon_opts(p)
 
 
-def _wire_enc(p) -> None:
+def _wire_structure(p) -> None:
     p.add_argument("structure")
     p.add_argument("--emit")
 
 
-def _wire_dec(p) -> None:
+def _wire_bits(p) -> None:
     p.add_argument("bits")
     p.add_argument("--tau", required=True)
-    p.add_argument("--emit")
-
-
-def _wire_benc(p) -> None:
-    p.add_argument("structure")
     p.add_argument("--emit")
 
 
@@ -406,20 +414,9 @@ def _wire_uenc_len(p) -> None:
     p.add_argument("structure")
 
 
-def _wire_reconstruct(p) -> None:
-    p.add_argument("bits")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--emit")
-
-
 def _wire_iso(p) -> None:
     p.add_argument("left")
     p.add_argument("right")
-
-
-def _wire_canon(p) -> None:
-    p.add_argument("structure")
-    p.add_argument("--emit")
 
 
 def _wire_op_apply(p) -> None:
@@ -479,17 +476,9 @@ def _wire_form(p) -> None:
     _add_upsilon_opts(p)
 
 
-def _wire_valid_upto(p) -> None:
-    p.add_argument("sentence")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_upsilon_opts(p)
-
-
-def _wire_modeq_upto(p) -> None:
-    p.add_argument("left")
-    p.add_argument("right")
+def _wire_sweep(positionals, p) -> None:
+    for name in positionals:
+        p.add_argument(name)
     p.add_argument("--tau", required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -498,22 +487,24 @@ def _wire_modeq_upto(p) -> None:
 
 _COMMANDS = {
     "mc": ("model-check a sentence on a structure", _wire_mc, cmd_mc),
-    "enc": ("binary encoding of a structure", _wire_enc, cmd_enc),
-    "dec": ("decode a binary encoding", _wire_dec, cmd_dec),
-    "benc": ("condensed encoding of a monadic structure", _wire_benc, cmd_benc),
+    "enc": ("binary encoding of a structure", _wire_structure, cmd_enc),
+    "dec": ("decode a binary encoding", _wire_bits, cmd_dec),
+    "benc": ("condensed encoding of a monadic structure", _wire_structure, cmd_benc),
     "uenc-len": ("length of the unary encoding", _wire_uenc_len, cmd_uenc_len),
-    "reconstruct": ("rebuild a structure from benc bits", _wire_reconstruct,
-                    cmd_reconstruct),
+    "reconstruct": ("rebuild a structure from benc bits", _wire_bits, cmd_reconstruct),
     "iso": ("brute-force isomorphism test", _wire_iso, cmd_iso),
-    "canon": ("canonical relabeling of a monadic structure", _wire_canon, cmd_canon),
+    "canon": ("canonical relabeling of a monadic structure", _wire_structure,
+              cmd_canon),
     "op-apply": ("transport a distinguished sentence", _wire_op_apply, cmd_op_apply),
     "psi": ("encoding sentences", _wire_psi, cmd_psi),
     "tm": ("oracle Turing machines", _wire_tm, cmd_tm),
     "cfg": ("context-free grammars", _wire_cfg, cmd_cfg),
     "charset": ("characteristic-set membership", _wire_charset, cmd_charset),
     "form": ("canonical forms", _wire_form, cmd_form),
-    "valid-upto": ("bounded validity search", _wire_valid_upto, cmd_valid_upto),
-    "modeq-upto": ("bounded model-class comparison", _wire_modeq_upto, cmd_modeq_upto),
+    "valid-upto": ("bounded validity search",
+                   functools.partial(_wire_sweep, ("sentence",)), cmd_valid_upto),
+    "modeq-upto": ("bounded model-class comparison",
+                   functools.partial(_wire_sweep, ("left", "right")), cmd_modeq_upto),
 }
 
 
@@ -534,10 +525,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-_USER_ERRORS = (
-    CliError, ValueError, aristotelian.MalformedCode, logic.FormulaError,
-    RecursionBudgetExhausted,
-)
+_USER_ERRORS = (CliError, ValueError, RecursionBudgetExhausted)
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,7 @@ from operator import attrgetter
 from string import Formatter
 from types import SimpleNamespace
 
-from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
+from .aristotelian import BitReader, encode_nat, encode_str, read_code
 from .core import Structure, Vocabulary
 
 
@@ -1042,16 +1042,7 @@ def _read_formula(r: BitReader) -> Formula:
 
 
 def godel_decode(bits: str) -> Formula:
-    if bits.strip("01"):
-        raise MalformedGodelCode("code must consist of '0'/'1' characters")
-    r = BitReader(bits)
-    try:
-        f = _read_formula(r)
-    except MalformedCode as exc:
-        raise MalformedGodelCode(str(exc)) from exc
-    if r.pos != len(bits):
-        raise MalformedGodelCode(f"{len(bits) - r.pos} trailing bits after the formula")
-    return f
+    return read_code(bits, _read_formula, MalformedGodelCode, "formula")
 
 
 # --- fragments ----------------------------------------------------------

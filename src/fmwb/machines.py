@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str
+from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str, read_code
 from .core import (
     Structure, Vocabulary, NoIntegerUniverse, _universe_size_for, encoding_length,
 )
@@ -204,10 +204,15 @@ def encode_tm(m: OracleMachine) -> str:
 
 
 def decode_tm(bits: str) -> OracleMachine:
-    if not bits or bits.strip("01"):
-        raise MalformedMachine("machine code must be a nonempty bit string")
-    r = BitReader(bits)
+    fields = read_code(bits, _read_tm, MalformedMachine, "machine")
+    try:
+        return OracleMachine(*fields)
+    except MachineError as exc:
+        raise MalformedMachine(str(exc)) from exc
 
+
+def _read_tm(r: BitReader) -> tuple:
+    """The fields of an OracleMachine, in code order."""
     def field(values):
         code = r.take(2)
         value = values.get(code)
@@ -215,41 +220,24 @@ def decode_tm(bits: str) -> OracleMachine:
             raise MalformedCode(f"invalid field code {code}")
         return value
 
-    try:
-        n_states = r.nat()
-        states = tuple(r.string() for _ in range(n_states))
-        start_idx = r.nat()
-        kind = POLYTIME if r.take(1) == "0" else LOGSPACE
-        clock_c = r.nat()
-        step_c = r.nat()
-        n_trans = r.nat()
-        transitions = []
-        for _ in range(n_trans):
-            state_idx = r.nat()
-            in_sym = field(_SYM_OF)
-            sto_sym = field(_SYM_OF)
-            next_idx = r.nat()
-            write = field(_SYM_OF)
-            in_mv = field(_MOVE_OF)
-            sto_mv = field(_MOVE_OF)
-            app = field(_APP_OF)
-            if state_idx >= n_states or next_idx >= n_states:
-                raise MalformedCode("transition state index out of range")
-            transitions.append(
-                ((states[state_idx], in_sym, sto_sym),
-                 (states[next_idx], write, in_mv, sto_mv, app))
-            )
-    except MalformedCode as exc:
-        raise MalformedMachine(str(exc)) from exc
-    if r.pos != len(bits):
-        raise MalformedMachine(f"{len(bits) - r.pos} trailing bits after the machine")
-    if start_idx >= n_states:
-        raise MalformedMachine("start state index out of range")
-    try:
-        return OracleMachine(states, states[start_idx], kind, clock_c, step_c,
-                             tuple(transitions))
-    except MachineError as exc:
-        raise MalformedMachine(str(exc)) from exc
+    n_states = r.nat()
+    states = tuple(r.string() for _ in range(n_states))
+    start = states[r.index(n_states)]
+    kind = POLYTIME if r.take(1) == "0" else LOGSPACE
+    clock_c = r.nat()
+    step_c = r.nat()
+    transitions = []
+    for _ in range(r.nat()):
+        state = states[r.index(n_states)]
+        in_sym = field(_SYM_OF)
+        sto_sym = field(_SYM_OF)
+        nxt = states[r.index(n_states)]
+        write = field(_SYM_OF)
+        in_mv = field(_MOVE_OF)
+        sto_mv = field(_MOVE_OF)
+        transitions.append(((state, in_sym, sto_sym),
+                            (nxt, write, in_mv, sto_mv, field(_APP_OF))))
+    return states, start, kind, clock_c, step_c, tuple(transitions)
 
 
 def run(m: OracleMachine, input_bits: str, oracle_sentence: Formula,
@@ -644,10 +632,13 @@ def parse_machine(text: str) -> OracleMachine:
             raise MachineError(f"{parts[0]} takes one value")
         if parts[0] == "kind":
             kind = parts[1]
-        elif parts[0] == "clock":
-            clock_c = int(parts[1])
-        elif parts[0] == "step":
-            step_c = int(parts[1])
+        elif parts[0] in ("clock", "step"):
+            if not (parts[1].isascii() and parts[1].isdigit()):
+                raise MachineError(f"{parts[0]} takes a decimal number, got {parts[1]!r}")
+            if parts[0] == "clock":
+                clock_c = int(parts[1])
+            else:
+                step_c = int(parts[1])
         elif parts[0] == "start":
             start = parts[1]
         elif parts[0] == "states":

@@ -99,6 +99,26 @@ def test_bit_codecs_match_their_bit_at_a_time_definitions():
         encode_str("\x80")
 
 
+def test_codeword_readers_refuse_underscores_and_blanks():
+    # int(..., 2) reads '11_1' as 7 and ' 1' as 1.
+    with pytest.raises(MalformedCode, match="consist of '0'/'1'"):
+        decode_nat("11101_11_1")
+    with pytest.raises(MalformedCode, match="consist of '0'/'1'"):
+        BitReader("1110 1 1 1").nat()
+    # Only the bits a codeword can span are read.
+    assert decode_nat("1011x") == (1, 4)
+    assert decode_nat("x" + encode_nat(5) + "x", 1) == (5, len(encode_nat(5)))
+    with pytest.raises(MalformedCode, match="at least one 1"):
+        decode_nat("0x")
+
+
+def test_index_reads_a_codeword_below_its_bound():
+    r = BitReader(encode_nat(3) * 2)
+    assert r.index(4) == 3
+    with pytest.raises(MalformedCode, match="index 3 is not below 3"):
+        r.index(3)
+
+
 def test_codeword_length_formula():
     for x in range(1, 1 << 12):
         assert len(encode_nat(x)) == ell(x, 1) + 2 * ell(ell(x, 1), 1) + 1

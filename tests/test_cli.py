@@ -573,11 +573,30 @@ def test_structure_files_need_n_on_their_second_line(files, capsys):
 
 def test_structure_files_name_themselves_in_number_errors(files, capsys):
     write, _ = files
+    # int() alone reads '1_0' as 10 and '+1' as 1, and split(",") leaves
+    # empty entries behind a doubled or a trailing comma.
     for text, error in (("vocab E:2\nn = x", "bad size line 'n = x'"),
-                        ("vocab E:2\nn = 2\nE = (0,a)", "bad tuple '(0,a)'")):
+                        ("vocab E:2\nn = 2\nE = (0,a)", "bad tuple '(0,a)'"),
+                        ("vocab E:2\nn = 1_0", "bad size line 'n = 1_0'"),
+                        ("vocab E:2\nn = 2\nE = (0,+1)", "bad tuple '(0,+1)'"),
+                        ("vocab E:2\nn = 3\nE = (0_1,2)", "bad tuple '(0_1,2)'"),
+                        ("vocab E:2\nn = 2\nE = (0,,1)", "bad tuple '(0,,1)'"),
+                        ("vocab E:2\nn = 2\nE = (1,0,)", "bad tuple '(1,0,)'")):
         path = write("bad.struct", text)
         assert main(["enc", path]) == 2
         assert capsys.readouterr() == ("", f"fmwb: {path}: {error}\n")
+
+
+def test_machine_files_take_decimal_exponents_only(files, capsys):
+    write, _ = files
+    text = format_machine(identity_machine())
+    for keyword, value in (("clock", "1_0"), ("step", "+2"), ("clock", "-1"),
+                           ("step", "2.0")):
+        lines = [f"{keyword} {value}" if line.split()[0] == keyword else line
+                 for line in text.splitlines()]
+        assert main(["tm", "encode", write("bad.tm", "\n".join(lines))]) == 2
+        assert capsys.readouterr() == (
+            "", f"fmwb: {keyword} takes a decimal number, got {value!r}\n")
 
 
 def test_structure_files_name_themselves_in_vocabulary_and_structure_errors(files, capsys):

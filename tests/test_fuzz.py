@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fmwb.aristotelian import MalformedBenc, NotAristotelian, reconstruct
+from fmwb.aristotelian import (
+    BitReader, MalformedBenc, MalformedCode, NotAristotelian, decode_nat, reconstruct,
+)
 from fmwb.cfg import MalformedGrammar, decode_grammar, encode_grammar
 from fmwb.core import Vocabulary
 from fmwb.logic import (
@@ -14,7 +16,7 @@ from fmwb.logic import (
     parse_formula, print_formula,
 )
 from fmwb.machines import MalformedMachine, decode_tm, encode_tm
-from oracles import naive_parse
+from oracles import naive_decode_nat, naive_parse
 
 V_MON = Vocabulary((("R", 1),))
 
@@ -54,6 +56,49 @@ def test_benc_junk(bits):
     except (MalformedBenc, NotAristotelian):
         return
     assert a.n >= 2
+
+
+# int() also takes '_', blanks and signs, and str.find skips all but '0'.
+JUNK = st.text(alphabet="01_ x2+-", max_size=64)
+
+
+def _is_bits(text):
+    return not text.strip("01")
+
+
+@given(JUNK, st.integers(0, 8))
+def test_decode_nat_reads_bits_only(text, pos):
+    try:
+        value, used = decode_nat(text, pos)
+    except MalformedCode:
+        return
+    assert _is_bits(text[pos : pos + used])
+    assert (value, used) == naive_decode_nat(text[pos : pos + used])
+
+
+@given(JUNK)
+def test_bit_reader_refuses_non_bits_before_any_read(text):
+    reads = (lambda r: r.nat(), lambda r: r.index(3), lambda r: r.take(2),
+             lambda r: r.string(), lambda r: r.payload())
+    for read in reads:
+        try:
+            read(BitReader(text))
+        except MalformedCode:
+            continue
+        assert _is_bits(text)
+
+
+@given(JUNK)
+def test_decoders_refuse_non_bits_with_their_declared_errors(text):
+    decoders = ((godel_decode, MalformedGodelCode), (decode_tm, MalformedMachine),
+                (decode_grammar, MalformedGrammar),
+                (lambda bits: reconstruct(V_MON, bits), MalformedBenc))
+    for decode, error in decoders:
+        try:
+            decode(text)
+        except error:
+            continue
+        assert _is_bits(text)
 
 
 def test_parser_mutation_fuzz():

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from fmwb import charsets, machines, semantics
+from fmwb.aristotelian import encode_nat, encode_str
 from fmwb.core import (
     NoIntegerUniverse, Structure, Vocabulary, decode_bin, encode_bin,
     enumerate_structures, parse_vocab,
@@ -93,6 +94,16 @@ def test_decode_counts_the_trailing_bits():
         with pytest.raises(MalformedMachine) as refused:
             decode_tm(good + extra)
         assert str(refused.value) == f"{len(extra)} trailing bits after the machine"
+
+
+def test_decode_refuses_a_state_index_one_past_the_last_state():
+    m = identity_machine()
+    head = encode_nat(len(m.states)) + "".join(map(encode_str, m.states))
+    start = encode_nat(m.states.index(m.start))
+    code = encode_tm(m)
+    assert code.startswith(head + start)
+    with pytest.raises(MalformedMachine, match=f"index {len(m.states)} is not below"):
+        decode_tm(head + encode_nat(len(m.states)) + code[len(head + start):])
 
 
 def test_text_format_roundtrip():
