@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import Structure, Vocabulary, decode_bin
+from .core import Structure, Vocabulary, decode_bin, is_bits
 
 
 class NotAristotelian(ValueError):
@@ -65,7 +65,7 @@ class BitReader:
     """
 
     def __init__(self, bits: str):
-        if bits.count("0") + bits.count("1") != len(bits):
+        if not is_bits(bits):
             raise MalformedCode("code must consist of '0'/'1' characters")
         self.bits = bits
         self.pos = 0

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .aristotelian import BitReader, encode_nat, encode_str, read_code
+from .core import text_lines
 
 
 class GrammarError(ValueError):
@@ -63,10 +64,7 @@ def parse_grammar(text: str, terminals: tuple[str, ...] | None = None) -> Gramma
     """
     rules: list[tuple[str, tuple[str, ...]]] = []
     heads: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line, raw in text_lines(text):
         head, sep, rest = line.partition("->")
         head = head.strip()
         if not sep or not head or len(head.split()) != 1:

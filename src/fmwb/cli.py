@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 
 from . import aristotelian, cfg, charsets, forms, logic, machines
 from .core import (
-    Structure, Vocabulary, decode_bin, encode_bin, is_isomorphic, parse_vocab,
+    Structure, Vocabulary, decimal, decode_bin, encode_bin, is_bits, is_isomorphic,
+    parse_vocab, text_lines,
 )
 from .logic import parse_formula, print_formula, validate_sentence
 from .semantics import EvalConfig, RecursionBudgetExhausted, models, sweep
@@ -29,24 +29,12 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-# int() also takes '_', '+' and blanks.  A minus stays, so that a negative
-# size or element meets the structure's own range check.
-_NUMBER = re.compile(r"-?[0-9]+")
-
-
-def _number(text: str) -> int:
-    if not _NUMBER.fullmatch(text):
-        raise ValueError(f"bad number {text!r}")
-    return int(text)
-
-
 def read_structure(path: str) -> Structure:
-    lines = [ln.split("#", 1)[0].strip() for ln in _read(path).splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [line for line, _ in text_lines(_read(path))]
     if (len(lines) < 2 or not lines[0].startswith("vocab ") or "=" not in lines[1]
             or lines[1].split("=", 1)[0].strip() != "n"):
         raise CliError(f"{path}: expected 'vocab ...' then 'n = ...'")
@@ -55,7 +43,7 @@ def read_structure(path: str) -> Structure:
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
     try:
-        n = _number(lines[1].split("=", 1)[1].strip())
+        n = decimal(lines[1].split("=", 1)[1].strip())
     except ValueError:
         raise CliError(f"{path}: bad size line {lines[1]!r}") from None
     relations: dict[str, set[tuple[int, ...]]] = {}
@@ -69,7 +57,7 @@ def read_structure(path: str) -> Structure:
                 if not (tok.startswith("(") and tok.endswith(")")):
                     raise ValueError
                 entries = tok[1:-1]
-                tuples.add(tuple(map(_number, entries.split(","))) if entries else ())
+                tuples.add(tuple(map(decimal, entries.split(","))) if entries else ())
             except ValueError:
                 raise CliError(f"{path}: bad tuple {tok!r}") from None
         name = name.strip()
@@ -88,7 +76,7 @@ def read_sentence(path: str) -> logic.Formula:
 
 def read_bits(path: str) -> str:
     bits = "".join(_read(path).split())
-    if bits.strip("01"):
+    if not is_bits(bits):
         raise CliError(f"{path}: expected a bit string")
     return bits
 
@@ -121,10 +109,7 @@ def _eval_config(args) -> EvalConfig:
     cls = getattr(args, "cls", None)
     if config_path and cls:
         entries = {}
-        for raw in _read(config_path).splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line, raw in text_lines(_read(config_path)):
             key, sep, value = line.partition("=")
             if not sep:
                 raise CliError(f"{config_path}: bad config line {raw!r}")
@@ -389,7 +374,7 @@ def _add_upsilon_opts(p) -> None:
                    help="class-to-sentence configuration file")
     p.add_argument("--class", dest="cls", metavar="TAG",
                    help="complexity class tag (NL, P, coNP, NP, PSPACE)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=decimal, default=None,
                    help="characteristic-leaf recursion budget")
 
 
@@ -440,7 +425,7 @@ def _wire_tm(p) -> None:
     p.add_argument("--gamma", help="oracle sentence file (check-reduction)")
     p.add_argument("--target", help="target sentence file (check-reduction)")
     p.add_argument("--tau")
-    p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--nmax", type=decimal, default=3)
     p.add_argument("--emit")
     _add_upsilon_opts(p)
 
@@ -449,7 +434,7 @@ def _wire_cfg(p) -> None:
     p.add_argument("action", choices=("member", "missing"))
     p.add_argument("grammar")
     p.add_argument("string", nargs="?", help="query string ('eps' for empty)")
-    p.add_argument("--lenmax", type=int, default=4)
+    p.add_argument("--lenmax", type=decimal, default=4)
 
 
 def _wire_charset(p) -> None:
@@ -480,8 +465,8 @@ def _wire_sweep(positionals, p) -> None:
     for name in positionals:
         p.add_argument(name)
     p.add_argument("--tau", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--nmax", type=decimal, required=True)
+    p.add_argument("--jobs", type=decimal, default=1)
     _add_upsilon_opts(p)
 
 

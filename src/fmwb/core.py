@@ -9,6 +9,7 @@ structure omits it entirely.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -79,6 +80,29 @@ class Vocabulary:
         return " ".join(parts)
 
 
+def text_lines(text: str):
+    """(content, raw line) for each line with content: '#' starts a comment."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line, raw
+
+
+# int() also takes '_', '+', blanks and other scripts' digits; a minus
+# stays, for the value's own range check.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def decimal(text: str) -> int:
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"bad number {text!r}")
+    return int(text)
+
+
+def is_bits(text: str) -> bool:
+    return text.count("0") + text.count("1") == len(text)
+
+
 def parse_vocab(text: str) -> Vocabulary:
     """Parse ``"R:1 E:2 <"`` style vocabulary tokens."""
     symbols = []
@@ -87,10 +111,11 @@ def parse_vocab(text: str) -> Vocabulary:
         if tok == "<":
             has_order = True
             continue
-        name, sep, arity = tok.partition(":")
-        if not sep or not arity.isdigit():
-            raise VocabError(f"bad vocabulary token {tok!r}, expected name:arity")
-        symbols.append((name, int(arity)))
+        name, _, arity = tok.partition(":")
+        try:
+            symbols.append((name, decimal(arity)))
+        except ValueError:
+            raise VocabError(f"bad vocabulary token {tok!r}, expected name:arity") from None
     return Vocabulary(tuple(symbols), has_order)
 
 
@@ -247,7 +272,7 @@ def _universe_size_for(vocab: Vocabulary, length: int) -> int:
 
 def decode_bin(vocab: Vocabulary, bits: str) -> Structure:
     """Inverse of encode_bin; raises NoIntegerUniverse when no n >= 2 fits."""
-    if bits.strip("01"):
+    if not is_bits(bits):
         raise ValueError("encoding must consist of '0'/'1' characters")
     return Structure(vocab, _universe_size_for(vocab, len(bits)), int(bits, 2))
 

@@ -24,7 +24,7 @@ from string import Formatter
 from types import SimpleNamespace
 
 from .aristotelian import BitReader, encode_nat, encode_str, read_code
-from .core import Structure, Vocabulary
+from .core import Structure, Vocabulary, decimal, is_bits
 
 
 class FormulaError(ValueError):
@@ -836,9 +836,13 @@ class _Parser:
                     and self.tokens[self.i + 1] == ":":
                 self.i += 2
                 arity_tok = self.next()
-                if not arity_tok.isdigit() or int(arity_tok) < 1:
+                try:
+                    arity = decimal(arity_tok)
+                except ValueError:
+                    arity = 0
+                if arity < 1:
                     raise self.error(f"bad relation-variable arity {arity_tok!r}")
-                return (SOExists if tok[0] == "E" else SOForall, rest, int(arity_tok))
+                return (SOExists if tok[0] == "E" else SOForall, rest, arity)
         return None
 
     def char_leaf(self) -> Formula:
@@ -1224,7 +1228,7 @@ def psi_encode(w: str) -> Formula:
     """The identically false sentence whose quantifier pattern spells w."""
     if not w:
         raise EmptyString("encoding sentences need a nonempty bit string")
-    if w.strip("01"):
+    if not is_bits(w):
         raise FormulaError(f"bit string expected, got {w!r}")
     return Psi(w)
 

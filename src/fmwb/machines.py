@@ -43,7 +43,8 @@ from functools import cached_property
 
 from .aristotelian import BitReader, MalformedCode, encode_nat, encode_str, read_code
 from .core import (
-    Structure, Vocabulary, NoIntegerUniverse, _universe_size_for, encoding_length,
+    Structure, Vocabulary, NoIntegerUniverse, _universe_size_for, decimal,
+    encoding_length, is_bits, text_lines,
 )
 from .logic import Formula
 from .semantics import EvalConfig, sentence_checker
@@ -248,7 +249,7 @@ def run(m: OracleMachine, input_bits: str, oracle_sentence: Formula,
     Resource bounds come from the machine's own clocks; max_steps can only
     tighten them.  Oracle strings that encode no structure answer NO.
     """
-    if input_bits.strip("01"):
+    if not is_bits(input_bits):
         raise MachineError("machine input must be a bit string")
     limit = m.step_limit(len(input_bits))
     if max_steps is not None:
@@ -623,22 +624,24 @@ def parse_machine(text: str) -> OracleMachine:
     kind = clock_c = step_c = start = None
     states: tuple[str, ...] = ()
     transitions = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line, raw in text_lines(text):
         parts = line.split()
         if parts[0] in ("kind", "clock", "step", "start") and len(parts) != 2:
             raise MachineError(f"{parts[0]} takes one value")
         if parts[0] == "kind":
             kind = parts[1]
         elif parts[0] in ("clock", "step"):
-            if not (parts[1].isascii() and parts[1].isdigit()):
-                raise MachineError(f"{parts[0]} takes a decimal number, got {parts[1]!r}")
+            try:
+                if parts[1].startswith("-"):
+                    raise ValueError
+                value = decimal(parts[1])
+            except ValueError:
+                raise MachineError(f"{parts[0]} takes a decimal number,"
+                                   f" got {parts[1]!r}") from None
             if parts[0] == "clock":
-                clock_c = int(parts[1])
+                clock_c = value
             else:
-                step_c = int(parts[1])
+                step_c = value
         elif parts[0] == "start":
             start = parts[1]
         elif parts[0] == "states":

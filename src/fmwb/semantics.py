@@ -116,6 +116,11 @@ class _InexactCare(Exception):
     care mask of several structures may hold some whose evaluation stopped."""
 
 
+class _LeafError(Exception):
+    """What computing a leaf's verdict raised, its one argument, carried
+    past a batch's fallback to a scan."""
+
+
 def _bit_table(p: int, width: int) -> int:
     """The table of encoding bit p over a width-bit batch: bit i is (i >> p) & 1.
 
@@ -421,7 +426,8 @@ def _first_hit(run, batch: _Batch, limit: int, want: bool) -> int | None:
     care, is not `want`, or None.  This is the one place a leaf verdict is
     computed: a pending leaf only when no structure below the first that
     reaches it is a hit, after the run has unwound, and then the run is
-    made again.  So nested leaves never hold their programs on one stack."""
+    made again.  So nested leaves never hold their programs on one stack.
+    What computing a leaf raises comes out as a _LeafError."""
     while True:
         try:
             table = run(batch, limit)
@@ -435,20 +441,27 @@ def _first_hit(run, batch: _Batch, limit: int, want: bool) -> int | None:
         if hit is not None:
             return hit
         config = batch.config
-        if config.char_budget <= 0:
-            raise RecursionBudgetExhausted(
-                "nested characteristic leaves exceeded the recursion budget")
-        from . import charsets
+        try:
+            if config.char_budget <= 0:
+                raise RecursionBudgetExhausted(
+                    "nested characteristic leaves exceeded the recursion budget")
+            from . import charsets
 
-        batch.leaves[leaf] = charsets.leaf_verdict(batch.vocab, batch.n, leaf, config,
-                                                   config.char_budget - 1)
+            batch.leaves[leaf] = charsets.leaf_verdict(batch.vocab, batch.n, leaf,
+                                                       config, config.char_budget - 1)
+        except Exception as error:
+            raise _LeafError(error) from None
 
 
 def _decide(program, vocab: Vocabulary, n: int, bits: int, config: EvalConfig,
             leaves=None) -> bool:
     """The program's verdict on one structure, from the batch of just it."""
     batch = _Batch(vocab, n, bits, 0, config, {} if leaves is None else leaves)
-    return _first_hit(program, batch, 1, False) == 0
+    try:
+        return _first_hit(program, batch, 1, False) == 0
+    except _LeafError as leaf_error:
+        error = leaf_error.args[0]
+    raise error
 
 
 # --- the range search ---------------------------------------------------
@@ -499,6 +512,8 @@ class _Search:
       partial fixpoint stage, whose first structure it cannot tell.  Then
       the chunk is decided one structure at a time, with the same programs,
       as is a range over the whole size once a try at its batch raised.
+      What computing a leaf raises is raised at once: the scan would
+      compute that leaf at the same structure.
     """
 
     __slots__ = ("config", "programs", "leaves", "sizes", "last_vocab", "last_n",
@@ -562,7 +577,11 @@ class _Search:
                 self._tabulate(size)
         flags = size.flags
         if flags is None:
-            return self._search(size, lo, hi, want)
+            try:
+                return self._search(size, lo, hi, want)
+            except _LeafError as leaf_error:
+                error = leaf_error.args[0]
+            raise error
         miss = flags.find(0 if want else 1, lo, hi)
         return None if miss < 0 else miss
 
@@ -583,6 +602,8 @@ class _Search:
                     hit = _first_hit(self._run, batch, (1 << (end - base))
                                      - (1 << (start - base)), want)
                     hit = None if hit is None else base | hit
+                except _LeafError:
+                    raise
                 except Exception:
                     hit = self._scan(size, start, end, want)
             if hit is not None:

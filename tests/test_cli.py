@@ -224,6 +224,52 @@ def test_config_file_resolution(files, capsys):
                  "--config", config, "--class", "P"]) == 2
 
 
+def test_files_take_comments_and_blank_lines(files, capsys):
+    # Each file answers as its plain copy: '#' starts a comment, and the
+    # blanks around a line's content and lines without content go.
+    write, _ = files
+
+    def commented(name, text):
+        lines = [f"  {line}\t# line {i}" for i, line in enumerate(text.splitlines())]
+        return write(name, f"# {name}\n\n" + "\n   \n".join(lines) + "\n#")
+
+    ups = write("ups.sent", "Ex R(x)")
+    texts = {
+        "a.struct": "vocab R1:1 <\nn = 2\nR1 = (0)",
+        "id.tm": format_machine(identity_machine()),
+        "g.cfg": "S -> a S b | eps\nS -> c",
+        "classes.cfg": f"NP = {ups}",
+    }
+    gamma = write("gamma.sent", "Ex R1(x)")
+    outcomes = []
+    for write_file in (write, commented):
+        paths = {name: write_file(name, text) for name, text in texts.items()}
+        for argv in (["enc", paths["a.struct"]], ["tm", "encode", paths["id.tm"]],
+                     ["cfg", "missing", paths["g.cfg"], "--lenmax", "3"],
+                     ["charset", "member", "--kind", "ord", "--struct", paths["a.struct"],
+                      "--gamma", gamma, "--machine", paths["id.tm"],
+                      "--config", paths["classes.cfg"], "--class", "NP"]):
+            outcomes.append((main(argv), capsys.readouterr()))
+    assert outcomes[:4] == outcomes[4:]
+    assert [code for code, _ in outcomes[:4]] == [0, 0, 1, 0]
+
+
+def test_file_errors_quote_the_line_as_written(files, capsys):
+    write, _ = files
+    machine = write("bad.tm", format_machine(identity_machine()) + " q0 0 _ -> q0 # short")
+    grammar = write("bad.g", "S -> a\n\tS a  # no arrow")
+    config = write("bad.cfg", "NP # no path")
+    struct = write("a.struct", "vocab R1:1 <\nn = 2")
+    sentence = write("phi.sent", "Ex R1(x)")
+    for argv, error in (
+            (["tm", "encode", machine], "bad transition line ' q0 0 _ -> q0 # short'"),
+            (["cfg", "missing", grammar], "bad production line '\\tS a  # no arrow'"),
+            (["mc", struct, sentence, "--config", config, "--class", "NP"],
+             f"{config}: bad config line 'NP # no path'")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"fmwb: {error}\n")
+
+
 def test_charset_member_unord_answers_as_member_S_unord(files, capsys):
     write, _ = files
     struct = write("a.struct", "vocab E:2\nn = 2\nE = (0,1) (1,1)")
@@ -354,6 +400,47 @@ def test_sweeps_need_jobs_of_at_least_one(files, capsys, command):
     for jobs in ("0", "-1"):
         assert main(argv + ["--jobs", jobs]) == 2
         assert capsys.readouterr() == ("", f"fmwb: jobs must be >= 1, got {jobs}\n")
+
+
+def test_numeric_options_take_ascii_decimals_only(files, capsys):
+    # int() alone reads '0_3' and ' +3' as 3, and other scripts' digits as
+    # theirs, so each of these command lines used to run.
+    write, _ = files
+    good = write("good.sent", "Ax (E(x,x) | ~E(x,x))")
+    machine = write("id.tm", format_machine(identity_machine()))
+    grammar = write("g.cfg", "S -> a S | eps")
+    sweep = ["valid-upto", good, "--tau", "E:2"]
+    reduction = ["tm", "check-reduction", machine, "--gamma", good, "--target", good,
+                 "--tau", "E:2"]
+    for argv, flag, value in (
+            (sweep, "--nmax", "0_3"), (sweep, "--nmax", " +3"),
+            (sweep, "--nmax", "\u0663"), (sweep + ["--nmax", "2"], "--jobs", "\uff12"),
+            (sweep + ["--nmax", "2"], "--budget", "0_8"),
+            (reduction, "--nmax", "0_3"),
+            (["cfg", "missing", grammar], "--lenmax", "1_0")):
+        code, out, err = _outcome(capsys, main, argv + [flag, value])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"argument {flag}: invalid decimal value: {value!r}\n")
+
+
+def test_vocabulary_arities_are_ascii_decimals(files, capsys):
+    write, _ = files
+    # E:\u0663 was read as E:3; E:\u00b2 leaked int()'s message.
+    cube = write("cube.sent", "Ex E(x,x,x)")
+    for tau in ("E:\u0663", "E:\u00b2"):
+        assert main(["valid-upto", cube, "--tau", tau, "--nmax", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", f"fmwb: bad vocabulary token {tau!r}, expected name:arity\n")
+
+
+def test_a_file_that_is_not_ascii_is_named(files, capsys):
+    _, tmp = files
+    path = tmp / "arabic.struct"
+    path.write_text("vocab E:\u0663\nn = 2\n", encoding="utf-8")
+    assert main(["enc", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"fmwb: cannot read {path}: 'ascii' codec can't decode byte 0xd9"
+            " in position 8: ordinal not in range(128)\n")
 
 
 def test_cycling_least_fixpoint_is_an_error(files):

@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 
 from fmwb.core import (
     NoIntegerUniverse, Structure, StructureError, VocabError, VocabMismatch,
-    Vocabulary, decode_bin, ell, encode_bin, encoding_length,
-    enumerate_structures, is_isomorphic, parse_vocab,
+    Vocabulary, decimal, decode_bin, ell, encode_bin, encoding_length,
+    enumerate_structures, is_bits, is_isomorphic, parse_vocab,
 )
 from fmwb import core
 from fmwb.logic import parse_formula
@@ -62,6 +62,10 @@ def test_vocab_invariants():
         Vocabulary((("<", 1),))
     with pytest.raises(VocabError):
         Vocabulary((("R", 0),))
+    # str.isdigit() takes the first two arities, and int() the next two.
+    for text in ("E:\u0663", "E:\u00b2", "E:+2", "E:1_0", "E: 2", "E"):
+        with pytest.raises(VocabError, match="bad vocabulary token"):
+            parse_vocab(text)
     assert parse_vocab("R:1 E:2 <").has_order
     assert not Vocabulary((("R", 1),)).has_order
     assert Vocabulary((("R", 1), ("S", 1))).is_aristotelian()
@@ -263,3 +267,23 @@ def test_decode_encode_roundtrip_property(n, edges):
     edges = {e for e in edges if max(e) < n}
     a = Structure.make(vocab, n, {"E": edges})
     assert decode_bin(vocab, encode_bin(a)) == a
+
+
+# Digits, signs, '_' and blanks, which int() takes, and other scripts'
+# digits, which str.isdigit() takes.
+_OUTSIDE_TEXT = st.text(alphabet="0123456789-+_ \u0663\u00b2")
+
+
+@given(_OUTSIDE_TEXT)
+def test_decimal_reads_an_optional_minus_and_ascii_digits_only(text):
+    digits = text[1:] if text.startswith("-") else text
+    if digits and all(c in "0123456789" for c in digits):
+        assert decimal(text) == int(text)
+    else:
+        with pytest.raises(ValueError, match="bad number"):
+            decimal(text)
+
+
+@given(_OUTSIDE_TEXT)
+def test_is_bits_holds_exactly_for_strings_of_0_and_1(text):
+    assert is_bits(text) == (set(text) <= {"0", "1"})

@@ -23,10 +23,11 @@ from fmwb.cli import main
 from fmwb.core import Structure, encoding_length, enumerate_structures, parse_vocab
 from fmwb.forms import build_form, fo_sentences
 from fmwb.logic import (
-    Psi, apply_T_ord, apply_T_unord, parse_formula, print_formula, psi_encode,
+    CharNpconp, CharOrd, Or, Psi, apply_T_ord, apply_T_unord, godel_encode,
+    parse_formula, print_formula, psi_encode,
 )
 from fmwb.machines import (
-    BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, identity_machine,
+    BLANK, POLYTIME, RESERVED, SYMBOLS, OracleMachine, encode_tm, identity_machine,
 )
 from fmwb.semantics import (
     CHUNK_BITS, EvalConfig, MissingDistinguished, NoLeastFixpoint,
@@ -295,6 +296,40 @@ def test_nested_leaves_do_not_stack_their_programs(fresh_caches):
     finally:
         sys.setrecursionlimit(limit)
     assert got == models(a, leaf, CONFIG)
+
+
+def test_an_error_computing_a_leaf_is_not_computed_again(fresh_caches, monkeypatch):
+    # Each leaf's lambda holds the next leaf, and the innermost has no
+    # distinguished sentence.  Decided again one structure at a time, a
+    # batch would compute the failing leaf again at the structure where it
+    # first did, so the calls doubled with each level.  The budget check
+    # raises without a leaf call, and the batch reaching it is not decided
+    # again either: only models() decides a lone structure.
+    calls, decided = [], []
+    compute, decide = charsets.leaf_verdict, semantics._decide
+
+    def record(vocab, n, node, config, budget):
+        calls.append(n)
+        return compute(vocab, n, node, config, budget)
+
+    def record_decide(program, vocab, n, bits, *args):
+        decided.append(bits)
+        return decide(program, vocab, n, bits, *args)
+    monkeypatch.setattr(charsets, "leaf_verdict", record)
+    monkeypatch.setattr(semantics, "_decide", record_decide)
+    loop = parse_formula("Ex E(x,x)")
+    leaf = CharOrd(godel_encode(loop), encode_tm(identity_machine()))
+    for _ in range(3):
+        leaf = CharNpconp(godel_encode(Or(loop, leaf)), godel_encode(loop))
+    a = Structure(V_E, 12, 12345)
+    with pytest.raises(MissingDistinguished):
+        models(a, leaf, EvalConfig())
+    assert len(calls) == 4
+    calls.clear()
+    decided.clear()
+    with pytest.raises(RecursionBudgetExhausted):
+        models(a, leaf, EvalConfig(char_budget=1))
+    assert len(calls) == 1 and decided == [a.bits]
 
 
 def test_cli_prints_the_counterexample_before_an_unreached_leaf(
