@@ -59,8 +59,10 @@ def parse_grammar(text: str, terminals: tuple[str, ...] | None = None) -> Gramma
     """One production per line: ``S -> a S b | eps``.
 
     Heads are the nonterminals; every other symbol is terminal.  The first
-    head is the start symbol.  Extra alphabet symbols that appear in no
-    production can be supplied explicitly.
+    head is the start symbol.  ``eps`` alone is the empty body; an empty
+    alternative, or ``eps`` beside other symbols, is an error.  Extra
+    alphabet symbols that appear in no production can be supplied
+    explicitly.
     """
     rules: list[tuple[str, tuple[str, ...]]] = []
     heads: list[str] = []
@@ -73,8 +75,12 @@ def parse_grammar(text: str, terminals: tuple[str, ...] | None = None) -> Gramma
             heads.append(head)
         for alt in rest.split("|"):
             symbols = alt.split()
+            if not symbols:
+                raise GrammarError(f"empty alternative in {raw!r}, write eps for the empty body")
             if symbols == ["eps"]:
                 symbols = []
+            elif "eps" in symbols:
+                raise GrammarError(f"eps must stand alone in {raw!r}")
             rules.append((head, tuple(symbols)))
     if not heads:
         raise GrammarError("grammar needs at least one production")
@@ -94,116 +100,81 @@ def _fresh(base: str, used: set[str]) -> str:
     return f"{base}{i}"
 
 
+def _closure(found: set, clauses) -> set:
+    """The least superset of found closed under the Horn clauses
+    (premises, conclusions): once every premise is in, so are the
+    conclusions.  Each pass sees what earlier clauses of the pass added."""
+    while True:
+        waiting = []
+        for premises, conclusions in clauses:
+            if found.issuperset(premises):
+                found.update(conclusions)
+            else:
+                waiting.append((premises, conclusions))
+        if len(waiting) == len(clauses):
+            return found
+        clauses = waiting
+
+
 def to_cnf(g: Grammar) -> Grammar:
     """Language-equivalent Chomsky normal form.
 
     The empty string, when generated, survives as a single epsilon production
-    of a fresh start symbol that occurs on no right-hand side.
+    of a fresh start symbol that occurs on no right-hand side.  Fresh names
+    are given in the order of the sorted productions, so the result depends
+    on the grammar alone.
     """
     used = set(g.nonterminals) | set(g.terminals)
     terminals = set(g.terminals)
-    rules = {(head, body) for head, body in g.productions}
-
     start = _fresh("S0", used)
-    rules.add((start, (g.start,)))
-
-    # isolate terminals inside long bodies
     wrappers: dict[str, str] = {}
-    def wrap(sym: str) -> str:
-        if sym not in terminals:
-            return sym
-        if sym not in wrappers:
-            wrappers[sym] = _fresh(f"T_{sym}", used)
-        return wrappers[sym]
 
-    isolated = set()
-    for head, body in rules:
+    # isolate terminals inside long bodies and binarize, in one pass
+    rules = {(start, (g.start,))}
+    for head, body in sorted(g.productions):
         if len(body) >= 2:
-            body = tuple(wrap(sym) for sym in body)
-        isolated.add((head, body))
-    for sym, name in wrappers.items():
-        isolated.add((name, (sym,)))
-    rules = isolated
-
-    # binarize
-    binary = set()
-    for head, body in rules:
+            for sym in body:
+                if sym in terminals and sym not in wrappers:
+                    wrappers[sym] = _fresh(f"T_{sym}", used)
+            body = tuple(wrappers.get(sym, sym) for sym in body)
         while len(body) > 2:
             helper = _fresh("X", used)
-            binary.add((head, (body[0], helper)))
+            rules.add((head, (body[0], helper)))
             head, body = helper, body[1:]
-        binary.add((head, body))
-    rules = binary
+        rules.add((head, body))
+    rules.update((name, (sym,)) for sym, name in wrappers.items())
 
-    # drop epsilon productions, tracking nullable symbols
-    nullable = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in rules:
-            if head not in nullable and all(s in nullable for s in body):
-                nullable.add(head)
-                changed = True
+    # drop epsilon productions: each nullable symbol may be left out
+    nullable = _closure(set(), [(body, (head,)) for head, body in rules])
     no_eps = set()
     for head, body in rules:
-        options = [
-            [sym] if sym not in nullable else [sym, None] for sym in body
-        ]
+        options = [(sym, None) if sym in nullable else (sym,) for sym in body]
         for choice in itertools.product(*options):
             trimmed = tuple(sym for sym in choice if sym is not None)
             if trimmed or head == start:
                 no_eps.add((head, trimmed))
-    rules = {(h, b) for h, b in no_eps if b or h == start}
 
-    # collapse unit chains
-    units = {(h, b[0]) for h, b in rules if len(b) == 1 and b[0] not in terminals}
-    closure = {(nt, nt) for nt in used if nt not in terminals}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closure):
-            for c, d in units:
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    final = set()
-    for head, body in rules:
+    # collapse unit chains: A takes the other bodies of all B below it
+    units, bodies = [], {}
+    for head, body in no_eps:
         if len(body) == 1 and body[0] not in terminals:
-            continue
-        for a, b in closure:
-            if b == head:
-                final.add((a, body))
-    rules = final
+            units.append(((head,), body))
+        else:
+            bodies.setdefault(head, []).append(body)
+    rules = {
+        (a, body)
+        for a in {head for head, _ in no_eps}
+        for b in _closure({a}, units)
+        for body in bodies.get(b, ())
+    }
 
     # keep only generating, reachable symbols
-    generating = set(terminals)
-    changed = True
-    while changed:
-        changed = False
-        for head, body in rules:
-            if head not in generating and all(s in generating for s in body):
-                generating.add(head)
-                changed = True
-    rules = {
-        (h, b) for h, b in rules
-        if h in generating and all(s in generating for s in b)
-    }
-    reachable = {start}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in rules:
-            if head in reachable:
-                for sym in body:
-                    if sym not in reachable and sym not in terminals:
-                        reachable.add(sym)
-                        changed = True
+    generating = _closure(set(terminals), [(body, (head,)) for head, body in rules])
+    rules = {(h, b) for h, b in rules if h in generating and generating.issuperset(b)}
+    reachable = _closure({start}, [((head,), body) for head, body in rules])
     rules = {(h, b) for h, b in rules if h in reachable}
 
-    nonterminals = [start] + sorted(
-        {h for h, _ in rules if h != start}
-        | {s for _, b in rules for s in b if s not in terminals and s != start}
-    )
+    nonterminals = [start] + sorted({h for h, _ in rules} - {start})
     return Grammar.make(nonterminals, g.terminals, rules, start)
 
 

@@ -30,6 +30,10 @@ class VocabMismatch(ValueError):
     pass
 
 
+# The names a sentence can give a relation, stored or quantified.
+REL_NAME = re.compile(r"[A-Z][A-Z0-9_]*\Z")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """An ordered sequence of relation symbols, optionally with ``<``."""
@@ -44,6 +48,8 @@ class Vocabulary:
         for name, arity in self.symbols:
             if name == "<":
                 raise VocabError("'<' is interpreted, not a stored symbol")
+            if not REL_NAME.match(name):
+                raise VocabError(f"bad relation symbol {name!r}, expected [A-Z][A-Z0-9_]*")
             if arity < 1:
                 raise VocabError(f"symbol {name} has arity {arity} < 1")
 

@@ -24,7 +24,7 @@ from string import Formatter
 from types import SimpleNamespace
 
 from .aristotelian import BitReader, encode_nat, encode_str, read_code
-from .core import Structure, Vocabulary, decimal, is_bits
+from .core import REL_NAME, Structure, Vocabulary, decimal, is_bits
 
 
 class FormulaError(ValueError):
@@ -317,7 +317,6 @@ Formula = (
 
 CHAR_NODES = (CharOrd, CharUnord, CoCharUnord, CharNpconp, CharCfg)
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_REL_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
 # The numbered runs of a printed encoding sentence, in fixed blocks: the
@@ -832,7 +831,7 @@ class _Parser:
             if _VAR_RE.match(rest):
                 self.i += 1
                 return (Exists if tok[0] == "E" else Forall, rest)
-            if _REL_RE.match(rest) and self.i + 1 < len(self.tokens) \
+            if REL_NAME.match(rest) and self.i + 1 < len(self.tokens) \
                     and self.tokens[self.i + 1] == ":":
                 self.i += 2
                 arity_tok = self.next()
@@ -884,7 +883,7 @@ class _Parser:
         cls = Lfp if self.next() == "LFP" else Pfp
         self.expect("[")
         relvar = self.next()
-        if not _REL_RE.match(relvar):
+        if not REL_NAME.match(relvar):
             raise self.error(f"expected a relation variable, found {relvar!r}")
         if self.peek() != ",":
             raise self.error("fixpoint binds at least one variable")
@@ -895,7 +894,7 @@ class _Parser:
 
     def atom(self, tok: str) -> Formula:
         self.i += 1
-        if _REL_RE.match(tok):
+        if REL_NAME.match(tok):
             self.expect("(")
             args = self.variables(self.variable())
             self.expect(")")
@@ -995,7 +994,7 @@ def _read_fields(r: BitReader, node: list) -> bool:
         if kind == "V":
             values.append(_read_ident(r, _VAR_RE))
         elif kind == "R":
-            values.append(_read_ident(r, _REL_RE))
+            values.append(_read_ident(r, REL_NAME))
         elif kind == "N":
             arity = r.nat()
             if arity < 1:

@@ -7,7 +7,8 @@ naive_reduction_upto checks a reduction one structure at a time with those two,
 naive_parse is a recursive-descent parser of the text syntax, the naive_*
 bit codecs read and write a bit or a byte at a time, and the remaining
 helpers are direct restatements of the properties under test
-(breadth-first closure, exhaustive coloring, derivation search).
+(breadth-first closure, exhaustive coloring, derivation search, grammar
+spans).
 """
 
 from __future__ import annotations
@@ -604,6 +605,29 @@ def derivable_strings(grammar, max_steps, max_len):
         if not frontier:
             break
     return found
+
+
+def span_member(grammar, word):
+    """Is word in L(grammar)?  The least set of (symbol, i, j) with the
+    symbol deriving word[i:j], closed under the grammar's own rules: no
+    normal form."""
+    word = tuple(word)
+    n = len(word)
+    derived = {(sym, i, i + 1) for i, sym in enumerate(word)}
+    changed = True
+    while changed:
+        changed = False
+        for head, body in grammar.productions:
+            for i in range(n + 1):
+                ends = {i}
+                for sym in body:
+                    ends = {k for e in ends for k in range(e, n + 1)
+                            if (sym, e, k) in derived}
+                for j in ends:
+                    if (head, i, j) not in derived:
+                        derived.add((head, i, j))
+                        changed = True
+    return (grammar.start, 0, n) in derived
 
 
 # --- literal restatements of the characteristic-set definitions ----------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from fmwb.cfg import Grammar
 from fmwb.core import Structure, Vocabulary
 from fmwb.logic import (
     And, Bit, CharCfg, CharNpconp, CharOrd, CharUnord, CoCharUnord, Eq,
@@ -20,6 +21,19 @@ SO_POOL = tuple(f"Q{i}" for i in range(1, 6))
 
 def random_bits(rng: random.Random, max_len: int = 12) -> str:
     return "".join(rng.choice("01") for _ in range(rng.randint(0, max_len)))
+
+
+def random_grammar(rng: random.Random) -> Grammar:
+    """Up to three nonterminals and seven productions over a, b, with bodies
+    of 0-4 symbols, so epsilon and unit rules among them."""
+    nonterminals = ("S", "A", "B")[:rng.randint(1, 3)]
+    symbols = nonterminals + ("a", "b")
+    productions = [
+        (rng.choice(nonterminals),
+         tuple(rng.choice(symbols) for _ in range(rng.randint(0, 4))))
+        for _ in range(rng.randint(1, 7))
+    ]
+    return Grammar.make(nonterminals, ("a", "b"), productions, "S")
 
 
 def random_structure(rng: random.Random, vocab: Vocabulary, n: int,

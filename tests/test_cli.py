@@ -433,6 +433,33 @@ def test_vocabulary_arities_are_ascii_decimals(files, capsys):
             "", f"fmwb: bad vocabulary token {tau!r}, expected name:arity\n")
 
 
+def test_vocabulary_symbols_are_relation_names(files, capsys):
+    # Both command lines used to run, over a symbol no sentence can name.
+    write, _ = files
+    struct = write("t.struct", "vocab e-f:1\nn = 2\ne-f = (0)")
+    assert main(["enc", struct]) == 2
+    assert capsys.readouterr() == (
+        "", f"fmwb: {struct}: bad relation symbol 'e-f', expected [A-Z][A-Z0-9_]*\n")
+    sent = write("t.sent", "Ex x = x")
+    assert main(["valid-upto", sent, "--tau", ":2 e:1", "--nmax", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "fmwb: bad relation symbol '', expected [A-Z][A-Z0-9_]*\n")
+
+
+def test_grammar_files_spell_the_empty_body_eps_alone(files, capsys):
+    # An empty alternative was read as eps, and eps among other symbols as
+    # a terminal named eps, which is also how the empty word is printed.
+    write, _ = files
+    for text, error in (
+            ("S -> a | | b", "empty alternative in 'S -> a | | b', write eps for the empty body"),
+            ("S -> a | b |", "empty alternative in 'S -> a | b |', write eps for the empty body"),
+            ("S -> a eps b", "eps must stand alone in 'S -> a eps b'")):
+        grammar = write("g.cfg", text)
+        for argv in (["member", grammar, "eps"], ["missing", grammar, "--lenmax", "1"]):
+            assert main(["cfg", *argv]) == 2
+            assert capsys.readouterr() == ("", f"fmwb: {error}\n")
+
+
 def test_a_file_that_is_not_ascii_is_named(files, capsys):
     _, tmp = files
     path = tmp / "arabic.struct"

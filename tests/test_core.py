@@ -62,6 +62,10 @@ def test_vocab_invariants():
         Vocabulary((("<", 1),))
     with pytest.raises(VocabError):
         Vocabulary((("R", 0),))
+    # No sentence can name these symbols: relation names are [A-Z][A-Z0-9_]*.
+    for name in ("", "e", "e-f", "R-1", "1R", "Rx", "R\n"):
+        with pytest.raises(VocabError, match="bad relation symbol"):
+            Vocabulary(((name, 1),))
     # str.isdigit() takes the first two arities, and int() the next two.
     for text in ("E:\u0663", "E:\u00b2", "E:+2", "E:1_0", "E: 2", "E"):
         with pytest.raises(VocabError, match="bad vocabulary token"):
