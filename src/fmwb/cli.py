@@ -261,16 +261,19 @@ def cmd_tm(args) -> int:
 
 def cmd_cfg(args) -> int:
     grammar = cfg.parse_grammar(_read(args.grammar))
+    # A word is one symbol per character, or, when some terminal is longer
+    # than one character, its symbols separated by blanks.
+    blank = " " if any(len(t) > 1 for t in grammar.terminals) else ""
     if args.action == "member":
         if args.string is None:
             raise CliError("cfg member needs a query string")
         word = "" if args.string in ("eps", "-") else args.string
-        return _truth(cfg.cyk_member(grammar, word))
+        return _truth(cfg.cyk_member(grammar, word.split() if blank else word))
     missing = cfg.find_missing(grammar, args.lenmax)
     if missing is None:
         print(f"no missing string up to length {args.lenmax}")
         return 0
-    print("".join(missing) if missing else "eps")
+    print(blank.join(missing) if missing else "eps")
     return 1
 
 
@@ -338,7 +341,8 @@ def cmd_form(args) -> int:
         return 1
     print(f"gamma: {print_formula(found.gamma)}")
     if found.machine is not None:
-        print(f"machine: {machines.encode_tm(found.machine)}")
+        # The rebuilt form's encoding sentence spells the machine code.
+        print(f"machine: {logic.psi_recognize(found.formula.right)}")
     if found.lam is not None:
         print(f"lambda: {print_formula(found.lam)}")
     return 0

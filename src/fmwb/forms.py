@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .charsets import PayloadNotCharFree, char_sentence
+from .charsets import PayloadNotCharFree
 from .core import Vocabulary
 from .logic import (
-    LOGIC_OF_CLASS, SO_E, And, Bit, CoCharUnord, Eq, Exists, Forall, Formula,
-    FormulaError, Lt, Neq, Not, Or, Rel, apply_T_ord, apply_T_unord,
-    char_free, godel_decode, godel_encode, in_fragment, psi_encode,
-    psi_recognize, validate_sentence,
+    LOGIC_OF_CLASS, SO_E, And, Bit, CharNpconp, CharOrd, CharUnord,
+    CoCharUnord, Eq, Exists, Forall, Formula, FormulaError, Lt, Neq, Not, Or,
+    Rel, apply_T_ord, apply_T_unord, char_free, godel_decode, godel_encode,
+    in_fragment, psi_encode, psi_recognize, validate_sentence,
 )
 from .machines import (
     LOGSPACE, POLYTIME, RESERVED, MalformedMachine, OracleMachine, decode_tm,
@@ -86,6 +87,36 @@ def _upsilon_tau(kind: str, tau: Vocabulary, cls: str, upsilon: Formula,
     return apply_T_unord(upsilon, tau)
 
 
+def _npconp8_form(tau: Vocabulary, lam: Formula, lam_code: str,
+                  gamma: Formula, gamma_code: str) -> CanonicalForm:
+    """The npconp8 form of lambda and gamma, given their Goedel codes.
+    Checks lambda, then gamma."""
+    for name, f in (("lambda", lam), ("gamma", gamma)):
+        _check_gamma(name, f, tau, SO_E)
+    formula = Or(And(CharNpconp(lam_code, gamma_code), gamma), psi_encode(lam_code))
+    return CanonicalForm("npconp8", None, tau, gamma, None, lam, None, formula)
+
+
+def _machine_form(kind: str, tau: Vocabulary, cls: str, gamma: Formula,
+                  gamma_code: str, machine: OracleMachine, machine_code: str,
+                  upsilon_tau: Formula) -> CanonicalForm:
+    """The form of a machine shape, given gamma's Goedel code, the machine's
+    code and upsilon already transported to tau.  Checks gamma, then the
+    transported upsilon."""
+    _check_gamma("gamma", gamma, tau, LOGIC_OF_CLASS[cls])
+    validate_sentence(upsilon_tau, tau)
+    if kind in ("ord2", "ord5"):
+        char = CharOrd(gamma_code, machine_code)
+        co_char = Not(char)
+    else:
+        char = CharUnord(gamma_code, machine_code)
+        co_char = CoCharUnord(gamma_code, machine_code)
+    formula = Or(And(char, gamma), And(co_char, upsilon_tau))
+    if kind in ("ord5", "unord6"):
+        formula = Or(formula, psi_encode(machine_code))
+    return CanonicalForm(kind, cls, tau, gamma, machine, None, upsilon_tau, formula)
+
+
 def build_form(kind: str, gamma: Formula, *, tau: Vocabulary,
                cls: str | None = None,
                machine: OracleMachine | None = None,
@@ -103,26 +134,13 @@ def build_form(kind: str, gamma: Formula, *, tau: Vocabulary,
     if kind == "npconp8":
         if lam is None:
             raise FormError("npconp8 needs the complement-candidate sentence")
-        for name, f in (("lambda", lam), ("gamma", gamma)):
-            _check_gamma(name, f, tau, SO_E)
-        theta = char_sentence("npconp", lam=lam, gamma=gamma)
-        formula = Or(And(theta, gamma), psi_encode(theta.lambda_code))
-        return CanonicalForm(kind, None, tau, gamma, None, lam, None, formula)
+        return _npconp8_form(tau, lam, godel_encode(lam), gamma, godel_encode(gamma))
 
     if machine is None or cls is None or upsilon is None:
         raise FormError(f"kind {kind!r} needs a machine, class, and upsilon")
     upsilon_tau = _upsilon_tau(kind, tau, cls, upsilon, machine)
-    ordered = kind in ("ord2", "ord5")
-    char = char_sentence("ord" if ordered else "unord", gamma=gamma,
-                         machine=machine)
-    co_char = (Not(char) if ordered
-               else CoCharUnord(char.gamma_code, char.machine_code))
-    _check_gamma("gamma", gamma, tau, LOGIC_OF_CLASS[cls])
-    validate_sentence(upsilon_tau, tau)
-    formula = Or(And(char, gamma), And(co_char, upsilon_tau))
-    if kind in ("ord5", "unord6"):
-        formula = Or(formula, psi_encode(char.machine_code))
-    return CanonicalForm(kind, cls, tau, gamma, machine, None, upsilon_tau, formula)
+    return _machine_form(kind, tau, cls, gamma, godel_encode(gamma), machine,
+                         encode_tm(machine), upsilon_tau)
 
 
 def recognize(kind: str, phi: Formula, *, tau: Vocabulary,
@@ -142,7 +160,7 @@ def recognize(kind: str, phi: Formula, *, tau: Vocabulary,
     if kind != "npconp8":
         if cls is None or upsilon is None:
             raise FormError(f"kind {kind!r} recognition needs a class and upsilon")
-        _upsilon_tau(kind, tau, cls, upsilon)
+        upsilon_tau = _upsilon_tau(kind, tau, cls, upsilon)
 
     if not isinstance(phi, Or):
         return None
@@ -152,14 +170,19 @@ def recognize(kind: str, phi: Formula, *, tau: Vocabulary,
     w = psi_recognize(phi.right)
     if not isinstance(first, And) or w is None:
         return None
+    gamma = first.right
     try:
         if kind == "npconp8":
-            built = build_form(kind, first.right, tau=tau, lam=godel_decode(w))
+            lam = godel_decode(w)
+            built = _npconp8_form(tau, lam, godel_encode(lam), gamma,
+                                  godel_encode(gamma))
         else:
-            built = build_form(kind, first.right, tau=tau, cls=cls,
-                               machine=decode_tm(w), upsilon=upsilon)
-    except (FormError, FragmentMismatch, PayloadNotCharFree, FormulaError,
-            MalformedMachine):
+            machine = decode_tm(w)
+            if machine.kind != machine_kind_for(cls):
+                return None
+            built = _machine_form(kind, tau, cls, gamma, godel_encode(gamma),
+                                  machine, encode_tm(machine), upsilon_tau)
+    except (FragmentMismatch, PayloadNotCharFree, FormulaError, MalformedMachine):
         return None
     return built if built.formula == phi else None
 
@@ -235,13 +258,41 @@ def machine_pool(kind: str, max_clock: int) -> list[OracleMachine]:
     return out
 
 
+def _length_groups(coded: list) -> dict[int, list]:
+    """The (code, item) pairs by the length of the code, each group in code
+    order."""
+    groups: dict[int, list] = {}
+    for pair in sorted(coded, key=itemgetter(0)):
+        groups.setdefault(len(pair[0]), []).append(pair)
+    return groups
+
+
+def _pairs_by_length(firsts: list, seconds: list):
+    """Yield (a, x, b, y) for each (a, x) of firsts and (b, y) of seconds, in
+    the order of len(a) + len(b), then a, then b, where the codes a (and the
+    codes b) are distinct strings.  The walk goes up the totals and pairs
+    only the length groups that make the current one."""
+    left, right = _length_groups(firsts), _length_groups(seconds)
+    for total in sorted({i + j for i in left for j in right}):
+        row = sorted((pair for i, group in left.items() if total - i in right
+                      for pair in group), key=itemgetter(0))
+        for a, x in row:
+            for b, y in right[total - len(a)]:
+                yield a, x, b, y
+
+
 def enumerate_logic(kind: str, *, tau: Vocabulary, cls: str | None = None,
                     upsilon: Formula | None = None, budget: int = 20):
     """Emit the first `budget` canonical-form sentences of the logic.
 
-    Pairs are drawn from the canonical generator families, ordered by total
-    code length with a lexicographic tie-break on the codes, so the stream is
-    deterministic and injective and every emission is recognizer-accepted.
+    Round r pairs the first-order sentences of at most r + 2 nodes, as
+    gamma with machine_pool(kind, r + 1), or as lambda with themselves as
+    gamma for npconp8.  The first round with at least `budget` pairs is
+    used, and its pairs are ordered by total code length, then by the gamma
+    (or lambda) code and the machine (or gamma) code as strings, so the
+    stream is deterministic and injective and every emission is
+    recognizer-accepted.  First-order sentences are char-free and lie in
+    every fragment, so each is a gamma for every class.
     """
     if kind not in RECOGNIZABLE_KINDS:
         raise FormError(f"only {RECOGNIZABLE_KINDS} can be enumerated")
@@ -249,42 +300,25 @@ def enumerate_logic(kind: str, *, tau: Vocabulary, cls: str | None = None,
         raise ValueError("budget must be >= 0")
     if budget == 0:
         return
+    if kind != "npconp8":
+        if cls is None or upsilon is None:
+            raise FormError(f"kind {kind!r} enumeration needs a class and upsilon")
+        upsilon_tau = _upsilon_tau(kind, tau, cls, upsilon)
     rounds = 1
     while True:
-        if kind == "npconp8":
-            sentences = [
-                f for f in fo_sentences(tau, 2 + rounds)
-                if char_free(f) and in_fragment(f, SO_E)
-            ]
-            coded = [(godel_encode(f), f) for f in sentences]
-            pairs = [
-                (len(lc) + len(gc), lc, gc, lam, gamma)
-                for (lc, lam) in coded
-                for (gc, gamma) in coded
-            ]
-        else:
-            if cls is None or upsilon is None:
-                raise FormError(f"kind {kind!r} enumeration needs a class and upsilon")
-            fragment = LOGIC_OF_CLASS[cls]
-            sentences = [
-                f for f in fo_sentences(tau, 2 + rounds)
-                if in_fragment(f, fragment)
-            ]
-            machines = [(encode_tm(m), m)
-                        for m in machine_pool(machine_kind_for(cls), rounds + 1)]
-            coded = [(godel_encode(f), f) for f in sentences]
-            pairs = [
-                (len(gc) + len(mc), gc, mc, gamma, machine)
-                for (gc, gamma) in coded
-                for (mc, machine) in machines
-            ]
-        if len(pairs) >= budget:
-            pairs.sort(key=lambda item: item[:3])
-            for _, _, _, first, second in pairs[:budget]:
-                if kind == "npconp8":
-                    yield build_form(kind, second, tau=tau, lam=first).formula
-                else:
-                    yield build_form(kind, first, tau=tau, cls=cls,
-                                     machine=second, upsilon=upsilon).formula
-            return
+        sentences = fo_sentences(tau, 2 + rounds)
+        seconds = (sentences if kind == "npconp8"
+                   else machine_pool(machine_kind_for(cls), rounds + 1))
+        if len(sentences) * len(seconds) >= budget:
+            break
         rounds += 1
+    firsts = [(godel_encode(f), f) for f in sentences]
+    if kind == "npconp8":
+        pairs = _pairs_by_length(firsts, firsts)
+        for lam_code, lam, gamma_code, gamma in itertools.islice(pairs, budget):
+            yield _npconp8_form(tau, lam, lam_code, gamma, gamma_code).formula
+        return
+    pairs = _pairs_by_length(firsts, [(encode_tm(m), m) for m in seconds])
+    for gamma_code, gamma, machine_code, machine in itertools.islice(pairs, budget):
+        yield _machine_form(kind, tau, cls, gamma, gamma_code, machine,
+                            machine_code, upsilon_tau).formula

@@ -5,10 +5,10 @@ recursive truth definition over fresh assignment dicts, table_models builds
 truth tables with numpy, naive_run simulates a machine to its clock,
 naive_reduction_upto checks a reduction one structure at a time with those two,
 naive_parse is a recursive-descent parser of the text syntax, the naive_*
-bit codecs read and write a bit or a byte at a time, and the remaining
-helpers are direct restatements of the properties under test
-(breadth-first closure, exhaustive coloring, derivation search, grammar
-spans).
+bit codecs read and write a bit or a byte at a time, naive_enumerate sorts
+every pair of a round, and the remaining helpers are direct restatements
+of the properties under test (breadth-first closure, exhaustive coloring,
+derivation search, grammar spans).
 """
 
 from __future__ import annotations
@@ -679,3 +679,44 @@ def literal_member_cfg(a, grammar):
             if not _cyk_member(grammar, word):
                 return False
     return True
+
+
+# --- the enumeration order, by sorting every pair -------------------------
+
+from fmwb.forms import build_form as _build_form, fo_sentences as _fo_sentences, \
+    machine_kind_for as _machine_kind_for, machine_pool as _machine_pool
+from fmwb.logic import LOGIC_OF_CLASS as _LOGIC_OF_CLASS, SO_E as _SO_E, \
+    char_free as _char_free, godel_encode as _godel_encode, \
+    in_fragment as _in_fragment
+from fmwb.machines import encode_tm as _encode_tm
+
+
+def naive_enumerate(kind, *, tau, cls=None, upsilon=None, budget=20):
+    """The first budget forms of enumerate_logic's order, as a list: round
+    r filters the sentences of at most r + 2 nodes to the fragment, builds
+    every (gamma, machine) pair, or every (lambda, gamma) pair for npconp8,
+    and sorts them all by (total code length, first code, second code); a
+    round with fewer than budget pairs gives way to the next."""
+    if budget == 0:
+        return []
+    rounds = 1
+    while True:
+        if kind == "npconp8":
+            coded = [(_godel_encode(f), f) for f in _fo_sentences(tau, 2 + rounds)
+                     if _char_free(f) and _in_fragment(f, _SO_E)]
+            others = coded
+        else:
+            coded = [(_godel_encode(f), f) for f in _fo_sentences(tau, 2 + rounds)
+                     if _in_fragment(f, _LOGIC_OF_CLASS[cls])]
+            others = [(_encode_tm(m), m)
+                      for m in _machine_pool(_machine_kind_for(cls), rounds + 1)]
+        pairs = [(len(a) + len(b), a, b, x, y) for a, x in coded for b, y in others]
+        if len(pairs) >= budget:
+            break
+        rounds += 1
+    pairs.sort(key=lambda item: item[:3])
+    if kind == "npconp8":
+        return [_build_form(kind, y, tau=tau, lam=x).formula
+                for _, _, _, x, y in pairs[:budget]]
+    return [_build_form(kind, x, tau=tau, cls=cls, machine=y, upsilon=upsilon).formula
+            for _, _, _, x, y in pairs[:budget]]

@@ -180,6 +180,38 @@ def test_cfg_commands(files, capsys):
     assert capsys.readouterr().out.strip() == "a"
 
 
+def test_cfg_words_of_multi_character_terminals(files, capsys):
+    write, _ = files
+    grammar = write("g.cfg", "S -> ab S | c | eps")
+    assert main(["cfg", "missing", grammar, "--lenmax", "2"]) == 1
+    assert capsys.readouterr().out == "c ab\n"
+    for word, verdict in (("ab ab c", 0), ("ab", 0), ("eps", 0), ("c ab", 1),
+                          ("c c", 1)):
+        assert main(["cfg", "member", grammar, word]) == verdict
+        assert capsys.readouterr().out == ("true\n" if verdict == 0 else "false\n")
+    assert main(["cfg", "member", grammar, "abc"]) == 2
+    assert "symbol 'abc' is not in ('ab', 'c')" in capsys.readouterr().err
+
+
+def test_cfg_missing_words_read_back_as_cyk_judges_them(files, capsys):
+    from fmwb.cfg import cyk_member, find_missing
+    write, _ = files
+    for text in ("S -> ab S | c | eps", "S -> x S yy | eps\nS -> yy",
+                 "S -> a S b | eps\nS -> c", "S -> A B\nA -> a | aa\nB -> b"):
+        path = write("g.cfg", text)
+        grammar = parse_grammar(text)
+        for lenmax in range(4):
+            missing = find_missing(grammar, lenmax)
+            assert main(["cfg", "missing", path, "--lenmax", str(lenmax)]) == (
+                0 if missing is None else 1)
+            printed = capsys.readouterr().out.strip()
+            if missing is None:
+                continue
+            verdict = cyk_member(grammar, missing)
+            assert main(["cfg", "member", path, printed]) == (0 if verdict else 1)
+            assert capsys.readouterr().out == f"{str(verdict).lower()}\n"
+
+
 def test_charset_and_form_commands(files, capsys):
     write, tmp = files
     struct = write("a.struct", "vocab R1:1 <\nn = 2\nR1 = (0)")

@@ -10,14 +10,15 @@ from fmwb.forms import (
     machine_pool, recognize,
 )
 from fmwb.logic import (
-    And, AristotelianTarget, CharNpconp, CharOrd, CharUnord, CoCharUnord,
-    Exists, Not, Or, Rel, Psi, SOExists, WrongSourceVocabulary, apply_T_ord,
-    apply_T_unord,
-    godel_decode, godel_encode, parse_formula, print_formula, psi_encode,
-    psi_recognize,
+    FO, FO_LFP, FO_TC, SO_A, SO_E, SO_PFP, And, AristotelianTarget,
+    CharNpconp, CharOrd, CharUnord, CoCharUnord, Exists, Not, Or, Rel, Psi,
+    SOExists, WrongSourceVocabulary, apply_T_ord, apply_T_unord, char_free,
+    godel_decode, godel_encode, in_fragment, parse_formula, print_formula,
+    psi_encode, psi_recognize, validate_sentence,
 )
 from fmwb.machines import decode_tm, encode_tm, identity_machine
 from fmwb.semantics import EvalConfig, mod_eq_upto
+from oracles import naive_enumerate
 from randgen import (
     padded_identity_machine, random_machine, single_node_mutations,
 )
@@ -80,6 +81,19 @@ def test_build_errors():
                    machine=identity_machine("polytime"), upsilon=UPS_ORD)
     with pytest.raises(FormError):
         build_form("npconp8", upsilon_tau, tau=V_ORD)
+
+
+def test_a_machine_shape_needs_each_of_its_parts():
+    parts = {"cls": "NP", "machine": identity_machine(), "upsilon": UPS_ORD}
+    gamma = apply_T_ord(UPS_ORD, V_ORD)
+    for missing in parts:
+        given = {**parts, missing: None}
+        with pytest.raises(FormError, match="needs a machine, class, and upsilon"):
+            build_form("ord5", gamma, tau=V_ORD, **given)
+        if missing != "machine":
+            given.pop("machine")
+            with pytest.raises(FormError, match="needs a class and upsilon"):
+                recognize("ord5", gamma, tau=V_ORD, **given)
 
 
 def test_recognize_roundtrip_random_builds():
@@ -204,6 +218,75 @@ def test_enumerate_order_is_total_code_length():
         got = recognize("ord5", f, tau=V_ORD, cls="NP", upsilon=UPS_ORD)
         lengths.append(len(godel_encode(got.gamma)) + len(encode_tm(got.machine)))
     assert lengths == sorted(lengths)
+
+
+ENUMERATED = (
+    [("ord5", "R1:1 <", cls, UPS_ORD) for cls in ("NL", "P", "coNP", "NP", "PSPACE")]
+    + [("unord6", "E:2", cls, UPS_UNORD) for cls in ("coNP", "NP", "PSPACE")]
+    + [("npconp8", tau, None, None) for tau in ("P:1", "P:1 Q:1")])
+
+
+@pytest.mark.parametrize("kind, tau, cls, ups", ENUMERATED)
+def test_enumerate_is_the_order_of_sorting_every_pair(kind, tau, cls, ups):
+    tau = parse_vocab(tau)
+    for budget in (0, 1, 20):
+        got = list(enumerate_logic(kind, tau=tau, cls=cls, upsilon=ups, budget=budget))
+        assert got == naive_enumerate(kind, tau=tau, cls=cls, upsilon=ups,
+                                      budget=budget)
+
+
+@pytest.mark.parametrize("kind, tau, cls, ups, budget", [
+    # The first round's pair count, and one past it: a later round.
+    ("ord5", "R1:1 <", "NP", UPS_ORD, 102 * 20 + 1),
+    ("unord6", "E:2", "coNP", UPS_UNORD, 66 * 20),
+    ("unord6", "E:2", "coNP", UPS_UNORD, 66 * 20 + 1),
+    ("npconp8", "P:1", None, None, 58 * 58 + 1),
+])
+def test_enumerate_past_the_first_round(kind, tau, cls, ups, budget):
+    tau = parse_vocab(tau)
+    got = list(enumerate_logic(kind, tau=tau, cls=cls, upsilon=ups, budget=budget))
+    assert got == naive_enumerate(kind, tau=tau, cls=cls, upsilon=ups, budget=budget)
+
+
+def test_the_generator_families():
+    # The shortest sentences, and the sizes of the first two rounds that the
+    # README states.
+    assert [print_formula(f) for f in fo_sentences(V_ORD, 2)] == [
+        "Ex1 R1(x1)", "Ax1 R1(x1)", "Ex1 x1 = x1", "Ax1 x1 = x1",
+        "Ex1 x1 != x1", "Ax1 x1 != x1", "Ex1 x1 < x1", "Ax1 x1 < x1",
+        "Ex1 BIT(x1,x1)", "Ax1 BIT(x1,x1)"]
+    for tau, counts in (("R1:1 <", [102, 760]), ("E:2", [66, 480]),
+                        ("P:1", [58, 400]), ("P:1 Q:1", [72, 496])):
+        sentences = [fo_sentences(parse_vocab(tau), nodes) for nodes in (3, 4)]
+        assert [len(s) for s in sentences] == counts
+        assert all(len(set(s)) == len(s) for s in sentences)
+    for kind in ("logspace", "polytime"):
+        assert [len(machine_pool(kind, clock)) for clock in (2, 3)] == [20, 45]
+
+
+def test_first_order_sentences_are_gammas_of_every_fragment():
+    # Why enumerate_logic does not filter its sentences by class.
+    for tau in ("R1:1 <", "E:2", "P:1", "P:1 Q:1"):
+        tau = parse_vocab(tau)
+        for f in fo_sentences(tau, 4):
+            assert char_free(f)
+            validate_sentence(f, tau)
+            for fragment in (FO, SO_E, SO_A, FO_TC, FO_LFP, SO_PFP):
+                assert in_fragment(f, fragment)
+
+
+def test_enumerate_raises_as_build_form_does():
+    def first(kind, tau, cls, ups):
+        return next(enumerate_logic(kind, tau=tau, cls=cls, upsilon=ups))
+    for kind, tau, cls, ups, message in (
+            ("ord5", V_ORD, "EXP", UPS_ORD, "unknown complexity class 'EXP'"),
+            ("unord6", V_E, "NL", UPS_UNORD, "unordered forms take classes"),
+            ("ord5", V_ORD, "NP", None, "enumeration needs a class and upsilon")):
+        with pytest.raises(FormError, match=message):
+            first(kind, tau, cls, ups)
+    with pytest.raises(AristotelianTarget):
+        first("unord6", V_P, "NP", UPS_UNORD)
+    assert list(enumerate_logic("ord5", tau=V_ORD, budget=0)) == []
 
 
 def test_machine_pool_is_valid_and_distinct():
